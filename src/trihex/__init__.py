@@ -16,7 +16,7 @@ from .enumeration import (
     trihex_reps,
     verify,
 )
-from .errors import InternalInconsistencyError, NoSolutionError, VerificationFailureError
+from .errors import InternalInconsistencyError, VerificationFailureError
 from .graph import CanonicalCode, EmbeddedGraph, are_isomorphic, build, canonical_code, export, faces, is_chiral
 from .numtheory import CongruenceSolutions, Factorization, divisors, factorize, omega_count, solve_fast, solve_naive
 from .signature import (
@@ -41,7 +41,6 @@ __all__ = [
     "EnumerationResult",
     "Factorization",
     "InternalInconsistencyError",
-    "NoSolutionError",
     "Signature",
     "SignatureOrbit",
     "VerificationFailureError",

@@ -7,7 +7,8 @@ Subcommands:
   verify      check construction against the closed-form counts
   congruence  roots of x^2 + x + 1 modulo n
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+3 internal error (two computations that must agree did not).
 Range work fans out to a process pool (--jobs, or TRIHEX_JOBS; 0 = all
 cores); results are re-ordered before emission so output is deterministic.
 """
@@ -275,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"trihex: {exc}", file=sys.stderr)
         return 2
+    except InternalInconsistencyError as exc:
+        print(f"trihex: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import counting
 from .errors import VerificationFailureError
 from .numtheory import divisors, factorize, solve_fast
-from .signature import Signature, canonical_rep, mirror
+from .signature import Signature, canonical_rep, is_coinciding, mirror, orbit
 
 
 def all_signatures(v: int) -> list[Signature]:
@@ -85,15 +85,21 @@ class EnumerationResult:
 def verify(v: int) -> EnumerationResult:
     """Enumerate every stream for v and check each size against its formula.
 
-    Raises VerificationFailureError naming the first count that disagrees.
+    Each orbit and mirror fact is computed once: the representatives come
+    from one pass over the signatures, and each one's mirror representative
+    serves both the graph-class stream and the mirror-closure check.
+    Raises VerificationFailureError naming the first check that disagrees.
     """
+    signatures = all_signatures(v)
+    reps = sorted({canonical_rep(sig) for sig in signatures})
+    mirror_reps = [canonical_rep(mirror(rep)) for rep in reps]
     result = EnumerationResult(
         V=v,
-        all_signatures=tuple(all_signatures(v)),
-        trihex_reps=tuple(trihex_reps(v)),
+        all_signatures=tuple(signatures),
+        trihex_reps=tuple(reps),
         coinciding=tuple(coinciding_signatures(v)),
         self_mirror=tuple(self_mirror_signatures(v)),
-        graph_class_reps=tuple(graph_class_reps(v)),
+        graph_class_reps=tuple(rep for rep, m in zip(reps, mirror_reps) if rep <= m),
     )
 
     checks = (
@@ -112,12 +118,18 @@ def verify(v: int) -> EnumerationResult:
         if expected != actual:
             raise VerificationFailureError(v, field, expected, actual)
 
-    reps = set(result.trihex_reps)
-    if not set(result.coinciding) <= reps:
+    for sig in result.coinciding:
+        if not is_coinciding(sig):
+            raise VerificationFailureError(v, "coinciding orbit", (sig,) * 3, orbit(sig).members())
+    for sig in result.self_mirror:
+        if mirror(sig) != sig:
+            raise VerificationFailureError(v, "self-mirror fixed", sig, mirror(sig))
+    rep_set = set(reps)
+    if not set(result.coinciding) <= rep_set:
         raise VerificationFailureError(v, "coinciding not canonical", "subset", "not subset")
     for sig in result.all_signatures:
         if 4 * (sig.s + 1) * (sig.b + 1) != v:
             raise VerificationFailureError(v, "vertex count", v, sig)
-    if {canonical_rep(mirror(r)) for r in reps} != reps:
+    if set(mirror_reps) != rep_set:
         raise VerificationFailureError(v, "mirror closure", "closed", "not closed")
     return result

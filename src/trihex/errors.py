@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NoSolutionError(ValueError):
-    """A modular equation has no solution for the given inputs."""
-
-
 class InternalInconsistencyError(RuntimeError):
     """Two computations that must agree did not; indicates a bug, not bad input."""
 

@@ -2,17 +2,19 @@
 
 A trihex is identified by a triple (s, b, f): spine length, belt count, and
 offset, with the offset stored canonically in [0, s] (it is a residue class
-mod s+1).  Each trihex is described by three such triples, one per spine
-direction; `orbit` computes the other two from any one of them.  The mirror
-image of a trihex swaps the offset f for (s - b - f) mod (s+1).
+mod s+1).  The triple names the sublattice L = <(0, s+1), (b+1, -f)> of the
+hexagonal lattice that `graph` quotients by, in the (a, y) coordinates of
+its (u, d) basis, and (s, b, f) is read off the Hermite normal form (HNF)
+of L: the unique basis (b+1, -f), (0, s+1) with b+1 >= 1 and 0 <= f <= s.
+A trihex has one such triple per spine direction; `orbit` computes the
+three as the HNFs of L rotated by 0, 60 and 120 degrees (Thurston, "Shapes
+of polyhedra", 1998).  The mirror image is the HNF of L reflected by
+(a, y) -> (a, a - y), which swaps the offset f for (s - b - f) mod (s+1).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-from .errors import InternalInconsistencyError, NoSolutionError
 
 
 @dataclass(frozen=True, order=True)
@@ -43,35 +45,7 @@ def vertex_count(sig: Signature) -> int:
 
 def hexagon_count(sig: Signature) -> int:
     """Number of hexagonal faces: 2sb + 2s + 2b (always V/2 - 2)."""
-    h = 2 * sig.s * sig.b + 2 * sig.s + 2 * sig.b
-    if h != vertex_count(sig) // 2 - 2:
-        raise InternalInconsistencyError(f"hexagon count mismatch for {sig}")
-    return h
-
-
-def ord_mod(a: int, n: int) -> int:
-    """Additive order of a in Z_n: smallest j >= 1 with j*a = 0 (mod n)."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    return n // math.gcd(a % n, n)
-
-
-def min_multiplier(a: int, target: int, n: int) -> int:
-    """Smallest p >= 1 with p*a = target (mod n); 1 when n = 1."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    if n == 1:
-        return 1
-    a %= n
-    target %= n
-    g = math.gcd(a, n)
-    if target % g:
-        raise NoSolutionError(f"{a}*p = {target} (mod {n}) has no solution")
-    step = n // g
-    if step == 1:
-        return 1
-    p = (target // g) * pow(a // g, -1, step) % step
-    return p if p else step
+    return 2 * sig.s * sig.b + 2 * sig.s + 2 * sig.b
 
 
 @dataclass(frozen=True)
@@ -82,16 +56,6 @@ class SignatureOrbit:
     second: Signature
     third: Signature
 
-    def __post_init__(self):
-        members = self.members()
-        if len({vertex_count(m) for m in members}) != 1:
-            raise InternalInconsistencyError(f"orbit members disagree on V: {members}")
-        if len({hexagon_count(m) for m in members}) != 1:
-            raise InternalInconsistencyError(f"orbit members disagree on h: {members}")
-        # coinciding orbits are fully coinciding: two equal members force three
-        if len(set(members)) == 2:
-            raise InternalInconsistencyError(f"orbit with exactly two distinct members: {members}")
-
     def members(self) -> tuple[Signature, Signature, Signature]:
         return (self.first, self.second, self.third)
 
@@ -99,38 +63,31 @@ class SignatureOrbit:
         return sig in self.members()
 
 
-def _companion(sig: Signature, generator: int, offset_extra: int) -> Signature:
-    """Signature read along the spine direction selected by `generator`.
+def _hnf(a1: int, y1: int, a2: int, y2: int) -> Signature:
+    """Signature of the lattice spanned by (a1, y1) and (a2, y2), read off its HNF.
 
-    The two companion directions use generator = f and generator = f + b + 1
-    in Z_{s+1}; their offset formulas differ by one extra belt term, passed
-    in as `offset_extra`.  The new belt count comes from an exact division;
-    a remainder can only mean a bug.
+    Extended Euclid on the first coordinates gives g = gcd(a1, a2) = x*a1 + z*a2,
+    so the lattice has the triangular basis (g, x*y1 + z*y2), (0, h) with
+    h = |det| / g; that is the basis of L for (h-1, g-1, f).
     """
-    n = sig.s + 1
-    h = hexagon_count(sig)
-    j = ord_mod(generator, n)
-    s_new = j * (sig.b + 1) - 1
-    numerator = h - 2 * s_new
-    denominator = 2 * s_new + 2
-    if numerator % denominator:
-        raise InternalInconsistencyError(f"inexact belt division for {sig}")
-    b_new = numerator // denominator
-    try:
-        p = min_multiplier(generator, b_new + 1, n)
-    except NoSolutionError as exc:
-        raise InternalInconsistencyError(f"no multiplier for {sig}: {exc}") from exc
-    f_new = (-p * (sig.b + 1) - offset_extra * (b_new + 1)) % (s_new + 1)
-    return Signature(s_new, b_new, f_new)
+    g, x, z, a, x1, z1 = a1, 1, 0, a2, 0, 1
+    while a:
+        q = g // a
+        g, x, z, a, x1, z1 = a, x1, z1, g - q * a, x - q * x1, z - q * z1
+    if g < 0:
+        g, x, z = -g, -x, -z
+    h = abs((a2 // g) * y1 - (a1 // g) * y2)
+    return Signature(h - 1, g - 1, -(x * y1 + z * y2) % h)
 
 
 def orbit(sig: Signature) -> SignatureOrbit:
-    """All three equivalent signatures, computed from `sig` alone."""
-    return SignatureOrbit(
-        first=sig,
-        second=_companion(sig, sig.f, offset_extra=1),
-        third=_companion(sig, sig.f + sig.b + 1, offset_extra=0),
-    )
+    """All three equivalent signatures: the HNFs of L rotated by 0, 60 and 120 degrees.
+
+    R60(a, y) = (y, y - a) maps the basis (0, s+1), (b+1, -f) of L to
+    (s+1, s+1), (-f, -f-b-1); R120 maps it to (s+1, 0), (-f-b-1, -b-1).
+    """
+    n, m, f = sig.s + 1, sig.b + 1, sig.f
+    return SignatureOrbit(sig, _hnf(n, n, -f, -f - m), _hnf(n, 0, -f - m, -m))
 
 
 def mirror(sig: Signature) -> Signature:
@@ -139,34 +96,13 @@ def mirror(sig: Signature) -> Signature:
 
 
 def is_coinciding(sig: Signature) -> bool:
-    """True when all three equivalent signatures are the same triple.
-
-    Checked two ways: by computing the orbit, and by the arithmetic test
-    that (s, b, f) = (tm-1, m-1, gm) with m = b+1 and g^2 + g + 1 = 0
-    (mod t).  The two must agree.
-    """
-    m = sig.b + 1
-    if (sig.s + 1) % m or sig.f % m:
-        arithmetic = False
-    else:
-        t = (sig.s + 1) // m
-        g = sig.f // m
-        arithmetic = (g * g + g + 1) % t == 0
-    via_orbit = len(set(orbit(sig).members())) == 1
-    if arithmetic != via_orbit:
-        raise InternalInconsistencyError(
-            f"coinciding tests disagree for {sig}: arithmetic={arithmetic}, orbit={via_orbit}"
-        )
-    return via_orbit
+    """True when all three equivalent signatures are the same triple."""
+    return len(set(orbit(sig).members())) == 1
 
 
 def is_self_mirror(sig: Signature) -> bool:
     """True when sig equals its own mirror signature."""
-    direct = mirror(sig) == sig
-    congruence = (2 * sig.f + sig.b + 1) % (sig.s + 1) == 0
-    if direct != congruence:
-        raise InternalInconsistencyError(f"self-mirror tests disagree for {sig}")
-    return direct
+    return mirror(sig) == sig
 
 
 def has_mirror_symmetry(sig: Signature) -> bool:

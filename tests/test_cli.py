@@ -5,7 +5,9 @@ import json
 import pytest
 
 from golden_counts import TABLE
+from trihex import counting
 from trihex.cli import main
+from trihex.errors import InternalInconsistencyError
 
 
 def run_cli(capsys, *argv):
@@ -183,3 +185,14 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(v):
+        raise InternalInconsistencyError(f"routes disagree at V={v}")
+
+    monkeypatch.setattr(counting, "report", broken)
+    code, out, err = run_cli(capsys, "count", "--v", "28")
+    assert code == 3
+    assert out == ""
+    assert err == "trihex: internal error: routes disagree at V=28\n"

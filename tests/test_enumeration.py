@@ -2,6 +2,7 @@
 
 import pytest
 
+from trihex import enumeration
 from trihex.counting import mu, nu
 from trihex.enumeration import (
     all_signatures,
@@ -79,6 +80,33 @@ def test_verify_sweep():
     for v in range(4, 404, 4):
         result = verify(v)
         assert result.V == v
+
+
+def test_verify_streams_match_public_streams():
+    # verify builds the representative and class streams in one pass; they
+    # must equal the streams `enumerate` prints
+    for v in range(4, 404, 4):
+        result = verify(v)
+        assert list(result.trihex_reps) == trihex_reps(v), v
+        assert list(result.graph_class_reps) == graph_class_reps(v), v
+
+
+def test_verify_reports_non_coinciding_construction(monkeypatch):
+    monkeypatch.setattr(enumeration, "is_coinciding", lambda sig: False)
+    with pytest.raises(VerificationFailureError) as excinfo:
+        verify(28)
+    assert excinfo.value.field == "coinciding orbit"
+
+
+def test_verify_reports_self_mirror_not_fixed(monkeypatch):
+    # same size and same overlap with the coinciding stream, so only the
+    # fixed-by-mirror check can catch the wrong member
+    wrong = [Signature(0, 6, 0), Signature(6, 0, 1)]
+    monkeypatch.setattr(enumeration, "self_mirror_signatures", lambda v: wrong)
+    with pytest.raises(VerificationFailureError) as excinfo:
+        verify(28)
+    assert excinfo.value.field == "self-mirror fixed"
+    assert excinfo.value.actual == Signature(6, 0, 5)
 
 
 def test_mirror_symmetry_bijections():

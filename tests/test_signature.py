@@ -1,8 +1,10 @@
 """Tests for the signature calculus: orbits, mirrors, symmetry predicates."""
 
+import math
+
 import pytest
 
-from trihex.errors import NoSolutionError
+from trihex.errors import InternalInconsistencyError
 from trihex.signature import (
     Signature,
     canonical_rep,
@@ -10,13 +12,69 @@ from trihex.signature import (
     hexagon_count,
     is_coinciding,
     is_self_mirror,
-    min_multiplier,
     mirror,
     orbit,
-    ord_mod,
     parse_signature,
     vertex_count,
 )
+
+
+# The paper's companion-signature formulas, kept as an oracle independent of
+# the lattice (HNF) computation in `orbit`.
+
+
+class NoSolutionError(ValueError):
+    """A modular equation has no solution for the given inputs."""
+
+
+def ord_mod(a: int, n: int) -> int:
+    """Additive order of a in Z_n: smallest j >= 1 with j*a = 0 (mod n)."""
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    return n // math.gcd(a % n, n)
+
+
+def min_multiplier(a: int, target: int, n: int) -> int:
+    """Smallest p >= 1 with p*a = target (mod n); 1 when n = 1."""
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    if n == 1:
+        return 1
+    a %= n
+    target %= n
+    g = math.gcd(a, n)
+    if target % g:
+        raise NoSolutionError(f"{a}*p = {target} (mod {n}) has no solution")
+    step = n // g
+    if step == 1:
+        return 1
+    p = (target // g) * pow(a // g, -1, step) % step
+    return p if p else step
+
+
+def companion(sig: Signature, generator: int, offset_extra: int) -> Signature:
+    """Signature read along the spine direction selected by `generator`.
+
+    The two companion directions use generator = f and generator = f + b + 1
+    in Z_{s+1}; their offset formulas differ by one extra belt term, passed
+    in as `offset_extra`.  The new belt count comes from an exact division;
+    a remainder can only mean a bug.
+    """
+    n = sig.s + 1
+    h = hexagon_count(sig)
+    j = ord_mod(generator, n)
+    s_new = j * (sig.b + 1) - 1
+    numerator = h - 2 * s_new
+    denominator = 2 * s_new + 2
+    if numerator % denominator:
+        raise InternalInconsistencyError(f"inexact belt division for {sig}")
+    b_new = numerator // denominator
+    try:
+        p = min_multiplier(generator, b_new + 1, n)
+    except NoSolutionError as exc:
+        raise InternalInconsistencyError(f"no multiplier for {sig}: {exc}") from exc
+    f_new = (-p * (sig.b + 1) - offset_extra * (b_new + 1)) % (s_new + 1)
+    return Signature(s_new, b_new, f_new)
 
 
 def all_signatures_upto(v_max):
@@ -99,6 +157,22 @@ def test_orbit_spine_zero():
         assert {vertex_count(m) for m in members} == {4 * (b + 1)}
 
 
+def test_orbit_matches_companion_formulas():
+    for sig in all_signatures_upto(400):
+        expected = (
+            sig,
+            companion(sig, sig.f, 1),
+            companion(sig, sig.f + sig.b + 1, 0),
+        )
+        assert orbit(sig).members() == expected, sig
+
+
+def test_orbit_never_has_exactly_two_members():
+    # an orbit of the order-3 rotation is one signature or three distinct ones
+    for sig in all_signatures_upto(400):
+        assert len(set(orbit(sig).members())) in (1, 3), sig
+
+
 def test_orbit_closure():
     for sig in all_signatures_upto(400):
         members = set(orbit(sig).members())
@@ -111,6 +185,7 @@ def test_orbit_conserves_counts():
         o = orbit(sig)
         assert len({vertex_count(m) for m in o.members()}) == 1
         assert len({hexagon_count(m) for m in o.members()}) == 1
+        assert hexagon_count(sig) == vertex_count(sig) // 2 - 2, sig
 
 
 @pytest.mark.parametrize(
@@ -139,6 +214,19 @@ def test_is_coinciding_examples():
         assert is_coinciding(Signature(m - 1, m - 1, 0))
 
 
+def test_is_coinciding_matches_arithmetic():
+    # (s, b, f) = (tm-1, m-1, gm) with m = b+1 and g^2 + g + 1 = 0 (mod t)
+    for sig in all_signatures_upto(400):
+        m = sig.b + 1
+        if (sig.s + 1) % m or sig.f % m:
+            arithmetic = False
+        else:
+            t = (sig.s + 1) // m
+            g = sig.f // m
+            arithmetic = (g * g + g + 1) % t == 0
+        assert is_coinciding(sig) == arithmetic, sig
+
+
 def test_coinciding_divisibility():
     # coinciding forces b+1 to divide both s+1 and f
     for sig in all_signatures_upto(400):
@@ -151,6 +239,11 @@ def test_is_self_mirror_examples():
     assert is_self_mirror(Signature(4, 2, 1))
     assert not is_self_mirror(Signature(14, 0, 11))
     assert is_self_mirror(Signature(6, 0, 3))
+
+
+def test_is_self_mirror_matches_congruence():
+    for sig in all_signatures_upto(400):
+        assert is_self_mirror(sig) == ((2 * sig.f + sig.b + 1) % (sig.s + 1) == 0), sig
 
 
 def test_has_mirror_symmetry_examples():

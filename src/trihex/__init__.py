@@ -15,9 +15,21 @@ from .enumeration import (
     self_mirror_signatures,
     trihex_reps,
     verify,
+    verify_graphs,
 )
 from .errors import InternalInconsistencyError, VerificationFailureError
-from .graph import CanonicalCode, EmbeddedGraph, are_isomorphic, build, canonical_code, export, faces, is_chiral
+from .graph import (
+    CanonicalCode,
+    EmbeddedGraph,
+    are_isomorphic,
+    build,
+    canonical_code,
+    export,
+    face_census,
+    faces,
+    is_chiral,
+    mirror_image,
+)
 from .numtheory import CongruenceSolutions, Factorization, divisors, factorize, omega_count, solve_fast, solve_naive
 from .signature import (
     Signature,
@@ -53,6 +65,7 @@ __all__ = [
     "delta",
     "divisors",
     "export",
+    "face_census",
     "faces",
     "factorize",
     "gamma",
@@ -63,6 +76,7 @@ __all__ = [
     "is_coinciding",
     "is_self_mirror",
     "mirror",
+    "mirror_image",
     "mu",
     "nu",
     "omega_count",
@@ -77,6 +91,7 @@ __all__ = [
     "trihex_count",
     "trihex_reps",
     "verify",
+    "verify_graphs",
     "vertex_count",
 ]
 

@@ -4,8 +4,10 @@ Subcommands:
   count       counting table over a range of vertex counts
   enumerate   signature streams for one vertex count
   build       realize a signature and export the embedded graph
-  verify      check construction against the closed-form counts
-  congruence  roots of x^2 + x + 1 modulo n
+  verify      check construction against the closed-form counts, and with
+              --with-graphs the built graphs too (enumeration.verify_graphs)
+  congruence  roots of x^2 + x + 1 modulo n, checked against their
+              closed-form count
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 internal error (two computations that must agree did not).
@@ -23,8 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import counting, enumeration, graph
 from .errors import InternalInconsistencyError, VerificationFailureError
-from .numtheory import factorize, omega_count, solve_fast, solve_naive
-from .signature import Signature, has_mirror_symmetry, is_coinciding, orbit, parse_signature
+from .numtheory import factorize, omega_count, solve_fast
+from .signature import parse_signature
 
 SCHEMA_VERSION = 1
 
@@ -130,12 +132,9 @@ def cmd_build(args) -> int:
         raise UsageError(str(exc)) from exc
     g = graph.build(sig)
     if not args.quiet:
-        census: dict[int, int] = {}
-        for face in graph.faces(g):
-            census[len(face)] = census.get(len(face), 0) + 1
         print(
             f"signature {sig}: {g.n} vertices, faces "
-            + ", ".join(f"{census[k]} of length {k}" for k in sorted(census)),
+            + ", ".join(f"{count} of length {k}" for k, count in graph.face_census(g).items()),
             file=sys.stderr,
         )
     _emit_bytes(graph.export(g, args.format), args)
@@ -144,40 +143,11 @@ def cmd_build(args) -> int:
 
 def _verify_one(task: tuple[int, bool]) -> tuple[int, list[str]]:
     v, with_graphs = task
-    problems: list[str] = []
     try:
         result = enumeration.verify(v)
     except VerificationFailureError as exc:
         return v, [f"{exc.field}: expected {exc.expected}, got {exc.actual}"]
-    if not with_graphs:
-        return v, problems
-
-    oriented: dict[tuple[int, ...], Signature] = {}
-    reflective: set[tuple[int, ...]] = set()
-    for rep in result.trihex_reps:
-        try:
-            g = graph.build(rep)
-        except InternalInconsistencyError as exc:
-            problems.append(f"build {rep}: {exc}")
-            continue
-        code = graph.canonical_code(g, use_reflection=True)
-        fwd = graph.canonical_code(g, use_reflection=False)
-        if (fwd.oriented_aut_count % 3 == 0) != is_coinciding(rep):
-            problems.append(f"{rep}: 3-fold symmetry vs automorphism count")
-        if graph.is_chiral(g) == has_mirror_symmetry(rep):
-            problems.append(f"{rep}: chirality vs mirror symmetry")
-        if fwd.code in oriented:
-            problems.append(f"{rep}: oriented code collides with {oriented[fwd.code]}")
-        oriented[fwd.code] = rep
-        reflective.add(code.code)
-        for member in orbit(rep).members():
-            if member != rep:
-                mg = graph.build(member)
-                if graph.canonical_code(mg, use_reflection=False).code != fwd.code:
-                    problems.append(f"{rep}: equivalent signature {member} builds a different graph")
-    if len(reflective) != counting.gamma(v):
-        problems.append(f"reflective classes {len(reflective)} != gamma {counting.gamma(v)}")
-    return v, problems
+    return v, enumeration.verify_graphs(v, result.trihex_reps) if with_graphs else []
 
 
 def cmd_verify(args) -> int:
@@ -201,10 +171,14 @@ def cmd_verify(args) -> int:
 def cmd_congruence(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be positive, got {args.n}")
-    fast = solve_fast(factorize(args.n))
-    naive = solve_naive(args.n)
-    if fast.roots != naive.roots or len(fast.roots) != omega_count(factorize(args.n)):
-        raise InternalInconsistencyError(f"solver routes disagree for n={args.n}")
+    f = factorize(args.n)
+    fast = solve_fast(f)
+    # CongruenceSolutions checks that every root is a distinct root, so the
+    # closed-form count certifies the whole root set.
+    if len(fast.roots) != omega_count(f):
+        raise InternalInconsistencyError(
+            f"{len(fast.roots)} roots for n={args.n}, the closed form says {omega_count(f)}"
+        )
     if args.format == "structured":
         doc = {
             "schema_version": SCHEMA_VERSION,

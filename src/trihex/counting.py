@@ -10,10 +10,11 @@ All counts are driven by the prime factorization of V/4:
   gamma  - graph isomorphism classes = (sigma + 2*delta + 3*mu) / 6
   rot_classes - graph classes with 3-fold symmetry = (delta + nu) / 2
 
-gamma and rot_classes are each computed along two independent routes (the
-combination above and direct case formulas) and the routes are required to
-agree.  Everything is exact integer arithmetic; the rational coefficients
-become checked divisions.
+`report` reads sigma, delta, mu and nu once each and derives the last three
+counts from them; `trihex_count`, `gamma` and `rot_classes` return its
+fields.  Everything is exact integer arithmetic; the rational coefficients
+become checked divisions.  The paper's direct case formulas for gamma and
+rot_classes, an independent second route, are kept in the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import InternalInconsistencyError
-from .numtheory import Factorization, factorize
+from .numtheory import factorize
 
 
 def quarter(v: int) -> int:
@@ -56,11 +57,6 @@ def delta(v: int) -> int:
     return result
 
 
-def trihex_count(v: int) -> int:
-    """Total number of trihexes with v vertices."""
-    return _exact_div(sigma(v) + 2 * delta(v), 3, f"trihex count for V={v}")
-
-
 def mu(v: int) -> int:
     """Number of trihexes with v vertices and mirror symmetry."""
     f = factorize(quarter(v))
@@ -75,64 +71,19 @@ def nu(v: int) -> int:
     return 1 if all(k % 2 == 0 for p, k in f.factors if p != 3) else 0
 
 
-def _gamma_cases(f: Factorization) -> int:
-    """Graph-class count via the direct case formulas on the factorization.
-
-    Split v/4 = 2^a * 3^b * (primes = 1 mod 3) * (odd primes = 2 mod 3) and
-    combine the three symmetry contributions over the common denominator 12.
-    """
-    a = f.exponent(2)
-    b = f.exponent(3)
-    ones = [(p, k) for p, k in f.factors if p % 3 == 1]
-    twos = [(p, k) for p, k in f.factors if p % 3 == 2 and p != 2]
-
-    sig_rest = math.prod((p ** (k + 1) - 1) // (p - 1) for p, k in ones + twos)
-    prod_ones = math.prod(k + 1 for _, k in ones)
-    prod_twos = math.prod(k + 1 for _, k in twos)
-
-    pow2 = 2 ** (a + 1) - 1 if a > 0 else 1
-    sigma_term = pow2 * (3 ** (b + 1) - 1) * sig_rest
-    mirror_coeff = (2 * a - 1) if a > 0 else 1
-    mirror_term = 6 * mirror_coeff * (b + 1) * prod_ones * prod_twos
-    rotation_possible = a % 2 == 0 and all(k % 2 == 0 for _, k in twos)
-    rotation_term = 4 * prod_ones if rotation_possible else 0
-
-    return _exact_div(sigma_term + rotation_term + mirror_term, 12, f"gamma for n={f.n}")
+def trihex_count(v: int) -> int:
+    """Total number of trihexes with v vertices."""
+    return report(v).trihexes
 
 
 def gamma(v: int) -> int:
-    """Number of graph isomorphism classes of trihexes with v vertices.
-
-    Computed both as (sigma + 2*delta + 3*mu)/6 and by the direct case
-    formulas; the two routes must agree.
-    """
-    combined = _exact_div(sigma(v) + 2 * delta(v) + 3 * mu(v), 6, f"gamma for V={v}")
-    cases = _gamma_cases(factorize(quarter(v)))
-    if combined != cases:
-        raise InternalInconsistencyError(
-            f"gamma routes disagree for V={v}: combined={combined}, cases={cases}"
-        )
-    return combined
+    """Number of graph isomorphism classes of trihexes with v vertices."""
+    return report(v).gamma
 
 
 def rot_classes(v: int) -> int:
     """Graph isomorphism classes of trihexes with 3-fold rotational symmetry."""
-    combined = _exact_div(delta(v) + nu(v), 2, f"rot_classes for V={v}")
-
-    f = factorize(quarter(v))
-    ones = [k for p, k in f.factors if p % 3 == 1]
-    twos = [k for p, k in f.factors if p % 3 == 2]
-    if any(k % 2 for k in twos):
-        direct = 0
-    elif any(k % 2 for k in ones):
-        direct = _exact_div(math.prod(k + 1 for k in ones), 2, f"rot_classes for V={v}")
-    else:
-        direct = _exact_div(math.prod(k + 1 for k in ones) + 1, 2, f"rot_classes for V={v}")
-    if combined != direct:
-        raise InternalInconsistencyError(
-            f"rot_classes routes disagree for V={v}: combined={combined}, direct={direct}"
-        )
-    return combined
+    return report(v).rot_classes
 
 
 CSV_COLUMNS = ("V", "sigma", "delta", "mu", "nu", "trihexes", "gamma", "rot_classes")
@@ -173,13 +124,14 @@ class CountReport:
 
 def report(v: int) -> CountReport:
     """Compute every counting function for v and bundle the results."""
+    s, d, m, n = sigma(v), delta(v), mu(v), nu(v)
     return CountReport(
         V=v,
-        sigma=sigma(v),
-        delta=delta(v),
-        mu=mu(v),
-        nu=nu(v),
-        trihexes=trihex_count(v),
-        gamma=gamma(v),
-        rot_classes=rot_classes(v),
+        sigma=s,
+        delta=d,
+        mu=m,
+        nu=n,
+        trihexes=_exact_div(s + 2 * d, 3, f"trihex count for V={v}"),
+        gamma=_exact_div(s + 2 * d + 3 * m, 6, f"gamma for V={v}"),
+        rot_classes=_exact_div(d + n, 2, f"rot_classes for V={v}"),
     )

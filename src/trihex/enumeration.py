@@ -1,20 +1,23 @@
 """Constructive enumeration of signatures and trihex representatives.
 
 These routines build the objects that the closed-form counts in `counting`
-merely count, so each stream's size certifies one formula.  Enumeration
-order is deterministic (divisors ascending, offsets ascending) so output is
-reproducible byte for byte.
+merely count, so each stream's size certifies one formula (`verify`).
+`verify_graphs` then realizes the representatives as embedded graphs and
+checks the symmetry claims and the graph-class count on the graphs
+themselves.  Enumeration order is deterministic (divisors ascending, offsets
+ascending) so output is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from . import counting
-from .errors import VerificationFailureError
+from . import counting, graph
+from .errors import InternalInconsistencyError, VerificationFailureError
 from .numtheory import divisors, factorize, solve_fast
-from .signature import Signature, canonical_rep, is_coinciding, mirror, orbit
+from .signature import Signature, canonical_rep, has_mirror_symmetry, is_coinciding, mirror, orbit
 
 
 def all_signatures(v: int) -> list[Signature]:
@@ -102,17 +105,14 @@ def verify(v: int) -> EnumerationResult:
         graph_class_reps=tuple(rep for rep, m in zip(reps, mirror_reps) if rep <= m),
     )
 
+    counts = counting.report(v)
     checks = (
-        ("sigma", counting.sigma(v), len(result.all_signatures)),
-        ("trihexes", counting.trihex_count(v), len(result.trihex_reps)),
-        ("delta", counting.delta(v), len(result.coinciding)),
-        ("mu", counting.mu(v), len(result.self_mirror)),
-        ("gamma", counting.gamma(v), len(result.graph_class_reps)),
-        (
-            "nu",
-            counting.nu(v),
-            len(set(result.coinciding) & set(result.self_mirror)),
-        ),
+        ("sigma", counts.sigma, len(result.all_signatures)),
+        ("trihexes", counts.trihexes, len(result.trihex_reps)),
+        ("delta", counts.delta, len(result.coinciding)),
+        ("mu", counts.mu, len(result.self_mirror)),
+        ("gamma", counts.gamma, len(result.graph_class_reps)),
+        ("nu", counts.nu, len(set(result.coinciding) & set(result.self_mirror))),
     )
     for field, expected, actual in checks:
         if expected != actual:
@@ -133,3 +133,44 @@ def verify(v: int) -> EnumerationResult:
     if set(mirror_reps) != rep_set:
         raise VerificationFailureError(v, "mirror closure", "closed", "not closed")
     return result
+
+
+def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
+    """Check the trihex representatives `reps` of v as graphs; return the problems found.
+
+    Each representative is built once and gets two minimal codes: forward,
+    and backward (the forward code of its mirror image).  The checks are:
+    3-fold symmetry (an oriented automorphism count divisible by 3) exactly
+    for coinciding signatures; chirality (the two codes differ) exactly
+    without mirror symmetry; distinct oriented codes for distinct
+    representatives; the same oriented code for every orbit member; and
+    gamma classes up to reflection (the smaller of the two codes).
+    """
+    problems: list[str] = []
+    oriented: dict[tuple[int, ...], Signature] = {}
+    reflective: set[tuple[int, ...]] = set()
+    for rep in reps:
+        try:
+            g = graph.build(rep)
+        except InternalInconsistencyError as exc:
+            problems.append(f"build {rep}: {exc}")
+            continue
+        fwd = graph.canonical_code(g, use_reflection=False)
+        bwd = graph.canonical_code(graph.mirror_image(g), use_reflection=False)
+        if (fwd.oriented_aut_count % 3 == 0) != is_coinciding(rep):
+            problems.append(f"{rep}: 3-fold symmetry vs automorphism count")
+        if (fwd.code != bwd.code) == has_mirror_symmetry(rep):
+            problems.append(f"{rep}: chirality vs mirror symmetry")
+        if fwd.code in oriented:
+            problems.append(f"{rep}: oriented code collides with {oriented[fwd.code]}")
+        oriented[fwd.code] = rep
+        reflective.add(min(fwd.code, bwd.code))
+        for member in orbit(rep).members():
+            if member != rep:
+                mg = graph.build(member)
+                if graph.canonical_code(mg, use_reflection=False).code != fwd.code:
+                    problems.append(f"{rep}: equivalent signature {member} builds a different graph")
+    gamma = counting.gamma(v)
+    if len(reflective) != gamma:
+        problems.append(f"reflective classes {len(reflective)} != gamma {gamma}")
+    return problems

@@ -27,10 +27,11 @@ tests, not by choice.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError
-from .signature import Signature, hexagon_count, vertex_count
+from .signature import Signature, hexagon_count, mirror, vertex_count
 
 Rotation = tuple[tuple[int, int, int], ...]
 
@@ -108,9 +109,7 @@ def _validate(g: EmbeddedGraph) -> None:
     if len(seen) != g.n:
         raise InternalInconsistencyError(f"{g.source}: graph is not connected")
 
-    census: dict[int, int] = {}
-    for face in faces(g):
-        census[len(face)] = census.get(len(face), 0) + 1
+    census = face_census(g)
     h = hexagon_count(g.source)
     expected = {3: 4, 6: h} if h else {3: 4}
     if census != expected:
@@ -138,19 +137,24 @@ def faces(g: EmbeddedGraph) -> list[list[int]]:
     return result
 
 
-def _code_from(
-    rot: Rotation,
-    start_v: int,
-    start_w: int,
-    reverse: bool,
-    best: list[int] | None,
-) -> list[int] | None:
+def face_census(g: EmbeddedGraph) -> dict[int, int]:
+    """Number of faces of each length, in ascending order of length."""
+    lengths = Counter(len(face) for face in faces(g))
+    return {k: lengths[k] for k in sorted(lengths)}
+
+
+def mirror_image(g: EmbeddedGraph) -> EmbeddedGraph:
+    """The reflected embedding: every rotation reversed, realizing the mirror signature."""
+    return EmbeddedGraph(n=g.n, rot=tuple(nbrs[::-1] for nbrs in g.rot), source=mirror(g.source))
+
+
+def _code_from(rot: Rotation, start_v: int, start_w: int, best: list[int] | None) -> list[int] | None:
     """Breadth-first code of the graph rooted at the dart (start_v, start_w).
 
     Vertices are numbered in discovery order; each vertex emits its three
-    neighbors' numbers, reading its rotation from the entry edge (backwards
-    when `reverse`).  When `best` is given, construction aborts with None as
-    soon as the code is lexicographically above it.
+    neighbors' numbers, reading its rotation forwards from the entry edge.
+    When `best` is given, construction aborts with None as soon as the code
+    is lexicographically above it.
     """
     n = len(rot)
     label = [-1] * n
@@ -159,14 +163,13 @@ def _code_from(
     entry = [start_w] + [0] * (n - 1)
     code: list[int] = []
     next_label = 1
-    step = -1 if reverse else 1
     still_tied = best is not None
     for i in range(n):
         v = order[i]
         nbrs = rot[v]
         j = nbrs.index(entry[i])
         for t in range(3):
-            x = nbrs[(j + step * t) % 3]
+            x = nbrs[(j + t) % 3]
             lx = label[x]
             if lx < 0:
                 lx = label[x] = next_label
@@ -183,13 +186,13 @@ def _code_from(
     return code
 
 
-def _min_code(rot: Rotation, reverse: bool) -> tuple[list[int], int]:
+def _min_code(rot: Rotation) -> tuple[list[int], int]:
     """Lexicographically minimal code over all starting darts, with its multiplicity."""
     best: list[int] | None = None
     count = 0
     for v in range(len(rot)):
         for w in rot[v]:
-            code = _code_from(rot, v, w, reverse, best)
+            code = _code_from(rot, v, w, best)
             if code is None:
                 continue
             if best is None or code < best:
@@ -201,11 +204,11 @@ def _min_code(rot: Rotation, reverse: bool) -> tuple[list[int], int]:
 
 
 def canonical_code(g: EmbeddedGraph, use_reflection: bool) -> CanonicalCode:
-    """Canonical code of g; optionally minimized over both orientation senses."""
-    forward, count = _min_code(g.rot, reverse=False)
+    """Canonical code of g; optionally minimized over g and its mirror image."""
+    forward, count = _min_code(g.rot)
     if not use_reflection:
         return CanonicalCode(tuple(forward), count, reflective=False)
-    backward, _ = _min_code(g.rot, reverse=True)
+    backward, _ = _min_code(mirror_image(g).rot)
     if backward < forward:
         return CanonicalCode(tuple(backward), count, reflective=True)
     return CanonicalCode(tuple(forward), count, reflective=False)
@@ -223,9 +226,7 @@ def are_isomorphic(g1: EmbeddedGraph, g2: EmbeddedGraph, allow_reflection: bool)
 
 def is_chiral(g: EmbeddedGraph) -> bool:
     """True when g is not isomorphic to its mirror image."""
-    forward, _ = _min_code(g.rot, reverse=False)
-    backward, _ = _min_code(g.rot, reverse=True)
-    return forward != backward
+    return _min_code(g.rot)[0] != _min_code(mirror_image(g).rot)[0]
 
 
 def _planar_code_bytes(g: EmbeddedGraph) -> bytes:
@@ -255,14 +256,11 @@ def _dot_bytes(g: EmbeddedGraph) -> bytes:
 
 
 def _structured_bytes(g: EmbeddedGraph) -> bytes:
-    census: dict[int, int] = {}
-    for face in faces(g):
-        census[len(face)] = census.get(len(face), 0) + 1
     doc = {
         "n": g.n,
         "signature": list(g.source.as_tuple()),
         "rot": [list(nbrs) for nbrs in g.rot],
-        "faces": {str(k): census[k] for k in sorted(census)},
+        "faces": {str(k): count for k, count in face_census(g).items()},
     }
     return (json.dumps(doc, indent=2) + "\n").encode()
 

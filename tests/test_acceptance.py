@@ -11,15 +11,10 @@ import time
 import numpy as np
 
 from golden_counts import TABLE
+from test_counting import gamma_cases, rot_classes_direct
 from trihex import cli, counting, enumeration, graph
 from trihex.numtheory import factorize, omega_count, solve_fast, solve_naive
-from trihex.signature import (
-    Signature,
-    has_mirror_symmetry,
-    is_coinciding,
-    mirror,
-    orbit,
-)
+from trihex.signature import Signature, is_coinciding, mirror, orbit
 
 
 def _finish(number: int, name: str, started: float, violations: list):
@@ -96,31 +91,15 @@ def test_criterion_4_graph_realization():
 
 
 def test_criterion_5_symmetry_correspondence():
+    # 3-fold symmetry, chirality, oriented collisions, orbit members and
+    # reflective classes = gamma, by the same checks as `verify --with-graphs`
     started = time.time()
     violations = []
     for v in range(4, 124, 4):
-        reps = enumeration.trihex_reps(v)
-        oriented = {}
-        reflective = set()
-        for rep in reps:
-            g = graph.build(rep)
-            fwd = graph.canonical_code(g, use_reflection=False)
-            refl = graph.canonical_code(g, use_reflection=True)
-            if (fwd.oriented_aut_count % 3 == 0) != is_coinciding(rep):
-                violations.append(f"{rep}: 3-fold symmetry vs aut count {fwd.oriented_aut_count}")
-            if graph.is_chiral(g) == has_mirror_symmetry(rep):
-                violations.append(f"{rep}: chirality vs mirror symmetry")
-            if fwd.code in oriented:
-                violations.append(f"{rep}: oriented code equals {oriented[fwd.code]}")
-            oriented[fwd.code] = rep
-            reflective.add(refl.code)
-            for member in orbit(rep).members():
-                if member != rep:
-                    mg = graph.build(member)
-                    if graph.canonical_code(mg, use_reflection=False).code != fwd.code:
-                        violations.append(f"{rep}: orbit member {member} not isomorphic")
-        if len(reflective) != counting.gamma(v):
-            violations.append(f"V={v}: {len(reflective)} reflective classes vs gamma {counting.gamma(v)}")
+        violations.extend(
+            f"V={v}: {problem}"
+            for problem in enumeration.verify_graphs(v, enumeration.trihex_reps(v))
+        )
     _finish(5, "graph-level symmetry correspondence, V <= 120", started, violations)
 
 
@@ -162,8 +141,11 @@ def test_criterion_6_property_suites():
 
     for v in range(4, 4004, 4):
         try:
-            counting.gamma(v)  # raises if its two routes disagree
+            if counting.gamma(v) != gamma_cases(factorize(v // 4)):
+                violations.append(f"gamma dual path V={v}: {counting.gamma(v)} vs cases")
+            if counting.rot_classes(v) != rot_classes_direct(v):
+                violations.append(f"rot_classes dual path V={v}: {counting.rot_classes(v)} vs direct")
         except Exception as exc:
-            violations.append(f"gamma dual path V={v}: {exc}")
+            violations.append(f"dual paths V={v}: {exc}")
 
     _finish(6, "property suites", started, violations)

@@ -1,13 +1,15 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from golden_counts import TABLE
-from trihex import counting
+from trihex import cli, counting, enumeration
 from trihex.cli import main
 from trihex.errors import InternalInconsistencyError
+from trihex.signature import has_mirror_symmetry
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +146,23 @@ def test_verify_with_graphs(capsys):
     assert "0 failures" in out
 
 
+def test_verify_with_graphs_reports_graph_failure(monkeypatch, capsys):
+    monkeypatch.setattr(enumeration, "has_mirror_symmetry", lambda sig: not has_mirror_symmetry(sig))
+    code, out, _ = run_cli(capsys, "verify", "--v", "28", "--with-graphs", "--jobs", "1")
+    assert code == 1
+    assert out.splitlines() == [
+        "V=28: FAIL",
+        "  (0,6,0): chirality vs mirror symmetry",
+        "  (6,0,1): chirality vs mirror symmetry",
+        "  (6,0,2): chirality vs mirror symmetry",
+        "  (6,0,4): chirality vs mirror symmetry",
+        "checked 1 vertex counts, 1 failures",
+    ]
+    # the enumeration checks alone still pass
+    code, out, _ = run_cli(capsys, "verify", "--v", "28", "--jobs", "1")
+    assert code == 0
+
+
 def test_verify_rejects_bad_v(capsys):
     code, _, _ = run_cli(capsys, "verify", "--v", "6")
     assert code == 2
@@ -176,6 +195,14 @@ def test_congruence_structured(capsys):
     assert doc == {"schema_version": 1, "n": 91, "roots": [9, 16, 74, 81], "count": 4}
 
 
+def test_congruence_root_count_mismatch_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "omega_count", lambda f: 3)
+    code, out, err = run_cli(capsys, "congruence", "--n", "91")
+    assert code == 3
+    assert out == ""
+    assert err == "trihex: internal error: 4 roots for n=91, the closed form says 3\n"
+
+
 def test_congruence_rejects_zero(capsys):
     code, _, _ = run_cli(capsys, "congruence", "--n", "0")
     assert code == 2
@@ -196,3 +223,30 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "trihex: internal error: routes disagree at V=28\n"
+
+
+# sha256 of the exact output bytes, recorded before canonical codes and the
+# graph checks were restructured; any change to an export format or to the
+# verify report shows up here.
+PINNED_SHA256 = {
+    "build --sig 0,0,0 --format planar_code": "460f4ac94d3a84d4e9fe0a00a5be44eac05b93a7ef869573f055767c0c8f7264",
+    "build --sig 0,0,0 --format dot": "c10490376eece2cbaaaa13c6c59a38d6819f7e33871bc5d9501d764a84f2771d",
+    "build --sig 0,0,0 --format structured": "02ba7cb541d1f2a2367447207c1baf35bed376c97ee369d5e3ccb0f01544cb94",
+    "build --sig 6,2,1 --format planar_code": "f4bf6e51006e3244164f9e6363909995aa468166b51b594b2d2a135ea7fd04e9",
+    "build --sig 6,2,1 --format dot": "c157596f0bc21158fd9cc9b4f673d50c2842ce55e258a68ddebc3a6d08c3159d",
+    "build --sig 6,2,1 --format structured": "d643fc1ed80b22359c36c3203459e491f0ebd3eca192ebc41d14bb5272425e3a",
+    "build --sig 69,0,0 --format planar_code": "76c0ea2c8edf3a263737664476458def8e19ba51673a449bfff1c1d49282ef9e",
+    "build --sig 69,0,0 --format dot": "1d816f6a29991394bfb483c0696ddd4f9f98848b78971b5e9b446e5ada826968",
+    "build --sig 69,0,0 --format structured": "1d2e523e8546a6836e500604e05c08150e691c61a079c2bbe9444b4d951c01b3",
+    "build --sig 13,1,4 --format planar_code": "029598c6799e623594c95f233e87bf3e33ccacd92e9006c5294144690a483cdb",
+    "build --sig 13,1,4 --format dot": "fc95a5f2584f68f441fb6394cdb75aa75c15c1d2e3aa7a77d7a81278c1d70a09",
+    "build --sig 13,1,4 --format structured": "661c4cc8e645e3ddcd3f80879f35dee9edcc943ce35638a72e928a3230f8be1e",
+    "verify --with-graphs --from 4 --to 60": "994b0e5eb56ca9fabf5a9b72f623cbdf5df9cbccfb85be083864c173da6465c7",
+}
+
+
+def test_output_bytes_pinned(tmp_path, capsys):
+    path = tmp_path / "out"
+    for command, digest in PINNED_SHA256.items():
+        assert main(command.split() + ["--output", str(path)]) == 0, command
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, command

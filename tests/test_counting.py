@@ -1,19 +1,68 @@
 """Tests for the closed-form counting functions."""
 
+import math
+
 import pytest
 
 from golden_counts import TABLE
 from trihex.counting import (
     CountReport,
+    _exact_div,
     delta,
     gamma,
     mu,
     nu,
+    quarter,
     report,
     rot_classes,
     sigma,
     trihex_count,
 )
+from trihex.numtheory import Factorization, factorize
+
+
+# The paper's direct case formulas for gamma and rot_classes: a second route,
+# independent of the (sigma + 2*delta + 3*mu)/6 and (delta + nu)/2
+# combinations that `counting.report` uses.
+
+
+def gamma_cases(f: Factorization) -> int:
+    """Graph-class count via the direct case formulas on the factorization.
+
+    Split v/4 = 2^a * 3^b * (primes = 1 mod 3) * (odd primes = 2 mod 3) and
+    combine the three symmetry contributions over the common denominator 12.
+    """
+    a = f.exponent(2)
+    b = f.exponent(3)
+    ones = [(p, k) for p, k in f.factors if p % 3 == 1]
+    twos = [(p, k) for p, k in f.factors if p % 3 == 2 and p != 2]
+
+    sig_rest = math.prod((p ** (k + 1) - 1) // (p - 1) for p, k in ones + twos)
+    prod_ones = math.prod(k + 1 for _, k in ones)
+    prod_twos = math.prod(k + 1 for _, k in twos)
+
+    pow2 = 2 ** (a + 1) - 1 if a > 0 else 1
+    sigma_term = pow2 * (3 ** (b + 1) - 1) * sig_rest
+    mirror_coeff = (2 * a - 1) if a > 0 else 1
+    mirror_term = 6 * mirror_coeff * (b + 1) * prod_ones * prod_twos
+    rotation_possible = a % 2 == 0 and all(k % 2 == 0 for _, k in twos)
+    rotation_term = 4 * prod_ones if rotation_possible else 0
+
+    return _exact_div(sigma_term + rotation_term + mirror_term, 12, f"gamma for n={f.n}")
+
+
+def rot_classes_direct(v: int) -> int:
+    """Rotationally symmetric graph classes via the direct case formula."""
+    f = factorize(quarter(v))
+    ones = [k for p, k in f.factors if p % 3 == 1]
+    twos = [k for p, k in f.factors if p % 3 == 2]
+    if any(k % 2 for k in twos):
+        direct = 0
+    elif any(k % 2 for k in ones):
+        direct = _exact_div(math.prod(k + 1 for k in ones), 2, f"rot_classes for V={v}")
+    else:
+        direct = _exact_div(math.prod(k + 1 for k in ones) + 1, 2, f"rot_classes for V={v}")
+    return direct
 
 
 @pytest.mark.parametrize("bad", [0, 2, 6, 18, -4])
@@ -108,9 +157,9 @@ def test_divisibility_identities():
 
 
 def test_gamma_and_rot_dual_paths_agree():
-    # gamma() and rot_classes() raise internally if their two routes split
     for v in range(4, 4004, 4):
-        report(v)
+        assert gamma(v) == gamma_cases(factorize(v // 4)), v
+        assert rot_classes(v) == rot_classes_direct(v), v
 
 
 def test_symmetry_count_bounds():

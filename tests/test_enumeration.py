@@ -11,9 +11,17 @@ from trihex.enumeration import (
     self_mirror_signatures,
     trihex_reps,
     verify,
+    verify_graphs,
 )
 from trihex.errors import VerificationFailureError
-from trihex.signature import Signature, has_mirror_symmetry, is_coinciding, orbit, vertex_count
+from trihex.signature import (
+    Signature,
+    SignatureOrbit,
+    has_mirror_symmetry,
+    is_coinciding,
+    orbit,
+    vertex_count,
+)
 
 
 def test_all_signatures_examples():
@@ -107,6 +115,36 @@ def test_verify_reports_self_mirror_not_fixed(monkeypatch):
         verify(28)
     assert excinfo.value.field == "self-mirror fixed"
     assert excinfo.value.actual == Signature(6, 0, 5)
+
+
+@pytest.mark.parametrize(
+    "predicate, problem",
+    [
+        ("is_coinciding", "3-fold symmetry vs automorphism count"),
+        ("has_mirror_symmetry", "chirality vs mirror symmetry"),
+    ],
+)
+def test_verify_graphs_reports_flipped_predicate(monkeypatch, predicate, problem):
+    reps = trihex_reps(28)
+    assert verify_graphs(28, reps) == []
+    original = getattr(enumeration, predicate)
+    monkeypatch.setattr(enumeration, predicate, lambda sig: not original(sig))
+    assert verify_graphs(28, reps) == [f"{rep}: {problem}" for rep in reps]
+
+
+def test_verify_graphs_reports_collision_and_foreign_orbit_member(monkeypatch):
+    # (6,0,5) is equivalent to (6,0,1): listed as two representatives, they
+    # give one oriented graph twice
+    assert verify_graphs(28, [Signature(6, 0, 1), Signature(6, 0, 5)]) == [
+        "(6,0,5): oriented code collides with (6,0,1)",
+        "reflective classes 1 != gamma 3",
+    ]
+    # an orbit that names (6,0,2), another trihex, as a member of (0,6,0)
+    monkeypatch.setattr(enumeration, "orbit", lambda sig: SignatureOrbit(sig, sig, Signature(6, 0, 2)))
+    assert verify_graphs(28, [Signature(0, 6, 0)]) == [
+        "(0,6,0): equivalent signature (6,0,2) builds a different graph",
+        "reflective classes 1 != gamma 3",
+    ]
 
 
 def test_mirror_symmetry_bijections():

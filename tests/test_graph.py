@@ -12,8 +12,10 @@ from trihex.graph import (
     build,
     canonical_code,
     export,
+    face_census,
     faces,
     is_chiral,
+    mirror_image,
 )
 from trihex.signature import (
     Signature,
@@ -39,6 +41,8 @@ def test_build_large_example():
     assert g.n == 84
     census = Counter(len(f) for f in faces(g))
     assert census == {3: 4, 6: 40}
+    assert list(face_census(g).items()) == [(3, 4), (6, 40)]
+    assert list(face_census(build(Signature(0, 0, 0))).items()) == [(3, 4)]
 
 
 def test_faces_cover_every_dart():
@@ -182,3 +186,39 @@ def test_orbit_and_mirror_conventions_agree():
         g = build(sig)
         for member in orbit(sig).members():
             assert are_isomorphic(g, build(member), allow_reflection=False)
+
+
+def _reps_upto(v_max):
+    for v in range(4, v_max + 4, 4):
+        yield from trihex_reps(v)
+
+
+def test_mirror_image_is_an_involution():
+    for sig in (Signature(0, 0, 0), Signature(6, 0, 2), Signature(5, 2, 1), Signature(13, 1, 4)):
+        g = build(sig)
+        assert mirror_image(g).source == mirror(sig)
+        assert mirror_image(mirror_image(g)) == g
+
+
+def test_mirror_image_realizes_mirror_signature():
+    # reading the reversed rotations forwards is the backward reading of g,
+    # and it must give the graph the mirror signature builds
+    for rep in _reps_upto(120):
+        assert (
+            canonical_code(mirror_image(build(rep)), use_reflection=False).code
+            == canonical_code(build(mirror(rep)), use_reflection=False).code
+        ), rep
+
+
+def test_public_codes_match_oriented_codes():
+    # is_chiral and the reflective canonical code are the two oriented codes
+    # of g and of its mirror image, compared and minimized
+    for rep in _reps_upto(120):
+        g = build(rep)
+        fwd = canonical_code(g, use_reflection=False)
+        bwd = canonical_code(mirror_image(g), use_reflection=False)
+        refl = canonical_code(g, use_reflection=True)
+        assert is_chiral(g) == (fwd.code != bwd.code), rep
+        assert refl.code == min(fwd.code, bwd.code), rep
+        assert refl.reflective == (bwd.code < fwd.code), rep
+        assert refl.oriented_aut_count == fwd.oriented_aut_count, rep

@@ -30,7 +30,7 @@ from .graph import (
     is_chiral,
     mirror_image,
 )
-from .numtheory import CongruenceSolutions, Factorization, divisors, factorize, omega_count, solve_fast, solve_naive
+from .numtheory import CongruenceSolutions, Factorization, divisors, factorize, omega_count, solve_fast
 from .signature import (
     Signature,
     SignatureOrbit,
@@ -87,7 +87,6 @@ __all__ = [
     "self_mirror_signatures",
     "sigma",
     "solve_fast",
-    "solve_naive",
     "trihex_count",
     "trihex_reps",
     "verify",

@@ -9,8 +9,9 @@ Subcommands:
   congruence  roots of x^2 + x + 1 modulo n, checked against their
               closed-form count
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 internal error (two computations that must agree did not).
+Exit codes: 0 success, 1 verification failure, 2 usage or input error
+(including a number to factorize that is not below 2^64), 3 internal error
+(two computations that must agree did not).
 Range work fans out to a process pool (--jobs, or TRIHEX_JOBS; 0 = all
 cores); results are re-ordered before emission so output is deterministic.
 """

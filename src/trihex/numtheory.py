@@ -1,39 +1,69 @@
 """Exact integer factorization, divisors, and roots of x^2 + x + 1 modulo n.
 
-Everything here is exact integer arithmetic.  The only nontrivial fact used
-is that the number of roots of x^2 + x + 1 (mod n) is multiplicative in n
-and fully determined by the prime factorization: 0 as soon as a prime
-congruent to 2 (mod 3) divides n or 9 divides n, otherwise 2^r where r is
-the number of distinct prime factors other than 3.
+Everything here is exact integer arithmetic, and no routine does work in
+proportion to n or its square root.  `is_prime` is deterministic
+Miller-Rabin; `factorize` trial-divides by the primes below 1000 and splits
+what is left with Brent's variant of Pollard rho, for n < 2^64.  The number
+of roots of x^2 + x + 1 (mod n) is multiplicative in n and fully determined
+by the prime factorization: 0 as soon as a prime congruent to 2 (mod 3)
+divides n or 9 divides n, otherwise 2^r where r is the number of distinct
+prime factors other than 3.  `solve_fast` finds the roots mod each prime as
+primitive cube roots of unity, lifts them to prime powers and combines them
+by the Chinese remainder theorem.  The naive residue scan it is checked
+against lives in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from math import gcd
 
 from .errors import InternalInconsistencyError
 
-# Largest modulus for which x*x + x + 1 with x < n fits in int64; above it
-# the vectorized scans fall back to exact Python integers.
-_NP_SCAN_LIMIT = 2**31
+# The 168 primes below 1000, for trial division before Miller-Rabin and rho.
+_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, int(p**0.5) + 1)))
+# Miller-Rabin with the twelve primes 2..37 as bases is exact below their
+# smallest strong pseudoprime (Sorenson and Webster, 2015).
+_MR_BASES = _SMALL_PRIMES[:12]
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (desk scale)."""
+    """Deterministic Miller-Rabin primality test for n < 3.18e23.
+
+    Small bases suffice below the first strong pseudoprime to them:
+    {2, 3} below 1 373 653 and {2, 3, 5, 7} below 3 215 031 751.  Larger n
+    than the twelve bases cover raise ValueError.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"cannot test {n} for primality; need n < {_MR_EXACT_BELOW}")
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 37 * 37:
         return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
+    if n < 1_373_653:
+        bases = _MR_BASES[:2]
+    elif n < 3_215_031_751:
+        bases = _MR_BASES[:4]
+    else:
+        bases = _MR_BASES
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 6
     return True
 
 
@@ -92,23 +122,78 @@ class CongruenceSolutions:
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division."""
+    """Factor 1 <= n < 2^64.
+
+    Trial division by the primes below 1000 stops as soon as p^2 exceeds
+    what is left, which is then 1 or prime.  A cofactor that outlasts the
+    table has no prime factor below 1000 and is split by Miller-Rabin and
+    Brent's variant of Pollard rho.
+    """
     if n < 1:
         raise ValueError(f"cannot factorize {n}; need n >= 1")
+    if n >= 2**64:  # keeps Pollard rho's work bounded
+        raise ValueError(f"cannot factorize {n}; need n < 2^64")
     remaining = n
     factors: list[tuple[int, int]] = []
-    p = 2
-    while p * p <= remaining:
+    for p in _SMALL_PRIMES:
+        if p * p > remaining:
+            if remaining > 1:
+                factors.append((remaining, 1))
+            break
         if remaining % p == 0:
             k = 0
             while remaining % p == 0:
                 remaining //= p
                 k += 1
             factors.append((p, k))
-        p += 1 if p == 2 else 2
-    if remaining > 1:
-        factors.append((remaining, 1))
+    else:
+        large = _prime_factors(remaining)
+        factors.extend((p, large.count(p)) for p in sorted(set(large)))
     return Factorization(n, tuple(factors))
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n with multiplicity, for n with no prime factor below 1000."""
+    if n == 1:
+        return []
+    if is_prime(n):
+        return [n]
+    d = _rho(n)
+    return _prime_factors(d) + _prime_factors(n // d)
+
+
+def _rho(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below 1000.
+
+    Brent's variant of Pollard rho on x -> x^2 + c: the distances between
+    the walk and its saved point are multiplied together in blocks of 128
+    so that one gcd serves a whole block; a block that overshoots to n is
+    replayed one step at a time.
+    """
+    block = 128
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(block, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += block
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(abs(x - saved), n)
+        if g != n:
+            return g
+    raise InternalInconsistencyError(f"Pollard rho found no factor of {n}")
 
 
 def divisors(f: Factorization) -> list[int]:
@@ -132,22 +217,6 @@ def omega_count(f: Factorization) -> int:
         else:
             r += 1
     return 2**r
-
-
-def solve_naive(n: int) -> CongruenceSolutions:
-    """Roots of x^2 + x + 1 (mod n) by scanning every residue class."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    if n <= _NP_SCAN_LIMIT:
-        x = np.arange(n, dtype=np.int64)
-        values = x * x
-        values += x
-        values += 1
-        values %= n
-        roots = tuple(int(r) for r in np.flatnonzero(values == 0))
-    else:
-        roots = tuple(x for x in range(n) if (x * x + x + 1) % n == 0)
-    return CongruenceSolutions(n, roots)
 
 
 def lift_prime_power(p: int, root: int, ell: int) -> int:
@@ -177,20 +246,17 @@ def lift_prime_power(p: int, root: int, ell: int) -> int:
 
 
 def _first_root_mod_prime(p: int) -> int:
-    """Smallest root of x^2 + x + 1 mod a prime p with p % 3 == 1."""
-    if p <= _NP_SCAN_LIMIT:
-        x = np.arange(p, dtype=np.int64)
-        values = x * x
-        values += x
-        values += 1
-        values %= p
-        hits = np.flatnonzero(values == 0)
-        if hits.size:
-            return int(hits[0])
-    else:
-        for x in range(p):
-            if (x * x + x + 1) % p == 0:
-                return x
+    """Smallest root of x^2 + x + 1 mod a prime p with p % 3 == 1.
+
+    The roots are the primitive cube roots of unity w and w^2 = p - 1 - w.
+    a^((p-1)/3) is one of them unless a is a cubic residue, and the cubic
+    residues are a third of the units, so few values of a are tried.
+    """
+    e = (p - 1) // 3
+    for a in range(2, p):
+        w = pow(a, e, p)
+        if w != 1:
+            return min(w, p - 1 - w)
     raise InternalInconsistencyError(f"no root mod prime {p} = 1 (mod 3)")
 
 

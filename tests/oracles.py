@@ -1,0 +1,86 @@
+"""Independent number-theory routes that `trihex.numtheory` is checked against.
+
+Trial division and residue scans, where the library uses Miller-Rabin,
+Pollard rho and cube roots of unity.  They do work in proportion to sqrt(n)
+or n, which is what makes them obviously right, so they are only called on
+small inputs.
+"""
+
+import numpy as np
+
+from trihex.errors import InternalInconsistencyError
+from trihex.numtheory import CongruenceSolutions, Factorization
+
+# Largest modulus for which x*x + x + 1 with x < n fits in int64; above it
+# the vectorized scans fall back to exact Python integers.
+_NP_SCAN_LIMIT = 2**31
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality check (desk scale)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    d = 5
+    while d * d <= n:
+        if n % d == 0 or n % (d + 2) == 0:
+            return False
+        d += 6
+    return True
+
+
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 by trial division."""
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}; need n >= 1")
+    remaining = n
+    factors: list[tuple[int, int]] = []
+    p = 2
+    while p * p <= remaining:
+        if remaining % p == 0:
+            k = 0
+            while remaining % p == 0:
+                remaining //= p
+                k += 1
+            factors.append((p, k))
+        p += 1 if p == 2 else 2
+    if remaining > 1:
+        factors.append((remaining, 1))
+    return Factorization(n, tuple(factors))
+
+
+def solve_naive(n: int) -> CongruenceSolutions:
+    """Roots of x^2 + x + 1 (mod n) by scanning every residue class."""
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    if n <= _NP_SCAN_LIMIT:
+        x = np.arange(n, dtype=np.int64)
+        values = x * x
+        values += x
+        values += 1
+        values %= n
+        roots = tuple(int(r) for r in np.flatnonzero(values == 0))
+    else:
+        roots = tuple(x for x in range(n) if (x * x + x + 1) % n == 0)
+    return CongruenceSolutions(n, roots)
+
+
+def first_root_mod_prime(p: int) -> int:
+    """Smallest root of x^2 + x + 1 mod a prime p with p % 3 == 1."""
+    if p <= _NP_SCAN_LIMIT:
+        x = np.arange(p, dtype=np.int64)
+        values = x * x
+        values += x
+        values += 1
+        values %= p
+        hits = np.flatnonzero(values == 0)
+        if hits.size:
+            return int(hits[0])
+    else:
+        for x in range(p):
+            if (x * x + x + 1) % p == 0:
+                return x
+    raise InternalInconsistencyError(f"no root mod prime {p} = 1 (mod 3)")

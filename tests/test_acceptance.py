@@ -11,9 +11,10 @@ import time
 import numpy as np
 
 from golden_counts import TABLE
+from oracles import solve_naive
 from test_counting import gamma_cases, rot_classes_direct
 from trihex import cli, counting, enumeration, graph
-from trihex.numtheory import factorize, omega_count, solve_fast, solve_naive
+from trihex.numtheory import factorize, omega_count, solve_fast
 from trihex.signature import Signature, is_coinciding, mirror, orbit
 
 

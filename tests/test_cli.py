@@ -2,11 +2,18 @@
 
 import hashlib
 import json
+import pathlib
+import subprocess
+import sys
+import time
+import tracemalloc
 
 import pytest
 
+import trihex
 from golden_counts import TABLE
 from trihex import cli, counting, enumeration
+from trihex.numtheory import factorize
 from trihex.cli import main
 from trihex.errors import InternalInconsistencyError
 from trihex.signature import has_mirror_symmetry
@@ -206,6 +213,65 @@ def test_congruence_root_count_mismatch_exits_3(monkeypatch, capsys):
 def test_congruence_rejects_zero(capsys):
     code, _, _ = run_cli(capsys, "congruence", "--n", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("congruence", "--n", str(2**64)),
+        ("count", "--v", str(4 * 2**64)),
+    ],
+)
+def test_beyond_64_bits_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"trihex: cannot factorize {2**64}; need n < 2^64\n"
+
+
+@pytest.mark.parametrize(
+    "n,roots",
+    [
+        (3_000_000_019, 2),  # a prime = 1 (mod 3) above 2^31
+        (2**61 - 1, 2),  # a Mersenne prime = 1 (mod 3)
+        (1048609 * 1048627 * 1048633, 8),  # three 20-bit primes = 1 (mod 3)
+    ],
+)
+def test_congruence_64_bit_time_and_memory(capsys, n, roots):
+    def run():
+        factorize.cache_clear()
+        code, out, _ = run_cli(capsys, "congruence", "--n", str(n))
+        assert code == 0
+        assert out.endswith(f"\ncount {roots}\n")
+
+    # best of three, so that one descheduling does not fail the test
+    seconds = []
+    for _ in range(3):
+        started = time.perf_counter()
+        run()
+        seconds.append(time.perf_counter() - started)
+    assert min(seconds) < 0.050, seconds
+
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+
+
+def test_import_leaves_numpy_out():
+    src = pathlib.Path(trihex.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, trihex.cli; print('numpy' in sys.modules)"],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout == "False\n"
 
 
 def test_unknown_subcommand_exits_2():

@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from oracles import solve_naive
 from trihex.numtheory import (
     CongruenceSolutions,
     Factorization,
+    _first_root_mod_prime,
     divisors,
     factorize,
     is_prime,
     lift_prime_power,
     omega_count,
     solve_fast,
-    solve_naive,
 )
 
 
@@ -29,6 +31,82 @@ def test_factorize_rejects_nonpositive():
         factorize(0)
     with pytest.raises(ValueError):
         factorize(-6)
+
+
+def test_factorize_refuses_64_bit_overflow():
+    assert factorize(2**64 - 1).n == 2**64 - 1
+    with pytest.raises(ValueError, match=r"cannot factorize 18446744073709551616; need n < 2\^64"):
+        factorize(2**64)
+
+
+def test_factorize_matches_trial_division():
+    # the uncached function, so that the sweep does not fill the cache
+    for n in range(1, 200_000):
+        assert factorize.__wrapped__(n) == oracles.factorize(n), n
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((997, 2),),  # the last table prime, squared
+        ((1009, 2),),  # a square of the first prime past the table
+        ((7, 1), (997, 1), (1009, 1)),
+        ((2**61 - 1, 1),),  # a Mersenne prime
+        ((1048609, 1), (1048627, 1), (1048633, 1)),  # three 20-bit primes = 1 (mod 3)
+        ((4294967279, 1), (4294967291, 1)),  # the two largest primes below 2^32
+    ],
+)
+def test_factorize_large_examples(factors):
+    n = math.prod(p**k for p, k in factors)
+    assert factorize(n).factors == factors
+    # 2^61 - 1 is too large for trial division; every other prime is checked by it
+    assert all(oracles.is_prime(p) for p, _ in factors if p < 2**32)
+
+
+def test_is_prime_matches_sieve():
+    limit = 10**6
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    for n in range(limit):
+        assert is_prime(n) == sieve[n], n
+
+
+@pytest.mark.parametrize(
+    "n",
+    # the smallest strong pseudoprimes to the first 2, 3, 4, 5, 6, 7 and 9 prime bases
+    [1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+    f = factorize(n)
+    assert len(f.factors) > 1
+    assert all(oracles.is_prime(p) for p, _ in f.factors)
+
+
+def test_is_prime_refuses_beyond_exact_bound():
+    # the smallest strong pseudoprime to all twelve bases 2..37; below it the test is exact
+    assert not is_prime(318665857834031151167461 - 1)
+    with pytest.raises(ValueError):
+        is_prime(318665857834031151167461)
+
+
+def test_first_root_is_smallest_scanned_root():
+    x = np.arange(200_000, dtype=np.int64)
+    poly = x * x + x + 1
+    for p in range(7, 200_000, 6):
+        if not is_prime(p):
+            continue
+        # residues in ascending order, in chunks, up to the first root
+        for lo in range(0, p, 8192):
+            hits = np.flatnonzero(poly[lo : min(lo + 8192, p)] % p == 0)
+            if hits.size:
+                assert _first_root_mod_prime(p) == lo + int(hits[0]), p
+                break
+        else:
+            raise AssertionError(f"no root mod {p}")
 
 
 def test_factorize_roundtrip_sweep():
@@ -157,13 +235,11 @@ def test_root_pairing():
 
 def test_solve_naive_python_fallback(monkeypatch):
     # moduli past the int64-safe range take the exact-integer path
-    import trihex.numtheory as nt
-
-    monkeypatch.setattr(nt, "_NP_SCAN_LIMIT", 10)
-    assert nt.solve_naive(3).roots == (1,)
-    assert nt.solve_naive(91).roots == (9, 16, 74, 81)
-    assert nt.solve_naive(49).roots == (18, 30)
-    assert nt._first_root_mod_prime(13) == 3
+    monkeypatch.setattr(oracles, "_NP_SCAN_LIMIT", 10)
+    assert oracles.solve_naive(3).roots == (1,)
+    assert oracles.solve_naive(91).roots == (9, 16, 74, 81)
+    assert oracles.solve_naive(49).roots == (18, 30)
+    assert oracles.first_root_mod_prime(13) == 3
 
 
 def test_shared_root_with_odd_double():

@@ -21,24 +21,20 @@ from .errors import InternalInconsistencyError, VerificationFailureError
 from .graph import (
     CanonicalCode,
     EmbeddedGraph,
-    are_isomorphic,
     build,
     canonical_code,
     export,
     face_census,
     faces,
-    is_chiral,
     mirror_image,
 )
 from .numtheory import CongruenceSolutions, Factorization, divisors, factorize, omega_count, solve_fast
 from .signature import (
     Signature,
-    SignatureOrbit,
     canonical_rep,
     has_mirror_symmetry,
     hexagon_count,
     is_coinciding,
-    is_self_mirror,
     mirror,
     orbit,
     parse_signature,
@@ -54,10 +50,8 @@ __all__ = [
     "Factorization",
     "InternalInconsistencyError",
     "Signature",
-    "SignatureOrbit",
     "VerificationFailureError",
     "all_signatures",
-    "are_isomorphic",
     "build",
     "canonical_code",
     "canonical_rep",
@@ -72,9 +66,7 @@ __all__ = [
     "graph_class_reps",
     "has_mirror_symmetry",
     "hexagon_count",
-    "is_chiral",
     "is_coinciding",
-    "is_self_mirror",
     "mirror",
     "mirror_image",
     "mu",

@@ -19,6 +19,7 @@ cores); results are re-ordered before emission so output is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,12 +46,12 @@ class UsageError(Exception):
 
 
 def _parse_range(args) -> list[int]:
-    if args.v is not None:
+    if args.v is not None and args.start is None and args.end is None:
         start = end = args.v
-    else:
-        if args.start is None or args.end is None:
-            raise UsageError("give either --v or both --from and --to")
+    elif args.v is None and args.start is not None and args.end is not None:
         start, end = args.start, args.end
+    else:
+        raise UsageError("give either --v or both --from and --to")
     if start % 4 or end % 4 or start < 4:
         raise UsageError(f"vertex counts must be multiples of 4 and >= 4: {start}..{end}")
     if start > end:
@@ -205,6 +206,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true", help="suppress diagnostics and per-item progress")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trihex", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

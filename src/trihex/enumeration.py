@@ -120,7 +120,7 @@ def verify(v: int) -> EnumerationResult:
 
     for sig in result.coinciding:
         if not is_coinciding(sig):
-            raise VerificationFailureError(v, "coinciding orbit", (sig,) * 3, orbit(sig).members())
+            raise VerificationFailureError(v, "coinciding orbit", (sig,) * 3, orbit(sig))
     for sig in result.self_mirror:
         if mirror(sig) != sig:
             raise VerificationFailureError(v, "self-mirror fixed", sig, mirror(sig))
@@ -138,8 +138,8 @@ def verify(v: int) -> EnumerationResult:
 def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
     """Check the trihex representatives `reps` of v as graphs; return the problems found.
 
-    Each representative is built once and gets two minimal codes: forward,
-    and backward (the forward code of its mirror image).  The checks are:
+    Each representative is built once and gets two oriented canonical codes:
+    forward, and backward (the code of its mirror image).  The checks are:
     3-fold symmetry (an oriented automorphism count divisible by 3) exactly
     for coinciding signatures; chirality (the two codes differ) exactly
     without mirror symmetry; distinct oriented codes for distinct
@@ -148,15 +148,15 @@ def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
     """
     problems: list[str] = []
     oriented: dict[tuple[int, ...], Signature] = {}
-    reflective: set[tuple[int, ...]] = set()
+    classes: set[tuple[int, ...]] = set()
     for rep in reps:
         try:
             g = graph.build(rep)
         except InternalInconsistencyError as exc:
             problems.append(f"build {rep}: {exc}")
             continue
-        fwd = graph.canonical_code(g, use_reflection=False)
-        bwd = graph.canonical_code(graph.mirror_image(g), use_reflection=False)
+        fwd = graph.canonical_code(g)
+        bwd = graph.canonical_code(graph.mirror_image(g))
         if (fwd.oriented_aut_count % 3 == 0) != is_coinciding(rep):
             problems.append(f"{rep}: 3-fold symmetry vs automorphism count")
         if (fwd.code != bwd.code) == has_mirror_symmetry(rep):
@@ -164,13 +164,11 @@ def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
         if fwd.code in oriented:
             problems.append(f"{rep}: oriented code collides with {oriented[fwd.code]}")
         oriented[fwd.code] = rep
-        reflective.add(min(fwd.code, bwd.code))
-        for member in orbit(rep).members():
-            if member != rep:
-                mg = graph.build(member)
-                if graph.canonical_code(mg, use_reflection=False).code != fwd.code:
-                    problems.append(f"{rep}: equivalent signature {member} builds a different graph")
+        classes.add(min(fwd.code, bwd.code))
+        for member in orbit(rep):
+            if member != rep and graph.canonical_code(graph.build(member)).code != fwd.code:
+                problems.append(f"{rep}: equivalent signature {member} builds a different graph")
     gamma = counting.gamma(v)
-    if len(reflective) != gamma:
-        problems.append(f"reflective classes {len(reflective)} != gamma {gamma}")
+    if len(classes) != gamma:
+        problems.append(f"graph classes {len(classes)} != gamma {gamma}")
     return problems

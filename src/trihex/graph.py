@@ -47,11 +47,10 @@ class EmbeddedGraph:
 
 @dataclass(frozen=True)
 class CanonicalCode:
-    """Relabeling-invariant code of an embedded graph."""
+    """Relabeling-invariant code of an embedded graph, up to orientation-preserving maps."""
 
     code: tuple[int, ...]
     oriented_aut_count: int
-    reflective: bool
 
 
 class _CosetIndex:
@@ -203,30 +202,16 @@ def _min_code(rot: Rotation) -> tuple[list[int], int]:
     return best, count
 
 
-def canonical_code(g: EmbeddedGraph, use_reflection: bool) -> CanonicalCode:
-    """Canonical code of g; optionally minimized over g and its mirror image."""
-    forward, count = _min_code(g.rot)
-    if not use_reflection:
-        return CanonicalCode(tuple(forward), count, reflective=False)
-    backward, _ = _min_code(mirror_image(g).rot)
-    if backward < forward:
-        return CanonicalCode(tuple(backward), count, reflective=True)
-    return CanonicalCode(tuple(forward), count, reflective=False)
+def canonical_code(g: EmbeddedGraph) -> CanonicalCode:
+    """Oriented canonical code of g and its number of orientation-preserving automorphisms.
 
-
-def are_isomorphic(g1: EmbeddedGraph, g2: EmbeddedGraph, allow_reflection: bool) -> bool:
-    """Embedding isomorphism, orientation-preserving unless `allow_reflection`."""
-    if g1.n != g2.n:
-        return False
-    return (
-        canonical_code(g1, allow_reflection).code
-        == canonical_code(g2, allow_reflection).code
-    )
-
-
-def is_chiral(g: EmbeddedGraph) -> bool:
-    """True when g is not isomorphic to its mirror image."""
-    return _min_code(g.rot)[0] != _min_code(mirror_image(g).rot)[0]
+    Two embedded graphs are isomorphic by an orientation-preserving map
+    exactly when their codes are equal.  The code of the reflected
+    embedding is `canonical_code(mirror_image(g))`: g is chiral when the
+    two differ, and the smaller one names g's class up to reflection.
+    """
+    code, count = _min_code(g.rot)
+    return CanonicalCode(tuple(code), count)
 
 
 def _planar_code_bytes(g: EmbeddedGraph) -> bytes:

@@ -6,10 +6,12 @@ mod s+1).  The triple names the sublattice L = <(0, s+1), (b+1, -f)> of the
 hexagonal lattice that `graph` quotients by, in the (a, y) coordinates of
 its (u, d) basis, and (s, b, f) is read off the Hermite normal form (HNF)
 of L: the unique basis (b+1, -f), (0, s+1) with b+1 >= 1 and 0 <= f <= s.
-A trihex has one such triple per spine direction; `orbit` computes the
-three as the HNFs of L rotated by 0, 60 and 120 degrees (Thurston, "Shapes
-of polyhedra", 1998).  The mirror image is the HNF of L reflected by
-(a, y) -> (a, a - y), which swaps the offset f for (s - b - f) mod (s+1).
+A trihex has one such triple per spine direction; `orbit` returns the
+three as a tuple, the triple itself first: the HNFs of L rotated by 0, 60
+and 120 degrees (Thurston, "Shapes of polyhedra", 1998).
+The mirror image is the HNF of L reflected by (a, y) -> (a, a - y), which
+swaps the offset f for (s - b - f) mod (s+1); a signature is self-mirror
+when `mirror(sig) == sig`.
 """
 
 from __future__ import annotations
@@ -48,21 +50,6 @@ def hexagon_count(sig: Signature) -> int:
     return 2 * sig.s * sig.b + 2 * sig.s + 2 * sig.b
 
 
-@dataclass(frozen=True)
-class SignatureOrbit:
-    """The three equivalent signatures of one trihex."""
-
-    first: Signature
-    second: Signature
-    third: Signature
-
-    def members(self) -> tuple[Signature, Signature, Signature]:
-        return (self.first, self.second, self.third)
-
-    def __contains__(self, sig: Signature) -> bool:
-        return sig in self.members()
-
-
 def _hnf(a1: int, y1: int, a2: int, y2: int) -> Signature:
     """Signature of the lattice spanned by (a1, y1) and (a2, y2), read off its HNF.
 
@@ -80,14 +67,14 @@ def _hnf(a1: int, y1: int, a2: int, y2: int) -> Signature:
     return Signature(h - 1, g - 1, -(x * y1 + z * y2) % h)
 
 
-def orbit(sig: Signature) -> SignatureOrbit:
+def orbit(sig: Signature) -> tuple[Signature, Signature, Signature]:
     """All three equivalent signatures: the HNFs of L rotated by 0, 60 and 120 degrees.
 
     R60(a, y) = (y, y - a) maps the basis (0, s+1), (b+1, -f) of L to
     (s+1, s+1), (-f, -f-b-1); R120 maps it to (s+1, 0), (-f-b-1, -b-1).
     """
     n, m, f = sig.s + 1, sig.b + 1, sig.f
-    return SignatureOrbit(sig, _hnf(n, n, -f, -f - m), _hnf(n, 0, -f - m, -m))
+    return sig, _hnf(n, n, -f, -f - m), _hnf(n, 0, -f - m, -m)
 
 
 def mirror(sig: Signature) -> Signature:
@@ -97,12 +84,7 @@ def mirror(sig: Signature) -> Signature:
 
 def is_coinciding(sig: Signature) -> bool:
     """True when all three equivalent signatures are the same triple."""
-    return len(set(orbit(sig).members())) == 1
-
-
-def is_self_mirror(sig: Signature) -> bool:
-    """True when sig equals its own mirror signature."""
-    return mirror(sig) == sig
+    return len(set(orbit(sig))) == 1
 
 
 def has_mirror_symmetry(sig: Signature) -> bool:
@@ -112,7 +94,7 @@ def has_mirror_symmetry(sig: Signature) -> bool:
 
 def canonical_rep(sig: Signature) -> Signature:
     """Lexicographically smallest member of the orbit; constant on orbits."""
-    return min(orbit(sig).members())
+    return min(orbit(sig))
 
 
 def parse_signature(text: str) -> Signature:

@@ -93,7 +93,7 @@ def test_criterion_4_graph_realization():
 
 def test_criterion_5_symmetry_correspondence():
     # 3-fold symmetry, chirality, oriented collisions, orbit members and
-    # reflective classes = gamma, by the same checks as `verify --with-graphs`
+    # classes up to reflection = gamma, by the same checks as `verify --with-graphs`
     started = time.time()
     violations = []
     for v in range(4, 124, 4):
@@ -118,8 +118,8 @@ def test_criterion_6_property_suites():
     for sig in _signatures_upto(400):
         if mirror(mirror(sig)) != sig:
             violations.append(f"mirror involution fails at {sig}")
-        members = set(orbit(sig).members())
-        if any(set(orbit(m).members()) != members for m in members):
+        members = set(orbit(sig))
+        if any(set(orbit(m)) != members for m in members):
             violations.append(f"orbit closure fails at {sig}")
         if is_coinciding(sig):
             if (sig.s + 1) % (sig.b + 1) or sig.f % (sig.b + 1):

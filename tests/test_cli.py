@@ -57,6 +57,37 @@ def test_count_rejects_reversed_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["count --v 28 --from 4 --to 400", "count --v 28 --from 4", "verify --v 28 --to 40",
+     "enumerate --v 28 --from 4 --to 40"],
+)
+def test_v_with_range_exits_2(capsys, argv):
+    assert run_cli(capsys, *argv.split()) == (2, "", "trihex: give either --v or both --from and --to\n")
+
+
+def test_parses_share_no_state(capsys):
+    # the parser is built once per process; one command's options must not leak into the next
+    code, out, _ = run_cli(capsys, "count", "--v", "28", "--format", "structured")
+    assert (code, json.loads(out)["reports"][0]["V"]) == (0, 28)
+    csv = "V,sigma,delta,mu,nu,trihexes,gamma,rot_classes\n28,8,2,2,0,4,3,1\n"
+    assert run_cli(capsys, "count", "--v", "28") == (0, csv, "")
+
+
+def test_count_range_keeps_factorize_cache_bounded(tmp_path):
+    # a row asks for factorize(V/4) four times: the cache keeps those hits
+    # without retaining every row's factorization
+    factorize.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(["count", "--from", "4", "--to", "80000", "--output", str(tmp_path / "t.csv")]) == 0
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * 2**20, retained
+    assert factorize.cache_info().hits >= 3 * (80000 // 4), factorize.cache_info()
+
+
 def test_count_structured(capsys):
     code, out, _ = run_cli(capsys, "count", "--v", "4", "--format", "structured")
     assert code == 0

@@ -8,13 +8,11 @@ import pytest
 from trihex.enumeration import trihex_reps
 from trihex.graph import (
     EmbeddedGraph,
-    are_isomorphic,
     build,
     canonical_code,
     export,
     face_census,
     faces,
-    is_chiral,
     mirror_image,
 )
 from trihex.signature import (
@@ -25,6 +23,14 @@ from trihex.signature import (
     mirror,
     orbit,
 )
+
+
+def _code(g):
+    return canonical_code(g).code
+
+
+def _is_chiral(g):
+    return _code(g) != _code(mirror_image(g))
 
 
 def test_build_tetrahedron():
@@ -56,58 +62,54 @@ def test_equivalent_signatures_build_isomorphic_graphs():
     a = build(Signature(3, 1, 2))
     b = build(Signature(3, 1, 0))
     c = build(Signature(1, 3, 0))
-    assert are_isomorphic(a, b, allow_reflection=False)
-    assert are_isomorphic(a, c, allow_reflection=False)
+    assert _code(a) == _code(b)
+    assert _code(a) == _code(c)
 
 
 def test_tetrahedron_automorphisms():
-    cc = canonical_code(build(Signature(0, 0, 0)), use_reflection=False)
+    cc = canonical_code(build(Signature(0, 0, 0)))
     assert cc.oriented_aut_count == 12
-    assert not cc.reflective
 
 
 def test_coinciding_signature_has_threefold_symmetry():
-    cc = canonical_code(build(Signature(13, 1, 4)), use_reflection=False)
+    cc = canonical_code(build(Signature(13, 1, 4)))
     assert cc.oriented_aut_count % 3 == 0
 
 
 def test_aut_count_divides_dart_count():
     for sig in (Signature(0, 0, 0), Signature(2, 0, 0), Signature(13, 1, 4)):
         g = build(sig)
-        cc = canonical_code(g, use_reflection=False)
+        cc = canonical_code(g)
         assert (3 * g.n) % cc.oriented_aut_count == 0
 
 
 def test_mirror_signatures_build_mirror_graphs():
     g1 = build(Signature(14, 0, 11))
     g2 = build(Signature(14, 0, 3))
-    assert are_isomorphic(g1, g2, allow_reflection=True)
+    assert _code(g1) == _code(mirror_image(g2))
 
 
 def test_self_isomorphism():
     g = build(Signature(3, 1, 2))
-    assert are_isomorphic(g, g, allow_reflection=False)
-    assert are_isomorphic(g, g, allow_reflection=True)
+    assert canonical_code(g) == canonical_code(g)
+    assert canonical_code(mirror_image(g)) == canonical_code(mirror_image(g))
 
 
 def test_chirality_examples():
-    assert not is_chiral(build(Signature(0, 0, 0)))
-    assert not is_chiral(build(Signature(4, 2, 1)))
-    assert is_chiral(build(Signature(6, 0, 2)))
+    assert not _is_chiral(build(Signature(0, 0, 0)))
+    assert not _is_chiral(build(Signature(4, 2, 1)))
+    assert _is_chiral(build(Signature(6, 0, 2)))
 
 
 def test_chirality_matches_mirror_symmetry():
     for v in range(4, 84, 4):
         for rep in trihex_reps(v):
-            assert is_chiral(build(rep)) != has_mirror_symmetry(rep), rep
+            assert _is_chiral(build(rep)) != has_mirror_symmetry(rep), rep
 
 
 def test_distinct_reps_build_distinct_graphs():
     for v in (28, 32, 48, 60):
-        codes = {
-            canonical_code(build(rep), use_reflection=False).code
-            for rep in trihex_reps(v)
-        }
+        codes = {_code(build(rep)) for rep in trihex_reps(v)}
         assert len(codes) == len(trihex_reps(v))
 
 
@@ -169,7 +171,7 @@ def test_full_correspondence_small_sweep():
     # 3-fold symmetry <-> coinciding signature, for every representative
     for v in range(4, 64, 4):
         for rep in trihex_reps(v):
-            cc = canonical_code(build(rep), use_reflection=False)
+            cc = canonical_code(build(rep))
             assert (cc.oriented_aut_count % 3 == 0) == is_coinciding(rep), rep
 
 
@@ -178,14 +180,14 @@ def test_orbit_and_mirror_conventions_agree():
     for sig in (Signature(6, 0, 2), Signature(3, 1, 2), Signature(5, 2, 1)):
         g = build(sig)
         gm = build(mirror(sig))
-        assert are_isomorphic(g, gm, allow_reflection=True)
-        if is_chiral(g):
-            assert not are_isomorphic(g, gm, allow_reflection=False)
+        assert _code(mirror_image(g)) == _code(gm)
+        if _is_chiral(g):
+            assert _code(g) != _code(gm)
     # and building any orbit member gives the same oriented embedding
     for sig in (Signature(5, 3, 2), Signature(7, 1, 3)):
         g = build(sig)
-        for member in orbit(sig).members():
-            assert are_isomorphic(g, build(member), allow_reflection=False)
+        for member in orbit(sig):
+            assert _code(g) == _code(build(member))
 
 
 def _reps_upto(v_max):
@@ -204,21 +206,17 @@ def test_mirror_image_realizes_mirror_signature():
     # reading the reversed rotations forwards is the backward reading of g,
     # and it must give the graph the mirror signature builds
     for rep in _reps_upto(120):
-        assert (
-            canonical_code(mirror_image(build(rep)), use_reflection=False).code
-            == canonical_code(build(mirror(rep)), use_reflection=False).code
-        ), rep
+        assert _code(mirror_image(build(rep))) == _code(build(mirror(rep))), rep
 
 
 def test_public_codes_match_oriented_codes():
-    # is_chiral and the reflective canonical code are the two oriented codes
-    # of g and of its mirror image, compared and minimized
+    # the oriented code of the mirror image is the code of the reflected
+    # embedding: same automorphism count, and the smaller of the two codes
+    # names the class up to reflection, the same for g and its mirror image
     for rep in _reps_upto(120):
         g = build(rep)
-        fwd = canonical_code(g, use_reflection=False)
-        bwd = canonical_code(mirror_image(g), use_reflection=False)
-        refl = canonical_code(g, use_reflection=True)
-        assert is_chiral(g) == (fwd.code != bwd.code), rep
-        assert refl.code == min(fwd.code, bwd.code), rep
-        assert refl.reflective == (bwd.code < fwd.code), rep
-        assert refl.oriented_aut_count == fwd.oriented_aut_count, rep
+        fwd = canonical_code(g)
+        bwd = canonical_code(mirror_image(g))
+        assert bwd.oriented_aut_count == fwd.oriented_aut_count, rep
+        gm = build(mirror(rep))
+        assert min(_code(gm), _code(mirror_image(gm))) == min(fwd.code, bwd.code), rep

@@ -11,7 +11,6 @@ from trihex.signature import (
     has_mirror_symmetry,
     hexagon_count,
     is_coinciding,
-    is_self_mirror,
     mirror,
     orbit,
     parse_signature,
@@ -146,14 +145,14 @@ def test_min_multiplier():
 
 
 def test_orbit_fig_examples():
-    members = orbit(Signature(3, 1, 2)).members()
+    members = orbit(Signature(3, 1, 2))
     assert members == (Signature(3, 1, 2), Signature(3, 1, 0), Signature(1, 3, 0))
-    assert orbit(Signature(13, 1, 4)).members() == (Signature(13, 1, 4),) * 3
+    assert orbit(Signature(13, 1, 4)) == (Signature(13, 1, 4),) * 3
 
 
 def test_orbit_spine_zero():
     for b in range(6):
-        members = orbit(Signature(0, b, 0)).members()
+        members = orbit(Signature(0, b, 0))
         assert {vertex_count(m) for m in members} == {4 * (b + 1)}
 
 
@@ -164,27 +163,27 @@ def test_orbit_matches_companion_formulas():
             companion(sig, sig.f, 1),
             companion(sig, sig.f + sig.b + 1, 0),
         )
-        assert orbit(sig).members() == expected, sig
+        assert orbit(sig) == expected, sig
 
 
 def test_orbit_never_has_exactly_two_members():
     # an orbit of the order-3 rotation is one signature or three distinct ones
     for sig in all_signatures_upto(400):
-        assert len(set(orbit(sig).members())) in (1, 3), sig
+        assert len(set(orbit(sig))) in (1, 3), sig
 
 
 def test_orbit_closure():
     for sig in all_signatures_upto(400):
-        members = set(orbit(sig).members())
+        members = set(orbit(sig))
         for m in members:
-            assert set(orbit(m).members()) == members, sig
+            assert set(orbit(m)) == members, sig
 
 
 def test_orbit_conserves_counts():
     for sig in all_signatures_upto(400):
         o = orbit(sig)
-        assert len({vertex_count(m) for m in o.members()}) == 1
-        assert len({hexagon_count(m) for m in o.members()}) == 1
+        assert len({vertex_count(m) for m in o}) == 1
+        assert len({hexagon_count(m) for m in o}) == 1
         assert hexagon_count(sig) == vertex_count(sig) // 2 - 2, sig
 
 
@@ -203,8 +202,8 @@ def test_mirror_is_involution():
 
 def test_mirror_commutes_with_orbit():
     for sig in all_signatures_upto(400):
-        mirrored_orbit = {mirror(m) for m in orbit(sig).members()}
-        assert set(orbit(mirror(sig)).members()) == mirrored_orbit, sig
+        mirrored_orbit = {mirror(m) for m in orbit(sig)}
+        assert set(orbit(mirror(sig))) == mirrored_orbit, sig
 
 
 def test_is_coinciding_examples():
@@ -236,14 +235,14 @@ def test_coinciding_divisibility():
 
 
 def test_is_self_mirror_examples():
-    assert is_self_mirror(Signature(4, 2, 1))
-    assert not is_self_mirror(Signature(14, 0, 11))
-    assert is_self_mirror(Signature(6, 0, 3))
+    for sig in (Signature(4, 2, 1), Signature(6, 0, 3)):
+        assert mirror(sig) == sig
+    assert mirror(Signature(14, 0, 11)) != Signature(14, 0, 11)
 
 
 def test_is_self_mirror_matches_congruence():
     for sig in all_signatures_upto(400):
-        assert is_self_mirror(sig) == ((2 * sig.f + sig.b + 1) % (sig.s + 1) == 0), sig
+        assert (mirror(sig) == sig) == ((2 * sig.f + sig.b + 1) % (sig.s + 1) == 0), sig
 
 
 def test_has_mirror_symmetry_examples():
@@ -259,8 +258,8 @@ def test_mirror_triples():
     for sig in all_signatures_upto(400):
         if not has_mirror_symmetry(sig) or is_coinciding(sig):
             continue
-        members = orbit(sig).members()
-        fixed = [m for m in members if is_self_mirror(m)]
+        members = orbit(sig)
+        fixed = [m for m in members if mirror(m) == m]
         assert len(fixed) == 1, sig
         others = [m for m in members if m != fixed[0]]
         assert mirror(others[0]) == others[1], sig
@@ -280,6 +279,6 @@ def test_canonical_rep_constant_on_orbits():
     for sig in all_signatures_upto(400):
         rep = canonical_rep(sig)
         assert rep in orbit(sig)
-        for m in orbit(sig).members():
+        for m in orbit(sig):
             assert canonical_rep(m) == rep
         assert canonical_rep(rep) == rep

@@ -133,13 +133,14 @@ def cmd_build(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     g = graph.build(sig)
+    data = graph.export(g, args.format)
     if not args.quiet:
         print(
             f"signature {sig}: {g.n} vertices, faces "
             + ", ".join(f"{count} of length {k}" for k, count in graph.face_census(g).items()),
             file=sys.stderr,
         )
-    _emit_bytes(graph.export(g, args.format), args)
+    _emit_bytes(data, args)
     return 0
 
 

@@ -140,11 +140,13 @@ def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
 
     Each representative is built once and gets two oriented canonical codes:
     forward, and backward (the code of its mirror image).  The checks are:
-    3-fold symmetry (an oriented automorphism count divisible by 3) exactly
-    for coinciding signatures; chirality (the two codes differ) exactly
-    without mirror symmetry; distinct oriented codes for distinct
-    representatives; the same oriented code for every orbit member; and
-    gamma classes up to reflection (the smaller of the two codes).
+    exactly 12 oriented automorphisms (the rotation group T, with its 3-fold
+    axes) for coinciding signatures and 4 (D2) otherwise, the rotation groups
+    of the trihex point groups (Deza & Dutour Sikiric, *Geometry of Chemical
+    Graphs*, 2008); chirality (the two codes differ) exactly without mirror
+    symmetry; distinct oriented codes for distinct representatives; the same
+    oriented code for every orbit member; and gamma classes up to reflection
+    (the smaller of the two codes).
     """
     problems: list[str] = []
     oriented: dict[tuple[int, ...], Signature] = {}
@@ -157,7 +159,7 @@ def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
             continue
         fwd = graph.canonical_code(g)
         bwd = graph.canonical_code(graph.mirror_image(g))
-        if (fwd.oriented_aut_count % 3 == 0) != is_coinciding(rep):
+        if fwd.oriented_aut_count != (12 if is_coinciding(rep) else 4):
             problems.append(f"{rep}: 3-fold symmetry vs automorphism count")
         if (fwd.code != bwd.code) == has_mirror_symmetry(rep):
             problems.append(f"{rep}: chirality vs mirror symmetry")

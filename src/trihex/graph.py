@@ -21,7 +21,9 @@ its east representative gives the rotation system
 
 which is what `build` constructs.  The sign of f in B is the handedness
 convention; it is pinned by the mirror-image and equivalent-signature
-tests, not by choice.
+tests, not by choice.  `canonical_code` roots plantri's breadth-first code
+at the 12 darts on the four triangles, not at all 3n darts (Brinkmann &
+McKay, 2007).
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def build(sig: Signature) -> EmbeddedGraph:
 
 
 def _validate(g: EmbeddedGraph) -> None:
-    """Check degree, adjacency symmetry, connectivity, Euler, and face census."""
+    """Check degree, adjacency symmetry, connectivity, and face census."""
     if len(g.rot) != g.n:
         raise InternalInconsistencyError(f"{g.source}: rotation table has wrong size")
     for v, nbrs in enumerate(g.rot):
@@ -113,8 +115,12 @@ def _validate(g: EmbeddedGraph) -> None:
     expected = {3: 4, 6: h} if h else {3: 4}
     if census != expected:
         raise InternalInconsistencyError(f"{g.source}: face census {census}, wanted 4 triangles, {h} hexagons")
-    if g.n - (3 * g.n) // 2 + (4 + h) != 2:
-        raise InternalInconsistencyError(f"{g.source}: Euler check failed")
+
+
+def _face_step(rot: Rotation, v: int, w: int) -> tuple[int, int]:
+    """The dart after (v, w) on its face: leave w by the neighbor after v in w's rotation."""
+    nbrs = rot[w]
+    return w, nbrs[(nbrs.index(v) + 1) % 3]
 
 
 def faces(g: EmbeddedGraph) -> list[list[int]]:
@@ -130,8 +136,7 @@ def faces(g: EmbeddedGraph) -> list[list[int]]:
             while (v, w) not in seen:
                 seen.add((v, w))
                 face.append(v)
-                nbrs = g.rot[w]
-                v, w = w, nbrs[(nbrs.index(v) + 1) % 3]
+                v, w = _face_step(g.rot, v, w)
             result.append(face)
     return result
 
@@ -147,13 +152,11 @@ def mirror_image(g: EmbeddedGraph) -> EmbeddedGraph:
     return EmbeddedGraph(n=g.n, rot=tuple(nbrs[::-1] for nbrs in g.rot), source=mirror(g.source))
 
 
-def _code_from(rot: Rotation, start_v: int, start_w: int, best: list[int] | None) -> list[int] | None:
+def _code_from(rot: Rotation, start_v: int, start_w: int) -> list[int]:
     """Breadth-first code of the graph rooted at the dart (start_v, start_w).
 
     Vertices are numbered in discovery order; each vertex emits its three
     neighbors' numbers, reading its rotation forwards from the entry edge.
-    When `best` is given, construction aborts with None as soon as the code
-    is lexicographically above it.
     """
     n = len(rot)
     label = [-1] * n
@@ -162,7 +165,6 @@ def _code_from(rot: Rotation, start_v: int, start_w: int, best: list[int] | None
     entry = [start_w] + [0] * (n - 1)
     code: list[int] = []
     next_label = 1
-    still_tied = best is not None
     for i in range(n):
         v = order[i]
         nbrs = rot[v]
@@ -175,46 +177,38 @@ def _code_from(rot: Rotation, start_v: int, start_w: int, best: list[int] | None
                 next_label += 1
                 order.append(x)
                 entry[lx] = v
-            pos = len(code)
             code.append(lx)
-            if still_tied:
-                if lx > best[pos]:
-                    return None
-                if lx < best[pos]:
-                    still_tied = False
     return code
 
 
-def _min_code(rot: Rotation) -> tuple[list[int], int]:
-    """Lexicographically minimal code over all starting darts, with its multiplicity."""
-    best: list[int] | None = None
-    count = 0
-    for v in range(len(rot)):
-        for w in rot[v]:
-            code = _code_from(rot, v, w, best)
-            if code is None:
-                continue
-            if best is None or code < best:
-                best, count = code, 1
-            elif code == best:
-                count += 1
-    assert best is not None
-    return best, count
+def _on_triangle(rot: Rotation, v: int, w: int) -> bool:
+    """Whether three face steps lead from the dart (v, w) back to it."""
+    return _face_step(rot, *_face_step(rot, *_face_step(rot, v, w))) == (v, w)
 
 
 def canonical_code(g: EmbeddedGraph) -> CanonicalCode:
-    """Oriented canonical code of g and its number of orientation-preserving automorphisms.
+    """Oriented canonical code of a trihex and its number of orientation-preserving automorphisms.
 
-    Two embedded graphs are isomorphic by an orientation-preserving map
-    exactly when their codes are equal.  The code of the reflected
-    embedding is `canonical_code(mirror_image(g))`: g is chiral when the
-    two differ, and the smaller one names g's class up to reflection.
+    The code is the least breadth-first code rooted at one of the 12 darts on
+    a triangle.  Isomorphisms map triangles to triangles, so the minimum over
+    these roots is canonical (plantri's rooted code on an invariant dart set;
+    Brinkmann & McKay, *Fast generation of planar graphs*, 2007), and the
+    roots that tie for it are one orbit of the automorphisms.  Two trihexes
+    are isomorphic by an orientation-preserving map exactly when their codes
+    are equal.  The code of the reflected embedding is
+    `canonical_code(mirror_image(g))`: g is chiral when the two differ, and
+    the smaller one names g's class up to reflection.
     """
-    code, count = _min_code(g.rot)
-    return CanonicalCode(tuple(code), count)
+    codes = [
+        _code_from(g.rot, v, w) for v in range(g.n) for w in g.rot[v] if _on_triangle(g.rot, v, w)
+    ]
+    best = min(codes)
+    return CanonicalCode(tuple(best), codes.count(best))
 
 
 def _planar_code_bytes(g: EmbeddedGraph) -> bytes:
+    if g.n > 65535:
+        raise ValueError(f"planar_code holds at most 65535 vertices (2-byte entries), got {g.n}")
     out = bytearray(b">>planar_code<<")
     if g.n <= 255:
         out.append(g.n)

@@ -1,14 +1,19 @@
-"""Independent number-theory routes that `trihex.numtheory` is checked against.
+"""Independent routes that `trihex.numtheory` and `trihex.graph` are checked against.
 
 Trial division and residue scans, where the library uses Miller-Rabin,
 Pollard rho and cube roots of unity.  They do work in proportion to sqrt(n)
 or n, which is what makes them obviously right, so they are only called on
 small inputs.
+
+The all-darts canonical code (`_min_code`), where the library roots the
+code at the 12 triangle darts only: it tries all 3n starting darts and
+abandons a code as soon as it exceeds the best one so far.
 """
 
 import numpy as np
 
 from trihex.errors import InternalInconsistencyError
+from trihex.graph import Rotation
 from trihex.numtheory import CongruenceSolutions, Factorization
 
 # Largest modulus for which x*x + x + 1 with x < n fits in int64; above it
@@ -84,3 +89,58 @@ def first_root_mod_prime(p: int) -> int:
             if (x * x + x + 1) % p == 0:
                 return x
     raise InternalInconsistencyError(f"no root mod prime {p} = 1 (mod 3)")
+
+
+def _code_from(rot: Rotation, start_v: int, start_w: int, best: list[int] | None) -> list[int] | None:
+    """Breadth-first code of the graph rooted at the dart (start_v, start_w).
+
+    Vertices are numbered in discovery order; each vertex emits its three
+    neighbors' numbers, reading its rotation forwards from the entry edge.
+    When `best` is given, construction aborts with None as soon as the code
+    is lexicographically above it.
+    """
+    n = len(rot)
+    label = [-1] * n
+    label[start_v] = 0
+    order = [start_v]
+    entry = [start_w] + [0] * (n - 1)
+    code: list[int] = []
+    next_label = 1
+    still_tied = best is not None
+    for i in range(n):
+        v = order[i]
+        nbrs = rot[v]
+        j = nbrs.index(entry[i])
+        for t in range(3):
+            x = nbrs[(j + t) % 3]
+            lx = label[x]
+            if lx < 0:
+                lx = label[x] = next_label
+                next_label += 1
+                order.append(x)
+                entry[lx] = v
+            pos = len(code)
+            code.append(lx)
+            if still_tied:
+                if lx > best[pos]:
+                    return None
+                if lx < best[pos]:
+                    still_tied = False
+    return code
+
+
+def _min_code(rot: Rotation) -> tuple[list[int], int]:
+    """Lexicographically minimal code over all starting darts, with its multiplicity."""
+    best: list[int] | None = None
+    count = 0
+    for v in range(len(rot)):
+        for w in rot[v]:
+            code = _code_from(rot, v, w, best)
+            if code is None:
+                continue
+            if best is None or code < best:
+                best, count = code, 1
+            elif code == best:
+                count += 1
+    assert best is not None
+    return best, count

@@ -76,7 +76,7 @@ def test_criterion_4_graph_realization():
         h = v // 2 - 2
         for rep in enumeration.trihex_reps(v):
             try:
-                g = graph.build(rep)  # validates degree, symmetry, connectivity, Euler
+                g = graph.build(rep)  # validates degree, symmetry, connectivity, face census
             except Exception as exc:
                 violations.append(f"{rep}: {exc}")
                 continue
@@ -96,12 +96,12 @@ def test_criterion_5_symmetry_correspondence():
     # classes up to reflection = gamma, by the same checks as `verify --with-graphs`
     started = time.time()
     violations = []
-    for v in range(4, 124, 4):
+    for v in range(4, 244, 4):
         violations.extend(
             f"V={v}: {problem}"
             for problem in enumeration.verify_graphs(v, enumeration.trihex_reps(v))
         )
-    _finish(5, "graph-level symmetry correspondence, V <= 120", started, violations)
+    _finish(5, "graph-level symmetry correspondence, V <= 240", started, violations)
 
 
 def _signatures_upto(v_max):

@@ -162,6 +162,19 @@ def test_build_planar_code_to_file(tmp_path, capsys):
     assert "84 vertices" in err
 
 
+def test_build_planar_code_refuses_more_than_65535_vertices(tmp_path, capsys):
+    # plantri's 2-byte entries cannot name vertex 65 536 or beyond
+    path = tmp_path / "graph.plc"
+    for output in ([], ["--output", str(path)]):
+        code, out, err = run_cli(capsys, "build", "--sig", "16384,0,0",
+                                 "--format", "planar_code", *output)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "65535" in err
+    assert not path.exists()
+
+
 def test_build_rejects_malformed_signature(capsys):
     code, _, err = run_cli(capsys, "build", "--sig", "1,0,2")
     assert code == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from trihex import enumeration
+from trihex import enumeration, graph
 from trihex.counting import mu, nu
 from trihex.enumeration import (
     all_signatures,
@@ -14,6 +14,7 @@ from trihex.enumeration import (
     verify_graphs,
 )
 from trihex.errors import VerificationFailureError
+from trihex.graph import CanonicalCode
 from trihex.signature import (
     Signature,
     has_mirror_symmetry,
@@ -129,6 +130,22 @@ def test_verify_graphs_reports_flipped_predicate(monkeypatch, predicate, problem
     original = getattr(enumeration, predicate)
     monkeypatch.setattr(enumeration, predicate, lambda sig: not original(sig))
     assert verify_graphs(28, reps) == [f"{rep}: {problem}" for rep in reps]
+
+
+def test_verify_graphs_reports_wrong_automorphism_count(monkeypatch):
+    # doubled counts (24 on a coinciding rep, 8 on the others) keep "divisible
+    # by 3 exactly when coinciding", so only the exact count catches them
+    reps = trihex_reps(28)
+    real = graph.canonical_code
+
+    def doubled(g):
+        cc = real(g)
+        return CanonicalCode(cc.code, 2 * cc.oriented_aut_count)
+
+    monkeypatch.setattr(graph, "canonical_code", doubled)
+    assert verify_graphs(28, reps) == [
+        f"{rep}: 3-fold symmetry vs automorphism count" for rep in reps
+    ]
 
 
 def test_verify_graphs_reports_collision_and_foreign_orbit_member(monkeypatch):

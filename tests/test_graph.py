@@ -5,8 +5,10 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from trihex.enumeration import trihex_reps
 from trihex.graph import (
+    CanonicalCode,
     EmbeddedGraph,
     build,
     canonical_code,
@@ -168,11 +170,12 @@ def test_export_rejects_unknown_format():
 
 
 def test_full_correspondence_small_sweep():
-    # 3-fold symmetry <-> coinciding signature, for every representative
+    # 3-fold symmetry <-> coinciding signature, for every representative: the
+    # rotation group is T (12) exactly for coinciding signatures, else D2 (4)
     for v in range(4, 64, 4):
         for rep in trihex_reps(v):
             cc = canonical_code(build(rep))
-            assert (cc.oriented_aut_count % 3 == 0) == is_coinciding(rep), rep
+            assert cc.oriented_aut_count == (12 if is_coinciding(rep) else 4), rep
 
 
 def test_orbit_and_mirror_conventions_agree():
@@ -220,3 +223,13 @@ def test_public_codes_match_oriented_codes():
         assert bwd.oriented_aut_count == fwd.oriented_aut_count, rep
         gm = build(mirror(rep))
         assert min(_code(gm), _code(mirror_image(gm))) == min(fwd.code, bwd.code), rep
+
+
+def test_triangle_rooted_code_matches_all_darts_oracle():
+    # rooting the code at the 12 triangle darts gives the same code and the
+    # same automorphism count as the minimum over all 3n darts
+    for rep in _reps_upto(240):
+        g = build(rep)
+        for h in (g, mirror_image(g)):
+            code, count = oracles._min_code(h.rot)
+            assert canonical_code(h) == CanonicalCode(tuple(code), count), h.source

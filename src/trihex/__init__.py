@@ -27,6 +27,7 @@ from .graph import (
     face_census,
     faces,
     mirror_image,
+    validate,
 )
 from .numtheory import CongruenceSolutions, Factorization, divisors, factorize, omega_count, solve_fast
 from .signature import (
@@ -81,6 +82,7 @@ __all__ = [
     "solve_fast",
     "trihex_count",
     "trihex_reps",
+    "validate",
     "verify",
     "verify_graphs",
     "vertex_count",

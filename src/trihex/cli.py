@@ -12,8 +12,8 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (including a number to factorize that is not below 2^64), 3 internal error
 (two computations that must agree did not).
-Range work fans out to a process pool (--jobs, or TRIHEX_JOBS; 0 = all
-cores); results are re-ordered before emission so output is deterministic.
+Range work fans out to a process pool (--jobs, default 1; 0 = all cores);
+results are re-ordered before emission so output is deterministic.
 """
 
 from __future__ import annotations
@@ -60,12 +60,9 @@ def _parse_range(args) -> list[int]:
 
 
 def _jobs(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("TRIHEX_JOBS", "1"))
-    if jobs < 0:
-        raise UsageError(f"--jobs must be nonnegative, got {jobs}")
-    return jobs if jobs else os.cpu_count() or 1
+    if args.jobs < 0:
+        raise UsageError(f"--jobs must be nonnegative, got {args.jobs}")
+    return args.jobs or os.cpu_count() or 1
 
 
 def _map_ordered(fn, items, jobs: int):
@@ -133,6 +130,7 @@ def cmd_build(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     g = graph.build(sig)
+    graph.validate(g)
     data = graph.export(g, args.format)
     if not args.quiet:
         print(
@@ -203,7 +201,7 @@ def _add_range_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write to this file instead of stdout")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (0 = all cores)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (0 = all cores)")
     p.add_argument("--quiet", action="store_true", help="suppress diagnostics and per-item progress")
 
 

@@ -20,11 +20,19 @@ from .numtheory import divisors, factorize, solve_fast
 from .signature import Signature, canonical_rep, has_mirror_symmetry, is_coinciding, mirror, orbit
 
 
+# `all_signatures` refuses a V with more signatures than this.  There are
+# sigma(V/4) of them, which grows with V: V = 4p for a prime p has p + 1.
+MAX_SIGNATURES = 2_000_000
+
+
 def all_signatures(v: int) -> list[Signature]:
     """Every signature (s, b, f) with 4(s+1)(b+1) = v, lexicographically sorted."""
     n = counting.quarter(v)
+    ds = divisors(factorize(n))
+    if sum(ds) > MAX_SIGNATURES:
+        raise ValueError(f"V={v} has {sum(ds)} signatures; enumeration holds at most {MAX_SIGNATURES}")
     result = []
-    for d in divisors(factorize(n)):
+    for d in ds:
         s, b = d - 1, n // d - 1
         result.extend(Signature(s, b, f) for f in range(s + 1))
     return result
@@ -138,8 +146,10 @@ def verify(v: int) -> EnumerationResult:
 def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
     """Check the trihex representatives `reps` of v as graphs; return the problems found.
 
-    Each representative is built once and gets two oriented canonical codes:
-    forward, and backward (the code of its mirror image).  The checks are:
+    Each representative is built and validated once and gets two oriented
+    canonical codes: forward, and backward (the code of its mirror image).
+    Orbit members are only coded: a member with the representative's code is
+    isomorphic to it, so it would pass the same validation.  The checks are:
     exactly 12 oriented automorphisms (the rotation group T, with its 3-fold
     axes) for coinciding signatures and 4 (D2) otherwise, the rotation groups
     of the trihex point groups (Deza & Dutour Sikiric, *Geometry of Chemical
@@ -154,6 +164,7 @@ def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
     for rep in reps:
         try:
             g = graph.build(rep)
+            graph.validate(g)
         except InternalInconsistencyError as exc:
             problems.append(f"build {rep}: {exc}")
             continue

@@ -7,10 +7,10 @@ what is left with Brent's variant of Pollard rho, for n < 2^64.  The number
 of roots of x^2 + x + 1 (mod n) is multiplicative in n and fully determined
 by the prime factorization: 0 as soon as a prime congruent to 2 (mod 3)
 divides n or 9 divides n, otherwise 2^r where r is the number of distinct
-prime factors other than 3.  `solve_fast` finds the roots mod each prime as
-primitive cube roots of unity, lifts them to prime powers and combines them
-by the Chinese remainder theorem.  The naive residue scan it is checked
-against lives in the tests.
+prime factors other than 3.  `solve_fast` finds the roots mod each prime
+power directly as primitive cube roots of unity and combines them by the
+Chinese remainder theorem.  The naive residue scan it is checked against
+lives in the tests.
 """
 
 from __future__ import annotations
@@ -220,45 +220,24 @@ def omega_count(f: Factorization) -> int:
     return 2**r
 
 
-def lift_prime_power(p: int, root: int, ell: int) -> int:
-    """Lift a root of x^2 + x + 1 mod p to the unique root mod p^ell above it.
+def _root_mod_prime_power(p: int, k: int) -> int:
+    """Smaller root of x^2 + x + 1 mod p^k for a prime p with p % 3 == 1.
 
-    At each step x is adjusted by m * p^k where m cancels the current defect:
-    with x^2 + x + 1 = j * p^k, choose m so that m * (2x + 1) + j is divisible
-    by p.  2x + 1 is invertible mod p because p != 3.
+    The units mod p^k form a cyclic group of order phi = p^(k-1) (p-1), which
+    3 divides, so w = a^(phi/3) is a cube root of unity.  When w != 1 it is a
+    primitive one, and w - 1 is a unit (the units = 1 mod p form a subgroup
+    of order p^(k-1), prime to 3), so w^3 - 1 = (w - 1)(w^2 + w + 1) = 0
+    gives w^2 + w + 1 = 0.  The other root is w^2 = p^k - 1 - w.
+    a^(phi/3) = 1 only for the cubic residues, a third of the units, so few
+    values of a are tried.
     """
-    if p == 3:
-        raise ValueError("lifting is not defined for p = 3")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
-    root %= p
-    if (root * root + root + 1) % p != 0:
-        raise ValueError(f"{root} does not solve the congruence mod {p}")
-    x = root
-    pk = p
-    for _ in range(ell - 1):
-        j = (x * x + x + 1) // pk
-        m = (-j * pow(2 * x + 1, -1, p)) % p
-        x += m * pk
-        pk *= p
-    return x
-
-
-def _first_root_mod_prime(p: int) -> int:
-    """Smallest root of x^2 + x + 1 mod a prime p with p % 3 == 1.
-
-    The roots are the primitive cube roots of unity w and w^2 = p - 1 - w.
-    a^((p-1)/3) is one of them unless a is a cubic residue, and the cubic
-    residues are a third of the units, so few values of a are tried.
-    """
-    e = (p - 1) // 3
-    for a in range(2, p):
-        w = pow(a, e, p)
+    q = p**k
+    e = q // p * (p - 1) // 3
+    for a in range(2, q):
+        w = pow(a, e, q)
         if w != 1:
-            return min(w, p - 1 - w)
-    raise InternalInconsistencyError(f"no root mod prime {p} = 1 (mod 3)")
+            return min(w, q - 1 - w)
+    raise InternalInconsistencyError(f"no root mod {p}^{k} with {p} = 1 (mod 3)")
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
@@ -273,8 +252,8 @@ def solve_fast(f: Factorization) -> CongruenceSolutions:
 
     Per prime power: no roots when p = 2 (mod 3) or when p = 3 with exponent
     above 1; the single root 1 when the factor is exactly 3; otherwise the
-    pair {x, p^ell - x - 1} obtained by lifting a root mod p.  The pieces are
-    combined by the Chinese remainder theorem.
+    pair {x, p^ell - x - 1} of primitive cube roots of unity mod p^ell.  The
+    pieces are combined by the Chinese remainder theorem.
     """
     parts: list[tuple[list[int], int]] = []
     for prime, exponent in f.factors:
@@ -286,7 +265,7 @@ def solve_fast(f: Factorization) -> CongruenceSolutions:
                 return CongruenceSolutions(f.n, ())
             parts.append(([1], 3))
         else:
-            x = lift_prime_power(prime, _first_root_mod_prime(prime), exponent)
+            x = _root_mod_prime_power(prime, exponent)
             parts.append(([x, modulus - x - 1], modulus))
 
     combined: list[tuple[int, int]] = [(0, 1)]

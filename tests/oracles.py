@@ -5,6 +5,10 @@ Pollard rho and cube roots of unity.  They do work in proportion to sqrt(n)
 or n, which is what makes them obviously right, so they are only called on
 small inputs.
 
+Hensel lifting of a root mod p to the root mod p^ell above it
+(`lift_prime_power`), where the library takes a primitive cube root of
+unity mod p^ell directly.
+
 The all-darts canonical code (`_min_code`), where the library roots the
 code at the 12 triangle darts only: it tries all 3n starting darts and
 abandons a code as soon as it exceeds the best one so far.
@@ -89,6 +93,32 @@ def first_root_mod_prime(p: int) -> int:
             if (x * x + x + 1) % p == 0:
                 return x
     raise InternalInconsistencyError(f"no root mod prime {p} = 1 (mod 3)")
+
+
+def lift_prime_power(p: int, root: int, ell: int) -> int:
+    """Lift a root of x^2 + x + 1 mod p to the unique root mod p^ell above it.
+
+    At each step x is adjusted by m * p^k where m cancels the current defect:
+    with x^2 + x + 1 = j * p^k, choose m so that m * (2x + 1) + j is divisible
+    by p.  2x + 1 is invertible mod p because p != 3.
+    """
+    if p == 3:
+        raise ValueError("lifting is not defined for p = 3")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got {ell}")
+    root %= p
+    if (root * root + root + 1) % p != 0:
+        raise ValueError(f"{root} does not solve the congruence mod {p}")
+    x = root
+    pk = p
+    for _ in range(ell - 1):
+        j = (x * x + x + 1) // pk
+        m = (-j * pow(2 * x + 1, -1, p)) % p
+        x += m * pk
+        pk *= p
+    return x
 
 
 def _code_from(rot: Rotation, start_v: int, start_w: int, best: list[int] | None) -> list[int] | None:

@@ -76,7 +76,8 @@ def test_criterion_4_graph_realization():
         h = v // 2 - 2
         for rep in enumeration.trihex_reps(v):
             try:
-                g = graph.build(rep)  # validates degree, symmetry, connectivity, face census
+                g = graph.build(rep)
+                graph.validate(g)  # degree, symmetry, connectivity, face census
             except Exception as exc:
                 violations.append(f"{rep}: {exc}")
                 continue

@@ -12,7 +12,7 @@ import pytest
 
 import trihex
 from golden_counts import TABLE
-from trihex import cli, counting, enumeration
+from trihex import cli, counting, enumeration, graph
 from trihex.numtheory import factorize
 from trihex.cli import main
 from trihex.errors import InternalInconsistencyError
@@ -105,6 +105,14 @@ def test_count_deterministic_across_jobs(capsys):
     assert serial == parallel
 
 
+def test_jobs_environment_variable_is_ignored(monkeypatch, capsys):
+    # --jobs is the only worker-count setting
+    monkeypatch.setenv("TRIHEX_JOBS", "-1")
+    code, out, err = run_cli(capsys, "count", "--v", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("4,")
+
+
 def test_count_output_file(tmp_path, capsys):
     path = tmp_path / "table.csv"
     code, out, _ = run_cli(capsys, "count", "--v", "8", "--output", str(path))
@@ -173,6 +181,35 @@ def test_build_planar_code_refuses_more_than_65535_vertices(tmp_path, capsys):
         assert len(err.splitlines()) == 1
         assert "65535" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (f"enumerate --v {4 * (2**61 - 1)}",
+         f"V={4 * (2**61 - 1)} has {2**61} signatures; enumeration holds at most 2000000"),
+        (f"verify --v {4 * (2**61 - 1)}",
+         f"V={4 * (2**61 - 1)} has {2**61} signatures; enumeration holds at most 2000000"),
+        ("build --sig 250000,0,0 --format dot", "build holds at most 1000000 vertices, got 1000004"),
+    ],
+)
+def test_work_growing_with_v_is_refused(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (2, "", f"trihex: {message}\n")
+
+
+def test_build_validates_before_export(monkeypatch, capsys):
+    validated = []
+    monkeypatch.setattr(graph, "validate", lambda g: validated.append(g.source))
+    assert run_cli(capsys, "build", "--sig", "6,2,1", "--format", "dot")[0] == 0
+    assert [str(sig) for sig in validated] == ["(6,2,1)"]
+
+    def broken(g):
+        raise InternalInconsistencyError(f"{g.source}: graph is not connected")
+
+    monkeypatch.setattr(graph, "validate", broken)
+    assert run_cli(capsys, "build", "--sig", "6,2,1", "--format", "dot") == (
+        3, "", "trihex: internal error: (6,2,1): graph is not connected\n"
+    )
 
 
 def test_build_rejects_malformed_signature(capsys):

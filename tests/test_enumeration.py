@@ -13,7 +13,7 @@ from trihex.enumeration import (
     verify,
     verify_graphs,
 )
-from trihex.errors import VerificationFailureError
+from trihex.errors import InternalInconsistencyError, VerificationFailureError
 from trihex.graph import CanonicalCode
 from trihex.signature import (
     Signature,
@@ -48,6 +48,14 @@ def test_rejects_invalid_vertex_count():
                self_mirror_signatures, graph_class_reps, verify):
         with pytest.raises(ValueError):
             fn(6)
+
+
+def test_all_signatures_refuses_more_than_max_signatures(monkeypatch):
+    # the limit is inclusive: sigma(7) = 8 is built, sigma(8) = 15 is refused
+    monkeypatch.setattr(enumeration, "MAX_SIGNATURES", 8)
+    assert len(all_signatures(28)) == 8
+    with pytest.raises(ValueError, match="V=32 has 15 signatures; enumeration holds at most 8"):
+        all_signatures(32)
 
 
 def test_trihex_reps_examples():
@@ -146,6 +154,23 @@ def test_verify_graphs_reports_wrong_automorphism_count(monkeypatch):
     assert verify_graphs(28, reps) == [
         f"{rep}: 3-fold symmetry vs automorphism count" for rep in reps
     ]
+
+
+def test_verify_graphs_validates_each_representative_once(monkeypatch):
+    reps = trihex_reps(28)
+    validated = []
+    monkeypatch.setattr(graph, "validate", lambda g: validated.append(g.source))
+    assert verify_graphs(28, reps) == []
+    assert validated == reps
+
+    def broken(g):
+        raise InternalInconsistencyError(f"{g.source}: face census wrong")
+
+    # a representative that fails validation is reported and gets no codes
+    monkeypatch.setattr(graph, "validate", broken)
+    assert verify_graphs(28, reps) == [
+        f"build {rep}: {rep}: face census wrong" for rep in reps
+    ] + ["graph classes 0 != gamma 3"]
 
 
 def test_verify_graphs_reports_collision_and_foreign_orbit_member(monkeypatch):

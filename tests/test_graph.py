@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from trihex.enumeration import trihex_reps
+from trihex.errors import InternalInconsistencyError
 from trihex.graph import (
     CanonicalCode,
     EmbeddedGraph,
@@ -16,6 +17,7 @@ from trihex.graph import (
     face_census,
     faces,
     mirror_image,
+    validate,
 )
 from trihex.signature import (
     Signature,
@@ -119,8 +121,37 @@ def test_build_rejects_nothing_but_validates():
     # build output always satisfies the embedded-graph invariants; spot-check
     # the stored rotation is a tuple of 3-tuples
     g = build(Signature(5, 1, 2))
+    validate(g)
     assert isinstance(g, EmbeddedGraph)
     assert all(len(nbrs) == 3 for nbrs in g.rot)
+
+
+def _with_rotation(g, v, nbrs):
+    rot = list(g.rot)
+    rot[v] = nbrs
+    return EmbeddedGraph(tuple(rot), g.source)
+
+
+def test_validate_rejects_broken_rotation_systems():
+    tetra = build(Signature(0, 0, 0))
+    g8 = build(Signature(1, 0, 0))
+    assert g8.rot[0] == (3, 4, 7) and 0 not in g8.rot[1]
+    two_tetrahedra = EmbeddedGraph(
+        tetra.rot + tuple(tuple(w + 4 for w in nbrs) for nbrs in tetra.rot), g8.source
+    )
+    g = build(Signature(6, 2, 1))
+    cases = [
+        (_with_rotation(tetra, 0, (1, 1, 2)), r"\(0,0,0\): vertex 0 is not simple cubic"),
+        (_with_rotation(g8, 0, (1, 4, 7)), r"\(1,0,0\): adjacency not symmetric"),
+        (two_tetrahedra, r"\(1,0,0\): graph is not connected"),
+        (
+            _with_rotation(g, 0, g.rot[0][::-1]),
+            r"\(6,2,1\): face census \{3: 3, 6: 38, 15: 1\}, wanted 4 triangles, 40 hexagons",
+        ),
+    ]
+    for broken, message in cases:
+        with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
+            validate(broken)
 
 
 def test_planar_code_tetrahedron_bytes():

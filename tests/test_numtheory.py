@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import solve_naive
+from oracles import lift_prime_power, solve_naive
 from trihex.numtheory import (
     CongruenceSolutions,
     Factorization,
-    _first_root_mod_prime,
+    _root_mod_prime_power,
     divisors,
     factorize,
     is_prime,
-    lift_prime_power,
     omega_count,
     solve_fast,
 )
@@ -103,7 +102,7 @@ def test_first_root_is_smallest_scanned_root():
         for lo in range(0, p, 8192):
             hits = np.flatnonzero(poly[lo : min(lo + 8192, p)] % p == 0)
             if hits.size:
-                assert _first_root_mod_prime(p) == lo + int(hits[0]), p
+                assert _root_mod_prime_power(p, 1) == lo + int(hits[0]), p
                 break
         else:
             raise AssertionError(f"no root mod {p}")
@@ -184,6 +183,20 @@ def test_lift_prime_power_sweep():
                 assert 0 <= x < p**ell
                 assert x % p == root
                 assert (x * x + x + 1) % p**ell == 0
+
+
+def test_root_mod_prime_power_matches_hensel_lift():
+    # the smaller cube root of unity mod p^k is the smaller of the lifted root
+    # above the least root mod p and its partner p^k - 1 - x
+    for p in range(7, 100_000, 6):
+        if not oracles.is_prime(p):
+            continue
+        root = oracles.first_root_mod_prime(p)
+        k = 1
+        while p**k < 10**12:
+            x = lift_prime_power(p, root, k)
+            assert _root_mod_prime_power(p, k) == min(x, p**k - 1 - x), (p, k)
+            k += 1
 
 
 def test_lift_prime_power_rejects_bad_input():

@@ -35,6 +35,7 @@ from .signature import (
     canonical_rep,
     has_mirror_symmetry,
     hexagon_count,
+    is_canonical,
     is_coinciding,
     mirror,
     orbit,
@@ -67,6 +68,7 @@ __all__ = [
     "graph_class_reps",
     "has_mirror_symmetry",
     "hexagon_count",
+    "is_canonical",
     "is_coinciding",
     "mirror",
     "mirror_image",

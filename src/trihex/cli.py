@@ -73,12 +73,24 @@ def _map_ordered(fn, items, jobs: int):
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
+def _to_stdout(write, data) -> None:
+    """Write data to stdout; a reader that closes the pipe early (`| head -1`) ends it quietly."""
+    try:
+        write(data)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(text: str, args) -> None:
     if args.output:
         with open(args.output, "w", newline="") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _to_stdout(sys.stdout.write, text)
 
 
 def _emit_bytes(data: bytes, args) -> None:
@@ -86,7 +98,7 @@ def _emit_bytes(data: bytes, args) -> None:
         with open(args.output, "wb") as fh:
             fh.write(data)
     else:
-        sys.stdout.buffer.write(data)
+        _to_stdout(sys.stdout.buffer.write, data)
 
 
 def cmd_count(args) -> int:

@@ -11,13 +11,22 @@ ascending) so output is reproducible byte for byte.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import counting, graph
 from .errors import InternalInconsistencyError, VerificationFailureError
 from .numtheory import divisors, factorize, solve_fast
-from .signature import Signature, canonical_rep, has_mirror_symmetry, is_coinciding, mirror, orbit
+from .signature import (
+    Signature,
+    canonical_rep,
+    has_mirror_symmetry,
+    is_canonical,
+    is_coinciding,
+    mirror,
+    orbit,
+)
 
 
 # `all_signatures` refuses a V with more signatures than this.  There are
@@ -40,7 +49,7 @@ def all_signatures(v: int) -> list[Signature]:
 
 def trihex_reps(v: int) -> list[Signature]:
     """One canonical signature per trihex with v vertices, sorted."""
-    return sorted({canonical_rep(sig) for sig in all_signatures(v)})
+    return [sig for sig in all_signatures(v) if is_canonical(sig)]
 
 
 def coinciding_signatures(v: int) -> list[Signature]:
@@ -96,13 +105,14 @@ class EnumerationResult:
 def verify(v: int) -> EnumerationResult:
     """Enumerate every stream for v and check each size against its formula.
 
-    Each orbit and mirror fact is computed once: the representatives come
-    from one pass over the signatures, and each one's mirror representative
-    serves both the graph-class stream and the mirror-closure check.
+    Each orbit and mirror fact is computed once: the representatives are the
+    signatures that pass `is_canonical`, in one pass over the sorted
+    signatures, and each one's mirror representative serves both the
+    graph-class stream and the mirror-closure check.
     Raises VerificationFailureError naming the first check that disagrees.
     """
     signatures = all_signatures(v)
-    reps = sorted({canonical_rep(sig) for sig in signatures})
+    reps = [sig for sig in signatures if is_canonical(sig)]
     mirror_reps = [canonical_rep(mirror(rep)) for rep in reps]
     result = EnumerationResult(
         V=v,
@@ -155,12 +165,15 @@ def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
     of the trihex point groups (Deza & Dutour Sikiric, *Geometry of Chemical
     Graphs*, 2008); chirality (the two codes differ) exactly without mirror
     symmetry; distinct oriented codes for distinct representatives; the same
-    oriented code for every orbit member; and gamma classes up to reflection
-    (the smaller of the two codes).
+    oriented code for every orbit member; gamma classes up to reflection
+    (the smaller of the two codes); and the census of those classes by full
+    automorphism order (the oriented count, doubled when the two codes are
+    equal): nu of order 24 (Td), rot_classes - nu of order 12 (T), mu - nu of
+    order 8 (D2d or D2h) and the rest of order 4 (D2).
     """
     problems: list[str] = []
     oriented: dict[tuple[int, ...], Signature] = {}
-    classes: set[tuple[int, ...]] = set()
+    classes: dict[tuple[int, ...], int] = {}
     for rep in reps:
         try:
             g = graph.build(rep)
@@ -177,11 +190,23 @@ def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
         if fwd.code in oriented:
             problems.append(f"{rep}: oriented code collides with {oriented[fwd.code]}")
         oriented[fwd.code] = rep
-        classes.add(min(fwd.code, bwd.code))
+        classes[min(fwd.code, bwd.code)] = fwd.oriented_aut_count * (2 if fwd.code == bwd.code else 1)
         for member in orbit(rep):
             if member != rep and graph.canonical_code(graph.build(member)).code != fwd.code:
                 problems.append(f"{rep}: equivalent signature {member} builds a different graph")
-    gamma = counting.gamma(v)
-    if len(classes) != gamma:
-        problems.append(f"graph classes {len(classes)} != gamma {gamma}")
+    counts = counting.report(v)
+    if len(classes) != counts.gamma:
+        problems.append(f"graph classes {len(classes)} != gamma {counts.gamma}")
+    else:
+        # the four expected counts sum to gamma, so a class of any other order is a mismatch too
+        census = Counter(classes.values())
+        actual = tuple(census[order] for order in (24, 12, 8, 4))
+        expected = (
+            counts.nu,
+            counts.rot_classes - counts.nu,
+            counts.mu - counts.nu,
+            counts.gamma - counts.rot_classes - counts.mu + counts.nu,
+        )
+        if actual != expected:
+            problems.append(f"classes by automorphism order 24/12/8/4: {actual} != {expected}")
     return problems

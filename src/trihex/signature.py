@@ -8,7 +8,9 @@ its (u, d) basis, and (s, b, f) is read off the Hermite normal form (HNF)
 of L: the unique basis (b+1, -f), (0, s+1) with b+1 >= 1 and 0 <= f <= s.
 A trihex has one such triple per spine direction; `orbit` returns the
 three as a tuple, the triple itself first: the HNFs of L rotated by 0, 60
-and 120 degrees (Thurston, "Shapes of polyhedra", 1998).
+and 120 degrees (Thurston, "Shapes of polyhedra", 1998).  `is_canonical`
+tells whether a triple is the least of its three from two gcds, without
+building the other two.
 The mirror image is the HNF of L reflected by (a, y) -> (a, a - y), which
 swaps the offset f for (s - b - f) mod (s+1); a signature is self-mirror
 when `mirror(sig) == sig`.
@@ -16,6 +18,7 @@ when `mirror(sig) == sig`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -92,9 +95,32 @@ def has_mirror_symmetry(sig: Signature) -> bool:
     return mirror(sig) in orbit(sig)
 
 
+def is_canonical(sig: Signature) -> bool:
+    """True when sig is the least member of its orbit, i.e. sig == min(orbit(sig)).
+
+    With n = s+1 and m = b+1, the 60 and 120 degree members have b'+1 =
+    gcd(n, f) and gcd(n, f+m), and s'+1 = nm/(b'+1), by the determinant in
+    `_hnf`.  A gcd above m gives a member with a smaller s, one below m a
+    larger s.  A tie (gcd == m, so m | f and m | n) leaves s and b equal, and
+    the member's offset is read off the extended-Euclid step with k = n/m:
+    m*((-(f/m)^-1 - 1) mod k) at 60 degrees and m*(-((f+m)/m)^-1 mod k) at
+    120; sig loses the tie when that offset is below f.
+    """
+    n, m, f = sig.s + 1, sig.b + 1, sig.f
+    g60, g120 = math.gcd(n, f), math.gcd(n, f + m)
+    if g60 > m or g120 > m:
+        return False
+    if g60 < m and g120 < m:
+        return True
+    k, q = n // m, f // m
+    if g60 == m and m * ((-pow(q, -1, k) - 1) % k) < f:
+        return False
+    return not (g120 == m and m * (-pow(q + 1, -1, k) % k) < f)
+
+
 def canonical_rep(sig: Signature) -> Signature:
     """Lexicographically smallest member of the orbit; constant on orbits."""
-    return min(orbit(sig))
+    return sig if is_canonical(sig) else min(orbit(sig))
 
 
 def parse_signature(text: str) -> Signature:

@@ -355,6 +355,22 @@ def test_import_leaves_numpy_out():
     assert result.stdout == "False\n"
 
 
+def test_count_survives_early_pipe_close():
+    # a reader that stops after one line, as `trihex count ... | head -1` does;
+    # the bare environment keeps stdout buffered (PYTHONUNBUFFERED=1 hides a fault)
+    src = pathlib.Path(trihex.__file__).parent.parent
+    with subprocess.Popen(
+        [sys.executable, "-m", "trihex.cli", "count", "--from", "4", "--to", "40000"],
+        env={"PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"V,sigma,delta,mu,nu,trihexes,gamma,rot_classes\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

@@ -1,8 +1,11 @@
 """Tests for constructive enumeration against the closed-form counts."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
-from trihex import enumeration, graph
+from trihex import counting, enumeration, graph
 from trihex.counting import mu, nu
 from trihex.enumeration import (
     all_signatures,
@@ -18,6 +21,7 @@ from trihex.graph import CanonicalCode
 from trihex.signature import (
     Signature,
     has_mirror_symmetry,
+    is_canonical,
     is_coinciding,
     orbit,
     vertex_count,
@@ -64,6 +68,11 @@ def test_trihex_reps_examples():
     reps32 = trihex_reps(32)
     assert len(reps32) == 5
     assert Signature(1, 3, 0) in reps32
+
+
+@pytest.mark.parametrize("v", [5040, 48384])
+def test_trihex_reps_are_orbit_minima(v):
+    assert trihex_reps(v) == sorted({min(orbit(sig)) for sig in all_signatures(v)})
 
 
 def test_coinciding_examples():
@@ -125,6 +134,18 @@ def test_verify_reports_self_mirror_not_fixed(monkeypatch):
     assert excinfo.value.actual == Signature(6, 0, 5)
 
 
+def test_verify_reports_wrong_canonical_filter(monkeypatch):
+    # a filter that also admits every b = 0 signature tied at 60 degrees
+    # keeps extra members of the (6,0,f) orbits
+    def admits_ties(sig):
+        return is_canonical(sig) or (sig.b == 0 and math.gcd(sig.s + 1, sig.f) == 1)
+
+    monkeypatch.setattr(enumeration, "is_canonical", admits_ties)
+    with pytest.raises(VerificationFailureError) as excinfo:
+        verify(28)
+    assert excinfo.value.field == "trihexes"
+
+
 @pytest.mark.parametrize(
     "predicate, problem",
     [
@@ -153,6 +174,22 @@ def test_verify_graphs_reports_wrong_automorphism_count(monkeypatch):
     monkeypatch.setattr(graph, "canonical_code", doubled)
     assert verify_graphs(28, reps) == [
         f"{rep}: 3-fold symmetry vs automorphism count" for rep in reps
+    ] + ["classes by automorphism order 24/12/8/4: (1, 0, 0, 0) != (0, 1, 2, 0)"]
+
+
+@pytest.mark.parametrize(
+    "field, expected",
+    [("nu", (1, 0, 1, 1)), ("rot_classes", (0, 2, 2, -1)), ("mu", (0, 1, 3, -1))],
+)
+def test_verify_graphs_reports_census_off_by_one(monkeypatch, field, expected):
+    # gamma is kept, so only the census by automorphism order can catch a
+    # count that is one off; V = 28 has classes of orders 12, 8 and 8
+    reps = trihex_reps(28)
+    real = counting.report(28)
+    fake = SimpleNamespace(**{**real.as_dict(), field: getattr(real, field) + 1})
+    monkeypatch.setattr(counting, "report", lambda v: fake)
+    assert verify_graphs(28, reps) == [
+        f"classes by automorphism order 24/12/8/4: (0, 1, 2, 0) != {expected}"
     ]
 
 

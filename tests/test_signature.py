@@ -10,6 +10,7 @@ from trihex.signature import (
     canonical_rep,
     has_mirror_symmetry,
     hexagon_count,
+    is_canonical,
     is_coinciding,
     mirror,
     orbit,
@@ -282,3 +283,9 @@ def test_canonical_rep_constant_on_orbits():
         for m in orbit(sig):
             assert canonical_rep(m) == rep
         assert canonical_rep(rep) == rep
+
+
+def test_is_canonical_matches_orbit_minimum():
+    # min(orbit(sig)) is the oracle for the gcd test, ties included
+    for sig in all_signatures_upto(2000):
+        assert is_canonical(sig) == (sig == min(orbit(sig))), sig

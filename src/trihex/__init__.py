@@ -26,6 +26,7 @@ from .graph import (
     export,
     face_census,
     faces,
+    has_code,
     mirror_image,
     validate,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "factorize",
     "gamma",
     "graph_class_reps",
+    "has_code",
     "has_mirror_symmetry",
     "hexagon_count",
     "is_canonical",

@@ -192,7 +192,7 @@ def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
         oriented[fwd.code] = rep
         classes[min(fwd.code, bwd.code)] = fwd.oriented_aut_count * (2 if fwd.code == bwd.code else 1)
         for member in orbit(rep):
-            if member != rep and graph.canonical_code(graph.build(member)).code != fwd.code:
+            if member != rep and not graph.has_code(graph.build(member), fwd.code):
                 problems.append(f"{rep}: equivalent signature {member} builds a different graph")
     counts = counting.report(v)
     if len(classes) != counts.gamma:

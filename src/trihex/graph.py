@@ -23,7 +23,9 @@ which is what `build` constructs.  The sign of f in B is the handedness
 convention; it is pinned by the mirror-image and equivalent-signature
 tests, not by choice.  `build` only constructs and `validate` checks.
 `canonical_code` roots plantri's breadth-first code at the 12 darts of the
-triangles of one face trace, not at all 3n darts (Brinkmann & McKay, 2007).
+triangles of one face trace, not at all 3n darts, and abandons a root as
+soon as a block of its code exceeds the best one (Brinkmann & McKay, 2007);
+`has_code` asks whether some root gives a known code.
 """
 
 from __future__ import annotations
@@ -123,22 +125,28 @@ def validate(g: EmbeddedGraph) -> None:
 
 
 def faces(g: EmbeddedGraph) -> list[list[int]]:
-    """Trace the faces of the rotation system; each dart lies on one face."""
+    """Trace the faces of the rotation system; each dart lies on one face.
+
+    The dart (v, rot[v][t]) is marked at index 3v + t, and faces come out in
+    the order of their first dart.
+    """
+    rot = g.rot
     result = []
-    seen: set[tuple[int, int]] = set()
-    for v0 in range(g.n):
-        for w0 in g.rot[v0]:
-            if (v0, w0) in seen:
-                continue
-            face = []
-            v, w = v0, w0
-            while (v, w) not in seen:
-                seen.add((v, w))
-                face.append(v)
-                # leave w by the neighbor after v in w's rotation
-                nbrs = g.rot[w]
-                v, w = w, nbrs[(nbrs.index(v) + 1) % 3]
-            result.append(face)
+    seen = bytearray(3 * g.n)
+    for d in range(3 * g.n):
+        if seen[d]:
+            continue
+        face = []
+        v, t = divmod(d, 3)
+        while not seen[d]:
+            seen[d] = 1
+            face.append(v)
+            # leave w by the neighbor after v in w's rotation
+            w = rot[v][t]
+            t = (rot[w].index(v) + 1) % 3
+            v = w
+            d = 3 * v + t
+        result.append(face)
     return result
 
 
@@ -153,33 +161,68 @@ def mirror_image(g: EmbeddedGraph) -> EmbeddedGraph:
     return EmbeddedGraph(rot=tuple(nbrs[::-1] for nbrs in g.rot), source=mirror(g.source))
 
 
-def _code_from(rot: Rotation, start_v: int, start_w: int) -> list[int]:
+def _code_from(rot: Rotation, start_v: int, start_w: int, bound: list[int] | None = None) -> list[int] | None:
     """Breadth-first code of the graph rooted at the dart (start_v, start_w).
 
-    Vertices are numbered in discovery order; each vertex emits its three
-    neighbors' numbers, reading its rotation forwards from the entry edge.
+    Vertices are numbered in discovery order (start_v is 0 and start_w is
+    1); each vertex emits its three neighbors' numbers, reading its rotation
+    forwards from the entry edge.  With a `bound`, each complete block of 4
+    vertices (12 entries) is compared with the same slice of it: the code is
+    abandoned (None) at the first block above the bound, and comparing stops
+    at the first block below it.  A partial last block is never compared, so
+    a returned code can still be above the bound when n is not a multiple
+    of 4.
     """
     n = len(rot)
     label = [-1] * n
     label[start_v] = 0
-    order = [start_v]
-    entry = [start_w] + [0] * (n - 1)
+    label[start_w] = 1
+    order = [start_v, start_w]
+    entry = [start_w, start_v] + [0] * (n - 2)
     code: list[int] = []
-    next_label = 1
+    append = code.append
+    next_label = 2
+    tied = bound is not None
     for i in range(n):
         v = order[i]
-        nbrs = rot[v]
-        j = nbrs.index(entry[i])
-        for t in range(3):
-            x = nbrs[(j + t) % 3]
-            lx = label[x]
-            if lx < 0:
-                lx = label[x] = next_label
-                next_label += 1
-                order.append(x)
-                entry[lx] = v
-            code.append(lx)
+        a, b, c = rot[v]
+        e = entry[i]
+        # the entry neighbor e is labeled already; x and y follow it in v's rotation
+        if e == a:
+            x, y = b, c
+        elif e == b:
+            x, y = c, a
+        else:
+            x, y = a, b
+        append(label[e])
+        lx = label[x]
+        if lx < 0:
+            lx = label[x] = next_label
+            next_label += 1
+            order.append(x)
+            entry[lx] = v
+        append(lx)
+        ly = label[y]
+        if ly < 0:
+            ly = label[y] = next_label
+            next_label += 1
+            order.append(y)
+            entry[ly] = v
+        append(ly)
+        if tied and i % 4 == 3:
+            lo = 3 * i - 9
+            block = code[lo:]
+            limit = bound[lo : lo + 12]
+            if block != limit:
+                if block > limit:
+                    return None
+                tied = False
     return code
+
+
+def _triangle_darts(g: EmbeddedGraph) -> list[tuple[int, int]]:
+    """The darts of the length-3 faces of one `faces` trace, 12 for a trihex."""
+    return [(face[i - 1], face[i]) for face in faces(g) if len(face) == 3 for i in range(3)]
 
 
 def canonical_code(g: EmbeddedGraph) -> CanonicalCode:
@@ -190,17 +233,41 @@ def canonical_code(g: EmbeddedGraph) -> CanonicalCode:
     Isomorphisms map triangles to triangles, so the minimum over these roots
     is canonical (plantri's rooted code on an invariant dart set; Brinkmann
     & McKay, *Fast generation of planar graphs*, 2007), and the roots that
-    tie for it are one orbit of the automorphisms.  Two trihexes
-    are isomorphic by an orientation-preserving map exactly when their codes
-    are equal.  The code of the reflected embedding is
-    `canonical_code(mirror_image(g))`: g is chiral when the two differ, and
-    the smaller one names g's class up to reflection.
+    tie for it are one orbit of the automorphisms.  Each root is coded with
+    the best code so far as its bound, so a losing root is abandoned at its
+    first block of 4 vertices above the best; a root that ties runs to the
+    end and counts.  Two trihexes are isomorphic by an
+    orientation-preserving map exactly when their codes are equal.  The code
+    of the reflected embedding is `canonical_code(mirror_image(g))`: g is
+    chiral when the two differ, and the smaller one names g's class up to
+    reflection.  A graph with no triangular face raises ValueError.
     """
-    codes = [
-        _code_from(g.rot, face[i - 1], face[i]) for face in faces(g) if len(face) == 3 for i in range(3)
-    ]
-    best = min(codes)
-    return CanonicalCode(tuple(best), codes.count(best))
+    best: list[int] | None = None
+    count = 0
+    for v, w in _triangle_darts(g):
+        code = _code_from(g.rot, v, w, best)
+        if code is None:
+            continue
+        if best is None or code < best:
+            best, count = code, 1
+        elif code == best:
+            count += 1
+    if best is None:
+        raise ValueError("canonical_code needs a triangular face, and the graph has none")
+    return CanonicalCode(tuple(best), count)
+
+
+def has_code(g: EmbeddedGraph, code: tuple[int, ...]) -> bool:
+    """Whether some triangle-rooted code of g equals `code`.
+
+    Each root is coded with `code` as its bound and the search stops at the
+    first match.  For a canonical code this is the same test as
+    `canonical_code(g).code == code`, since an isomorphism maps triangles to
+    triangles.  A root whose code falls below `code`, which happens only when
+    g's canonical code is smaller, is coded to the end.
+    """
+    target = list(code)
+    return any(_code_from(g.rot, v, w, target) == target for v, w in _triangle_darts(g))
 
 
 def _planar_code_bytes(g: EmbeddedGraph) -> bytes:

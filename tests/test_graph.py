@@ -11,11 +11,13 @@ from trihex.errors import InternalInconsistencyError
 from trihex.graph import (
     CanonicalCode,
     EmbeddedGraph,
+    _code_from,
     build,
     canonical_code,
     export,
     face_census,
     faces,
+    has_code,
     mirror_image,
     validate,
 )
@@ -264,3 +266,91 @@ def test_triangle_rooted_code_matches_all_darts_oracle():
         for h in (g, mirror_image(g)):
             code, count = oracles._min_code(h.rot)
             assert canonical_code(h) == CanonicalCode(tuple(code), count), h.source
+
+
+# a triangular prism: two triangles and three quadrilaterals, n = 6, so the
+# last block of a code (vertices 4 and 5) is never compared with a bound
+PRISM = EmbeddedGraph(((1, 2, 3), (2, 0, 4), (0, 1, 5), (5, 4, 0), (3, 5, 1), (4, 3, 2)), Signature(0, 0, 0))
+# the prism with vertex 3's rotation reversed, an embedding on the torus with
+# one triangle: the roots (1,0) and (2,1) tie on the first block, and (2,1) is
+# larger only in the partial last block, so it comes back from `_code_from`
+# without being abandoned and must not be counted as a tie
+TWISTED_PRISM = EmbeddedGraph(PRISM.rot[:3] + ((0, 4, 5),) + PRISM.rot[4:], Signature(0, 0, 0))
+CUBE = EmbeddedGraph(
+    ((1, 3, 4), (2, 0, 5), (3, 1, 6), (0, 2, 7), (7, 5, 0), (4, 6, 1), (5, 7, 2), (6, 4, 3)), Signature(0, 0, 0)
+)
+
+
+def _step(rot, v, w):
+    nbrs = rot[w]
+    return w, nbrs[(nbrs.index(v) + 1) % 3]
+
+
+def _darts_on_a_triangle(rot):
+    # a dart is on a triangle when three face steps return to it
+    darts = []
+    for v in range(len(rot)):
+        for w in rot[v]:
+            d = (v, w)
+            for _ in range(3):
+                d = _step(rot, *d)
+            if d == (v, w):
+                darts.append((v, w))
+    return darts
+
+
+def test_prism_and_cube_faces():
+    assert sorted(len(f) for f in faces(PRISM)) == [3, 3, 4, 4, 4]
+    assert sorted(len(f) for f in faces(TWISTED_PRISM)) == [3, 4, 11]
+    assert sorted(len(f) for f in faces(CUBE)) == [4] * 6
+
+
+def test_canonical_code_without_triangle_raises():
+    with pytest.raises(ValueError, match="^canonical_code needs a triangular face, and the graph has none$"):
+        canonical_code(CUBE)
+    assert not has_code(CUBE, tuple(_code_from(CUBE.rot, 0, 1)))
+
+
+def test_canonical_code_is_least_unbounded_triangle_code():
+    # abandoning losing roots early changes neither the code nor the tie count
+    graphs = [PRISM, mirror_image(PRISM), TWISTED_PRISM, mirror_image(TWISTED_PRISM)]
+    for rep in _reps_upto(120):
+        g = build(rep)
+        graphs += [g, mirror_image(g)]
+    for h in graphs:
+        codes = [_code_from(h.rot, v, w) for v, w in _darts_on_a_triangle(h.rot)]
+        best = min(codes)
+        assert canonical_code(h) == CanonicalCode(tuple(best), codes.count(best)), h.source
+    assert canonical_code(PRISM).oriented_aut_count == 6
+    assert canonical_code(TWISTED_PRISM).oriented_aut_count == 1
+
+
+def test_bounded_code_is_none_or_the_full_code():
+    # a bounded code is abandoned exactly when its first entry that differs
+    # from the bound is above it and lies in a complete block of 4 vertices
+    graphs = [PRISM, TWISTED_PRISM, CUBE]
+    for rep in _reps_upto(24):
+        g = build(rep)
+        graphs += [g, mirror_image(g)]
+    for h in graphs:
+        compared = 12 * (h.n // 4)
+        roots = [(v, w) for v in range(h.n) for w in h.rot[v]]
+        codes = [_code_from(h.rot, *root) for root in roots]
+        for root, code in zip(roots, codes):
+            for bound in codes:
+                got = _code_from(h.rot, *root, bound)
+                first = next((k for k in range(len(code)) if code[k] != bound[k]), len(code))
+                if first < compared and code[first] > bound[first]:
+                    assert got is None, (h.source, root)
+                else:
+                    assert got == code, (h.source, root)
+
+
+def test_has_code_finds_orbit_members_and_only_them():
+    for v in range(4, 244, 4):
+        reps = trihex_reps(v)
+        graphs = [build(rep) for rep in reps]
+        for rep, g in zip(reps, graphs):
+            code = canonical_code(g).code
+            assert all(has_code(build(member), code) for member in orbit(rep)), rep
+            assert not any(has_code(other, code) for other in graphs if other is not g), rep

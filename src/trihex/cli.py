@@ -105,11 +105,11 @@ def cmd_count(args) -> int:
     vs = _parse_range(args)
     reports = _map_ordered(counting.report, vs, _jobs(args))
     if args.format == "csv":
-        lines = [",".join(counting.CSV_COLUMNS)]
+        lines = [",".join(counting.CountReport._fields)]
         lines.extend(r.csv_row() for r in reports)
         _emit("\n".join(lines) + "\n", args)
     else:
-        doc = {"schema_version": SCHEMA_VERSION, "reports": [r.as_dict() for r in reports]}
+        doc = {"schema_version": SCHEMA_VERSION, "reports": [r._asdict() for r in reports]}
         _emit(json.dumps(doc, indent=2) + "\n", args)
     return 0
 
@@ -130,7 +130,7 @@ def cmd_enumerate(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "V": vs[0],
             "stream": args.stream,
-            "signatures": [list(sig.as_tuple()) for sig in signatures],
+            "signatures": [list(sig) for sig in signatures],
         }
         _emit(json.dumps(doc, indent=2) + "\n", args)
     return 0

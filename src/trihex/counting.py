@@ -13,14 +13,15 @@ All counts are driven by the prime factorization of V/4:
 `report` reads sigma, delta, mu and nu once each and derives the last three
 counts from them; `trihex_count`, `gamma` and `rot_classes` return its
 fields.  Everything is exact integer arithmetic; the rational coefficients
-become checked divisions.  The paper's direct case formulas for gamma and
+become checked divisions, and the remaining relations between the counts
+(nu in {0, 1}, delta and mu at least nu) are test assertions.  The paper's direct case formulas for gamma and
 rot_classes, an independent second route, are kept in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
 from .numtheory import factorize
@@ -86,12 +87,8 @@ def rot_classes(v: int) -> int:
     return report(v).rot_classes
 
 
-CSV_COLUMNS = ("V", "sigma", "delta", "mu", "nu", "trihexes", "gamma", "rot_classes")
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """All counting-function values for one vertex count."""
+class CountReport(NamedTuple):
+    """All counting-function values for one vertex count; `_fields` is the CSV header."""
 
     V: int
     sigma: int
@@ -102,24 +99,8 @@ class CountReport:
     gamma: int
     rot_classes: int
 
-    def __post_init__(self):
-        quarter(self.V)
-        if self.nu not in (0, 1):
-            raise InternalInconsistencyError(f"nu must be 0 or 1: {self}")
-        if self.delta < self.nu or self.mu < self.nu:
-            raise InternalInconsistencyError(f"symmetry counts out of order: {self}")
-        if 3 * self.trihexes != self.sigma + 2 * self.delta:
-            raise InternalInconsistencyError(f"trihex identity fails: {self}")
-        if 6 * self.gamma != self.sigma + 2 * self.delta + 3 * self.mu:
-            raise InternalInconsistencyError(f"gamma identity fails: {self}")
-        if 2 * self.rot_classes != self.delta + self.nu:
-            raise InternalInconsistencyError(f"rot_classes identity fails: {self}")
-
     def csv_row(self) -> str:
-        return ",".join(str(getattr(self, c)) for c in CSV_COLUMNS)
-
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+        return ",".join(map(str, self))
 
 
 def report(v: int) -> CountReport:

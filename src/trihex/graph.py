@@ -301,7 +301,7 @@ def _dot_bytes(g: EmbeddedGraph) -> bytes:
 def _structured_bytes(g: EmbeddedGraph) -> bytes:
     doc = {
         "n": g.n,
-        "signature": list(g.source.as_tuple()),
+        "signature": list(g.source),
         "rot": [list(nbrs) for nbrs in g.rot],
         "faces": {str(k): count for k, count in face_census(g).items()},
     }

@@ -19,28 +19,22 @@ when `mirror(sig) == sig`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Signature:
-    """Triple (s, b, f) with 0 <= f <= s; ordering is lexicographic."""
+class Signature(NamedTuple):
+    """Triple (s, b, f), ordered as a tuple (lexicographically).
+
+    Every signature this package builds has s, b >= 0 and 0 <= f <= s;
+    `parse_signature` checks that range on outside input.
+    """
 
     s: int
     b: int
     f: int
 
-    def __post_init__(self):
-        if self.s < 0 or self.b < 0:
-            raise ValueError(f"spine and belt counts must be nonnegative: {self}")
-        if not 0 <= self.f <= self.s:
-            raise ValueError(f"offset must satisfy 0 <= f <= s: {self}")
-
     def __str__(self) -> str:
         return f"({self.s},{self.b},{self.f})"
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.s, self.b, self.f)
 
 
 def vertex_count(sig: Signature) -> int:
@@ -124,9 +118,13 @@ def canonical_rep(sig: Signature) -> Signature:
 
 
 def parse_signature(text: str) -> Signature:
-    """Parse 's,b,f' (or '(s,b,f)') into a Signature."""
+    """Parse 's,b,f' (or '(s,b,f)') into a Signature, checking that it is in range."""
     parts = text.strip().strip("()").split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated integers, got {text!r}")
-    s, b, f = (int(p) for p in parts)
-    return Signature(s, b, f)
+    sig = Signature(*(int(p) for p in parts))
+    if sig.s < 0 or sig.b < 0:
+        raise ValueError(f"spine and belt counts must be nonnegative: {sig}")
+    if not 0 <= sig.f <= sig.s:
+        raise ValueError(f"offset must satisfy 0 <= f <= s: {sig}")
+    return sig

@@ -213,9 +213,13 @@ def test_build_validates_before_export(monkeypatch, capsys):
 
 
 def test_build_rejects_malformed_signature(capsys):
-    code, _, err = run_cli(capsys, "build", "--sig", "1,0,2")
-    assert code == 2
-    assert "offset" in err
+    for sig, message in (
+        ("1,0,2", "offset must satisfy 0 <= f <= s: (1,0,2)"),
+        ("-1,0,0", "spine and belt counts must be nonnegative: (-1,0,0)"),
+        ("0,-2,0", "spine and belt counts must be nonnegative: (0,-2,0)"),
+    ):
+        code, out, err = run_cli(capsys, "build", f"--sig={sig}")
+        assert (code, out, err) == (2, "", f"trihex: {message}\n")
     code, _, _ = run_cli(capsys, "build", "--sig", "1;0;2")
     assert code == 2
 

@@ -6,7 +6,6 @@ import pytest
 
 from golden_counts import TABLE
 from trihex.counting import (
-    CountReport,
     _exact_div,
     delta,
     gamma,
@@ -67,7 +66,7 @@ def rot_classes_direct(v: int) -> int:
 
 @pytest.mark.parametrize("bad", [0, 2, 6, 18, -4])
 def test_rejects_invalid_vertex_counts(bad):
-    for fn in (sigma, delta, mu, nu, trihex_count, gamma, rot_classes):
+    for fn in (sigma, delta, mu, nu, trihex_count, gamma, rot_classes, report):
         with pytest.raises(ValueError):
             fn(bad)
 
@@ -140,12 +139,7 @@ def test_report_examples():
 def test_report_serialization():
     r = report(28)
     assert r.csv_row() == "28,8,2,2,0,4,3,1"
-    assert r.as_dict()["gamma"] == 3
-
-
-def test_count_report_validates():
-    with pytest.raises(Exception):
-        CountReport(V=28, sigma=8, delta=2, mu=2, nu=0, trihexes=5, gamma=3, rot_classes=1)
+    assert r._asdict()["gamma"] == 3
 
 
 def test_divisibility_identities():
@@ -168,4 +162,7 @@ def test_symmetry_count_bounds():
         assert r.nu in (0, 1)
         assert r.delta >= r.nu
         assert r.mu >= r.nu
+        assert 3 * r.trihexes == r.sigma + 2 * r.delta
+        assert 6 * r.gamma == r.sigma + 2 * r.delta + 3 * r.mu
+        assert 2 * r.rot_classes == r.delta + r.nu
         assert r.gamma <= r.trihexes <= r.sigma

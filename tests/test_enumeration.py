@@ -34,7 +34,7 @@ def test_all_signatures_examples():
         Signature(6, 0, f) for f in range(7)
     ]
     # frozen from a raw divisor-pair scan
-    assert [s.as_tuple() for s in all_signatures(16)] == [
+    assert [tuple(s) for s in all_signatures(16)] == [
         (0, 3, 0), (1, 1, 0), (1, 1, 1), (3, 0, 0), (3, 0, 1), (3, 0, 2), (3, 0, 3),
     ]
 
@@ -186,7 +186,7 @@ def test_verify_graphs_reports_census_off_by_one(monkeypatch, field, expected):
     # count that is one off; V = 28 has classes of orders 12, 8 and 8
     reps = trihex_reps(28)
     real = counting.report(28)
-    fake = SimpleNamespace(**{**real.as_dict(), field: getattr(real, field) + 1})
+    fake = SimpleNamespace(**{**real._asdict(), field: getattr(real, field) + 1})
     monkeypatch.setattr(counting, "report", lambda v: fake)
     assert verify_graphs(28, reps) == [
         f"classes by automorphism order 24/12/8/4: (0, 1, 2, 0) != {expected}"

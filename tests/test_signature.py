@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from trihex.enumeration import all_signatures, coinciding_signatures, self_mirror_signatures
 from trihex.errors import InternalInconsistencyError
 from trihex.signature import (
     Signature,
@@ -86,12 +87,29 @@ def all_signatures_upto(v_max):
 
 
 def test_signature_validation():
-    with pytest.raises(ValueError):
-        Signature(1, 0, 2)
-    with pytest.raises(ValueError):
-        Signature(-1, 0, 0)
-    with pytest.raises(ValueError):
-        Signature(0, -2, 0)
+    with pytest.raises(ValueError, match=r"^offset must satisfy 0 <= f <= s: \(1,0,2\)$"):
+        parse_signature("1,0,2")
+    with pytest.raises(ValueError, match=r"^spine and belt counts must be nonnegative: \(-1,0,0\)$"):
+        parse_signature("-1,0,0")
+    with pytest.raises(ValueError, match=r"^spine and belt counts must be nonnegative: \(0,-2,0\)$"):
+        parse_signature("0,-2,0")
+
+
+def assert_in_range(sig):
+    assert sig.s >= 0 and sig.b >= 0 and 0 <= sig.f <= sig.s, sig
+
+
+def test_constructed_signatures_are_in_range():
+    # Signature itself checks nothing; every signature the package builds
+    # must be in range by construction
+    for v in range(4, 2004, 4):
+        for sig in all_signatures(v):
+            assert_in_range(sig)
+            for member in orbit(sig):
+                assert_in_range(member)
+            assert_in_range(mirror(sig))
+        for sig in coinciding_signatures(v) + self_mirror_signatures(v):
+            assert_in_range(sig)
 
 
 def test_signature_ordering_and_text():

@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import counting, enumeration, graph
 from .errors import InternalInconsistencyError, VerificationFailureError
 from .numtheory import factorize, omega_count, solve_fast
-from .signature import parse_signature
+from .signature import parse_signature, vertex_count
 
 SCHEMA_VERSION = 1
 
@@ -141,6 +141,7 @@ def cmd_build(args) -> int:
         sig = parse_signature(args.sig)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    graph.check_export(vertex_count(sig), args.format)
     g = graph.build(sig)
     graph.validate(g)
     data = graph.export(g, args.format)

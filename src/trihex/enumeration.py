@@ -145,9 +145,6 @@ def verify(v: int) -> EnumerationResult:
     rep_set = set(reps)
     if not set(result.coinciding) <= rep_set:
         raise VerificationFailureError(v, "coinciding not canonical", "subset", "not subset")
-    for sig in result.all_signatures:
-        if 4 * (sig.s + 1) * (sig.b + 1) != v:
-            raise VerificationFailureError(v, "vertex count", v, sig)
     if set(mirror_reps) != rep_set:
         raise VerificationFailureError(v, "mirror closure", "closed", "not closed")
     return result

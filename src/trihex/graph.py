@@ -22,10 +22,11 @@ its east representative gives the rotation system
 which is what `build` constructs.  The sign of f in B is the handedness
 convention; it is pinned by the mirror-image and equivalent-signature
 tests, not by choice.  `build` only constructs and `validate` checks.
-`canonical_code` roots plantri's breadth-first code at the 12 darts of the
-triangles of one face trace, not at all 3n darts, and abandons a root as
-soon as a block of its code exceeds the best one (Brinkmann & McKay, 2007);
-`has_code` asks whether some root gives a known code.
+`canonical_code` roots plantri's breadth-first code at the 12 darts on the
+triangles, found by a corner scan, not at all 3n darts, and abandons a root
+as soon as a block of its code exceeds the best one (Brinkmann & McKay,
+2007); `has_code` asks whether some root gives a known code, and abandons a
+root at its first block that differs.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ from .signature import Signature, hexagon_count, mirror, vertex_count
 
 Rotation = tuple[tuple[int, int, int], ...]
 
-# Largest graph `build` constructs: a million vertices take about 11 s and
-# 650 MiB (2-core Xeon VM, Python 3.11).
+# Largest graph `build` constructs.  A million vertices, Signature(999, 249, 17),
+# take 0.5 s and 180 MiB to build, 3.6 s and 300 MiB with `validate`, and
+# 14 s and 640 MiB through `trihex build --format structured` (2-core Xeon
+# VM, Python 3.11).
 MAX_VERTICES = 1_000_000
 
 
@@ -64,37 +67,25 @@ class CanonicalCode:
     oriented_aut_count: int
 
 
-class _CosetIndex:
-    """Bijection between cosets of 2L and vertex ids 0..4(s+1)(b+1)-1."""
-
-    def __init__(self, sig: Signature):
-        self.height = 2 * (sig.s + 1)
-        self.width = 2 * (sig.b + 1)
-        self.shear = -2 * sig.f
-
-    def index(self, a: int, b: int) -> int:
-        q, a = divmod(a, self.width)
-        b = (b - q * self.shear) % self.height
-        return a * self.height + b
-
-
 def build(sig: Signature) -> EmbeddedGraph:
     """Quotient the hexagonal tiling by the half-turn group of `sig`; `validate` checks the result."""
     n = vertex_count(sig)
     if n > MAX_VERTICES:
         raise ValueError(f"build holds at most {MAX_VERTICES} vertices, got {n}")
-    coset = _CosetIndex(sig)
-    rot = []
-    for a in range(coset.width):
-        for b in range(coset.height):
-            rot.append(
-                (
-                    coset.index(-a - 2, -b - 1),
-                    coset.index(-a - 1, -b),
-                    coset.index(-a - 1, -b - 1),
-                )
-            )
-    # vertex id of (a, b) is a*height + b, matching the fill order above
+    # 2A = (0, h) and 2B = (w, -shear), so (a, b) mod 2L is the coset of
+    # (a mod w, (b + q*shear) mod h) with q = a div w, and that is vertex a*h + b
+    h, w, shear = 2 * (sig.s + 1), 2 * (sig.b + 1), 2 * sig.f
+
+    def column(a: int, c: int) -> list[int]:
+        """Vertex ids of the cosets (a, c - b) for b = 0..h-1."""
+        q, a = divmod(a, w)
+        c += q * shear
+        base = a * h
+        return [base + (c - b) % h for b in range(h)]
+
+    rot: list[tuple[int, int, int]] = []
+    for a in range(w):
+        rot.extend(zip(column(-a - 2, -1), column(-a - 1, 0), column(-a - 1, -1)))
     return EmbeddedGraph(rot=tuple(rot), source=sig)
 
 
@@ -161,7 +152,9 @@ def mirror_image(g: EmbeddedGraph) -> EmbeddedGraph:
     return EmbeddedGraph(rot=tuple(nbrs[::-1] for nbrs in g.rot), source=mirror(g.source))
 
 
-def _code_from(rot: Rotation, start_v: int, start_w: int, bound: list[int] | None = None) -> list[int] | None:
+def _code_from(
+    rot: Rotation, start_v: int, start_w: int, bound: list[int] | None = None, exact: bool = False
+) -> list[int] | None:
     """Breadth-first code of the graph rooted at the dart (start_v, start_w).
 
     Vertices are numbered in discovery order (start_v is 0 and start_w is
@@ -169,9 +162,10 @@ def _code_from(rot: Rotation, start_v: int, start_w: int, bound: list[int] | Non
     forwards from the entry edge.  With a `bound`, each complete block of 4
     vertices (12 entries) is compared with the same slice of it: the code is
     abandoned (None) at the first block above the bound, and comparing stops
-    at the first block below it.  A partial last block is never compared, so
-    a returned code can still be above the bound when n is not a multiple
-    of 4.
+    at the first block below it, or, when `exact`, the code is abandoned at
+    the first block that differs.  A partial last block is never compared,
+    so a returned code can still differ from the bound when n is not a
+    multiple of 4.
     """
     n = len(rot)
     label = [-1] * n
@@ -214,33 +208,48 @@ def _code_from(rot: Rotation, start_v: int, start_w: int, bound: list[int] | Non
             block = code[lo:]
             limit = bound[lo : lo + 12]
             if block != limit:
-                if block > limit:
+                if exact or block > limit:
                     return None
                 tied = False
     return code
 
 
 def _triangle_darts(g: EmbeddedGraph) -> list[tuple[int, int]]:
-    """The darts of the length-3 faces of one `faces` trace, 12 for a trihex."""
-    return [(face[i - 1], face[i]) for face in faces(g) if len(face) == 3 for i in range(3)]
+    """The darts on a triangular face, 12 for a trihex.
+
+    The dart (p, w) is on one when its face closes after three steps: q
+    follows p in w's rotation, p follows w in q's, and w follows q in p's.
+    A 3-cycle that is not a face fails one of the last two.  Only a vertex
+    with two adjacent neighbors has its three corners checked.
+    """
+    rot = g.rot
+    darts = []
+    for w, (x, y, z) in enumerate(rot):
+        if x in rot[z] or y in rot[x] or z in rot[y]:
+            for p, q in ((z, x), (x, y), (y, z)):
+                rq, rp = rot[q], rot[p]
+                # rot[u][j - 2] is the neighbor after rot[u][j]
+                if rq[rq.index(w) - 2] == p and rp[rp.index(q) - 2] == w:
+                    darts.append((p, w))
+    return darts
 
 
 def canonical_code(g: EmbeddedGraph) -> CanonicalCode:
     """Oriented canonical code of a trihex and its number of orientation-preserving automorphisms.
 
     The code is the least breadth-first code rooted at one of the 12 darts on
-    a triangle, the darts of the length-3 faces of one `faces` trace.
-    Isomorphisms map triangles to triangles, so the minimum over these roots
-    is canonical (plantri's rooted code on an invariant dart set; Brinkmann
-    & McKay, *Fast generation of planar graphs*, 2007), and the roots that
-    tie for it are one orbit of the automorphisms.  Each root is coded with
-    the best code so far as its bound, so a losing root is abandoned at its
-    first block of 4 vertices above the best; a root that ties runs to the
-    end and counts.  Two trihexes are isomorphic by an
-    orientation-preserving map exactly when their codes are equal.  The code
-    of the reflected embedding is `canonical_code(mirror_image(g))`: g is
-    chiral when the two differ, and the smaller one names g's class up to
-    reflection.  A graph with no triangular face raises ValueError.
+    a triangle, found by a scan of the corners at each vertex.  Isomorphisms
+    map triangles to triangles, so the minimum over these roots is canonical
+    (plantri's rooted code on an invariant dart set; Brinkmann & McKay,
+    *Fast generation of planar graphs*, 2007), and the roots that tie for it
+    are one orbit of the automorphisms.  Each root is coded with the best
+    code so far as its bound, so a losing root is abandoned at its first
+    block of 4 vertices above the best; a root that ties runs to the end and
+    counts.  Two trihexes are isomorphic by an orientation-preserving map
+    exactly when their codes are equal.  The code of the reflected embedding
+    is `canonical_code(mirror_image(g))`: g is chiral when the two differ,
+    and the smaller one names g's class up to reflection.  A graph with no
+    triangular face raises ValueError.
     """
     best: list[int] | None = None
     count = 0
@@ -260,19 +269,23 @@ def canonical_code(g: EmbeddedGraph) -> CanonicalCode:
 def has_code(g: EmbeddedGraph, code: tuple[int, ...]) -> bool:
     """Whether some triangle-rooted code of g equals `code`.
 
-    Each root is coded with `code` as its bound and the search stops at the
-    first match.  For a canonical code this is the same test as
+    Each root is abandoned at its first block of 4 vertices that differs
+    from `code`, above or below it, and the search stops at the first match.
+    For a canonical code this is the same test as
     `canonical_code(g).code == code`, since an isomorphism maps triangles to
-    triangles.  A root whose code falls below `code`, which happens only when
-    g's canonical code is smaller, is coded to the end.
+    triangles.
     """
     target = list(code)
-    return any(_code_from(g.rot, v, w, target) == target for v, w in _triangle_darts(g))
+    return any(_code_from(g.rot, v, w, target, exact=True) == target for v, w in _triangle_darts(g))
+
+
+def check_export(n: int, format: str) -> None:
+    """Raise ValueError when a graph of n vertices does not fit `format`; `export` calls it first."""
+    if format == "planar_code" and n > 65535:
+        raise ValueError(f"planar_code holds at most 65535 vertices (2-byte entries), got {n}")
 
 
 def _planar_code_bytes(g: EmbeddedGraph) -> bytes:
-    if g.n > 65535:
-        raise ValueError(f"planar_code holds at most 65535 vertices (2-byte entries), got {g.n}")
     out = bytearray(b">>planar_code<<")
     if g.n <= 255:
         out.append(g.n)
@@ -310,6 +323,7 @@ def _structured_bytes(g: EmbeddedGraph) -> bytes:
 
 def export(g: EmbeddedGraph, format: str) -> bytes:
     """Serialize g as planar_code, dot, or structured JSON text."""
+    check_export(g.n, format)
     if format == "planar_code":
         return _planar_code_bytes(g)
     if format == "dot":

@@ -12,6 +12,9 @@ unity mod p^ell directly.
 The all-darts canonical code (`_min_code`), where the library roots the
 code at the 12 triangle darts only: it tries all 3n starting darts and
 abandons a code as soon as it exceeds the best one so far.
+
+The rotation system by one coset reduction per neighbor (`build_rot`), where
+`graph.build` computes each neighbor column once.
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ import numpy as np
 from trihex.errors import InternalInconsistencyError
 from trihex.graph import Rotation
 from trihex.numtheory import CongruenceSolutions, Factorization
+from trihex.signature import Signature
 
 # Largest modulus for which x*x + x + 1 with x < n fits in int64; above it
 # the vectorized scans fall back to exact Python integers.
@@ -174,3 +178,27 @@ def _min_code(rot: Rotation) -> tuple[list[int], int]:
                 count += 1
     assert best is not None
     return best, count
+
+
+class _CosetIndex:
+    """Bijection between cosets of 2L and vertex ids 0..4(s+1)(b+1)-1."""
+
+    def __init__(self, sig: Signature):
+        self.height = 2 * (sig.s + 1)
+        self.width = 2 * (sig.b + 1)
+        self.shear = -2 * sig.f
+
+    def index(self, a: int, b: int) -> int:
+        q, a = divmod(a, self.width)
+        b = (b - q * self.shear) % self.height
+        return a * self.height + b
+
+
+def build_rot(sig: Signature) -> Rotation:
+    """rot(g) = [-g - 2u - d, -g - u, -g - u - d] (mod 2L), the east vertex of coset g = (a, b) at a*height + b."""
+    coset = _CosetIndex(sig)
+    return tuple(
+        (coset.index(-a - 2, -b - 1), coset.index(-a - 1, -b), coset.index(-a - 1, -b - 1))
+        for a in range(coset.width)
+        for b in range(coset.height)
+    )

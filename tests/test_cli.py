@@ -183,6 +183,19 @@ def test_build_planar_code_refuses_more_than_65535_vertices(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_build_refuses_planar_code_before_building(monkeypatch, capsys):
+    # the vertex count comes from the signature, so no graph is built or validated
+    def refused(_):
+        raise AssertionError("built a graph that planar_code cannot hold")
+
+    monkeypatch.setattr(graph, "build", refused)
+    monkeypatch.setattr(graph, "validate", refused)
+    expected = "trihex: planar_code holds at most 65535 vertices (2-byte entries), got 65540\n"
+    assert run_cli(capsys, "build", "--sig", "16384,0,0", "--format", "planar_code") == (2, "", expected)
+    with pytest.raises(AssertionError, match="^built a graph that planar_code cannot hold$"):
+        main(["build", "--sig", "16384,0,0", "--format", "dot"])
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

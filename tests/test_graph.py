@@ -6,12 +6,14 @@ from collections import Counter
 import pytest
 
 import oracles
-from trihex.enumeration import trihex_reps
+from trihex import graph
+from trihex.enumeration import all_signatures, trihex_reps
 from trihex.errors import InternalInconsistencyError
 from trihex.graph import (
     CanonicalCode,
     EmbeddedGraph,
     _code_from,
+    _triangle_darts,
     build,
     canonical_code,
     export,
@@ -119,6 +121,13 @@ def test_distinct_reps_build_distinct_graphs():
         assert len(codes) == len(trihex_reps(v))
 
 
+def test_build_matches_coset_index_oracle():
+    # one coset reduction per neighbor, against each neighbor column computed once
+    for v in range(4, 404, 4):
+        for sig in all_signatures(v):
+            assert build(sig).rot == oracles.build_rot(sig), sig
+
+
 def test_build_rejects_nothing_but_validates():
     # build output always satisfies the embedded-graph invariants; spot-check
     # the stored rotation is a tuple of 3-tuples
@@ -178,6 +187,14 @@ def test_planar_code_wide_entries():
     assert body[0] == 0
     assert int.from_bytes(body[1:3], "little") == g.n
     assert len(body) == 1 + 2 + 2 * 4 * g.n
+
+
+def test_planar_code_export_refuses_more_than_65535_vertices():
+    # export checks the size itself; the rotations are never read
+    g = EmbeddedGraph(((0, 0, 0),) * 65536, Signature(16383, 0, 0))
+    message = "^planar_code holds at most 65535 vertices \\(2-byte entries\\), got 65536$"
+    with pytest.raises(ValueError, match=message):
+        export(g, "planar_code")
 
 
 def test_dot_edge_lines():
@@ -299,6 +316,20 @@ def _darts_on_a_triangle(rot):
     return darts
 
 
+def test_triangle_darts_match_face_walk_oracle():
+    # the corner scan finds each dart whose face closes after three steps, once
+    graphs = [PRISM, mirror_image(PRISM), TWISTED_PRISM, mirror_image(TWISTED_PRISM)]
+    for rep in _reps_upto(240):
+        g = build(rep)
+        graphs += [g, mirror_image(g)]
+    for h in graphs:
+        darts = _triangle_darts(h)
+        assert len(darts) == len(set(darts)), h.source
+        assert set(darts) == set(_darts_on_a_triangle(h.rot)), h.source
+    assert len(_triangle_darts(PRISM)) == 6 and len(_triangle_darts(TWISTED_PRISM)) == 3
+    assert _triangle_darts(CUBE) == []
+
+
 def test_prism_and_cube_faces():
     assert sorted(len(f) for f in faces(PRISM)) == [3, 3, 4, 4, 4]
     assert sorted(len(f) for f in faces(TWISTED_PRISM)) == [3, 4, 11]
@@ -327,7 +358,8 @@ def test_canonical_code_is_least_unbounded_triangle_code():
 
 def test_bounded_code_is_none_or_the_full_code():
     # a bounded code is abandoned exactly when its first entry that differs
-    # from the bound is above it and lies in a complete block of 4 vertices
+    # from the bound lies in a complete block of 4 vertices and is above it,
+    # or, for an exact bound, is above or below it
     graphs = [PRISM, TWISTED_PRISM, CUBE]
     for rep in _reps_upto(24):
         g = build(rep)
@@ -339,11 +371,37 @@ def test_bounded_code_is_none_or_the_full_code():
         for root, code in zip(roots, codes):
             for bound in codes:
                 got = _code_from(h.rot, *root, bound)
+                got_exact = _code_from(h.rot, *root, bound, exact=True)
                 first = next((k for k in range(len(code)) if code[k] != bound[k]), len(code))
                 if first < compared and code[first] > bound[first]:
                     assert got is None, (h.source, root)
                 else:
                     assert got == code, (h.source, root)
+                if first < compared:
+                    assert got_exact is None, (h.source, root)
+                else:
+                    assert got_exact == code, (h.source, root)
+
+
+def test_has_code_abandons_roots_below_the_target(monkeypatch):
+    # a graph whose canonical code is below the target has every root
+    # abandoned at its first block that differs, none coded to the end
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(_code_from(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(graph, "_code_from", recorded)
+    graphs = sorted((build(rep) for rep in trihex_reps(48)), key=_code)
+    assert len(graphs) == 10
+    for i, low in enumerate(graphs):
+        for high in graphs[i + 1 :]:
+            target = _code(high)
+            assert _code(low) < target
+            calls.clear()
+            assert not has_code(low, target)
+            assert calls == [None] * 12, low.source
 
 
 def test_has_code_finds_orbit_members_and_only_them():

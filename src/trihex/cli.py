@@ -12,8 +12,9 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (including a number to factorize that is not below 2^64), 3 internal error
 (two computations that must agree did not).
-Range work fans out to a process pool (--jobs, default 1; 0 = all cores);
-results are re-ordered before emission so output is deterministic.
+Range work fans out to a process pool (--jobs, default 1; 0 = all cores;
+never more workers than cores or vertex counts); results are re-ordered
+before emission so output is deterministic.
 """
 
 from __future__ import annotations
@@ -66,11 +67,12 @@ def _jobs(args) -> int:
 
 
 def _map_ordered(fn, items, jobs: int):
-    """Apply fn over items, preserving order; fan out when jobs > 1."""
-    if jobs <= 1 or len(items) <= 1:
+    """Apply fn over items, preserving order, in min(jobs, cores, items) worker processes when that exceeds 1."""
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
 def _to_stdout(write, data) -> None:
@@ -143,12 +145,12 @@ def cmd_build(args) -> int:
         raise UsageError(str(exc)) from exc
     graph.check_export(vertex_count(sig), args.format)
     g = graph.build(sig)
-    graph.validate(g)
-    data = graph.export(g, args.format)
+    census = graph.validate(g)
+    data = graph.export(g, args.format, census)
     if not args.quiet:
         print(
             f"signature {sig}: {g.n} vertices, faces "
-            + ", ".join(f"{count} of length {k}" for k, count in graph.face_census(g).items()),
+            + ", ".join(f"{count} of length {k}" for k, count in census.items()),
             file=sys.stderr,
         )
     _emit_bytes(data, args)
@@ -214,7 +216,10 @@ def _add_range_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write to this file instead of stdout")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (0 = all cores)")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes (0 = all cores; at most one per core and per work item)",
+    )
     p.add_argument("--quiet", action="store_true", help="suppress diagnostics and per-item progress")
 
 

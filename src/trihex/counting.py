@@ -1,26 +1,30 @@
 """Closed-form counting functions of the vertex count V.
 
-All counts are driven by the prime factorization of V/4:
+All counts are driven by the prime factorization V/4 = prod p^k, with w the
+exponent of 2:
 
-  sigma  - signatures (the divisor sum of V/4)
-  delta  - trihexes with 3-fold rotational symmetry
-  mu     - trihexes with mirror symmetry
-  nu     - trihexes with both symmetries (always 0 or 1)
+  sigma  - signatures: the divisor sum of V/4, prod (p^(k+1) - 1) / (p - 1)
+  delta  - trihexes with 3-fold rotational symmetry: 0 when some p = 2 (mod 3)
+           has odd k, else prod (k + 1) over p = 1 (mod 3)
+  mu     - trihexes with mirror symmetry: prod (k + 1) over odd p, times
+           2w - 1 when w > 0
+  nu     - trihexes with both symmetries: 0 when some p != 3 has odd k, else 1
   trihexes = (sigma + 2*delta) / 3
   gamma  - graph isomorphism classes = (sigma + 2*delta + 3*mu) / 6
   rot_classes - graph classes with 3-fold symmetry = (delta + nu) / 2
 
-`report` reads sigma, delta, mu and nu once each and derives the last three
-counts from them; `trihex_count`, `gamma` and `rot_classes` return its
-fields.  Everything is exact integer arithmetic; the rational coefficients
-become checked divisions, and the remaining relations between the counts
-(nu in {0, 1}, delta and mu at least nu) are test assertions.  The paper's direct case formulas for gamma and
-rot_classes, an independent second route, are kept in the tests.
+`report` factorizes V/4 once, builds sigma, delta, mu and nu in one pass over
+its prime powers, and derives the last three counts from them; every other
+function here returns one of its fields.  Everything is exact integer
+arithmetic; the rational coefficients become checked divisions, and the
+remaining relations between the counts (nu in {0, 1}, delta and mu at least
+nu) are test assertions.  The four per-function formulas and the paper's
+direct case formulas for gamma and rot_classes, independent second routes,
+are kept in the tests.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
@@ -34,42 +38,24 @@ def quarter(v: int) -> int:
     return v // 4
 
 
-def _exact_div(numerator: int, denominator: int, what: str) -> int:
-    if numerator % denominator:
-        raise InternalInconsistencyError(f"{what}: {numerator} not divisible by {denominator}")
-    return numerator // denominator
-
-
 def sigma(v: int) -> int:
     """Number of signatures with vertex count v (divisor sum of v/4)."""
-    f = factorize(quarter(v))
-    return math.prod((p ** (k + 1) - 1) // (p - 1) for p, k in f.factors)
+    return report(v).sigma
 
 
 def delta(v: int) -> int:
     """Number of trihexes with v vertices and 3-fold rotational symmetry."""
-    f = factorize(quarter(v))
-    result = 1
-    for p, k in f.factors:
-        if p % 3 == 2 and k % 2:
-            return 0
-        if p % 3 == 1:
-            result *= k + 1
-    return result
+    return report(v).delta
 
 
 def mu(v: int) -> int:
     """Number of trihexes with v vertices and mirror symmetry."""
-    f = factorize(quarter(v))
-    w = f.exponent(2)
-    odd_part = math.prod(k + 1 for p, k in f.factors if p != 2)
-    return odd_part if w == 0 else (2 * w - 1) * odd_part
+    return report(v).mu
 
 
 def nu(v: int) -> int:
     """1 when some trihex with v vertices has both symmetries, else 0."""
-    f = factorize(quarter(v))
-    return 1 if all(k % 2 == 0 for p, k in f.factors if p != 3) else 0
+    return report(v).nu
 
 
 def trihex_count(v: int) -> int:
@@ -104,15 +90,31 @@ class CountReport(NamedTuple):
 
 
 def report(v: int) -> CountReport:
-    """Compute every counting function for v and bundle the results."""
-    s, d, m, n = sigma(v), delta(v), mu(v), nu(v)
-    return CountReport(
-        V=v,
-        sigma=s,
-        delta=d,
-        mu=m,
-        nu=n,
-        trihexes=_exact_div(s + 2 * d, 3, f"trihex count for V={v}"),
-        gamma=_exact_div(s + 2 * d + 3 * m, 6, f"gamma for V={v}"),
-        rot_classes=_exact_div(d + n, 2, f"rot_classes for V={v}"),
-    )
+    """Compute every counting function for v in one pass over the factorization of v/4."""
+    s = 1  # sigma: product of the prime-power divisor sums
+    d = 1  # delta: product of k + 1 over p = 1 (mod 3); 0 once some p = 2 (mod 3) has odd k
+    odd = 1  # product of k + 1 over the odd primes
+    w = 0  # exponent of 2
+    n = 1  # nu: 0 once some p != 3 has odd k
+    for p, k in factorize(quarter(v)).factors:
+        s *= (p ** (k + 1) - 1) // (p - 1)
+        if p == 2:
+            w = k
+        else:
+            odd *= k + 1
+        if p % 3 == 1:
+            d *= k + 1
+        elif k % 2 and p % 3 == 2:
+            d = 0
+        if k % 2 and p != 3:
+            n = 0
+    m = (2 * w - 1) * odd if w else odd
+    # the rational coefficients are exact divisions; a remainder is a bug
+    t, g, r = s + 2 * d, s + 2 * d + 3 * m, d + n
+    if t % 3:
+        raise InternalInconsistencyError(f"trihex count for V={v}: {t} not divisible by 3")
+    if g % 6:
+        raise InternalInconsistencyError(f"gamma for V={v}: {g} not divisible by 6")
+    if r % 2:
+        raise InternalInconsistencyError(f"rot_classes for V={v}: {r} not divisible by 2")
+    return CountReport(v, s, d, m, n, t // 3, g // 6, r // 2)

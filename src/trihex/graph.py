@@ -89,8 +89,11 @@ def build(sig: Signature) -> EmbeddedGraph:
     return EmbeddedGraph(rot=tuple(rot), source=sig)
 
 
-def validate(g: EmbeddedGraph) -> None:
-    """Check degree, adjacency symmetry, connectivity, and face census; raise on the first failure."""
+def validate(g: EmbeddedGraph) -> dict[int, int]:
+    """Check degree, adjacency symmetry, connectivity, and face census; raise on the first failure.
+
+    Returns the face census it checked, so a caller that also reports it need not trace the faces again.
+    """
     for v, nbrs in enumerate(g.rot):
         if len(set(nbrs)) != 3 or v in nbrs:
             raise InternalInconsistencyError(f"{g.source}: vertex {v} is not simple cubic")
@@ -113,6 +116,7 @@ def validate(g: EmbeddedGraph) -> None:
     expected = {3: 4, 6: h} if h else {3: 4}
     if census != expected:
         raise InternalInconsistencyError(f"{g.source}: face census {census}, wanted 4 triangles, {h} hexagons")
+    return census
 
 
 def faces(g: EmbeddedGraph) -> list[list[int]]:
@@ -311,23 +315,27 @@ def _dot_bytes(g: EmbeddedGraph) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _structured_bytes(g: EmbeddedGraph) -> bytes:
+def _structured_bytes(g: EmbeddedGraph, census: dict[int, int]) -> bytes:
     doc = {
         "n": g.n,
         "signature": list(g.source),
         "rot": [list(nbrs) for nbrs in g.rot],
-        "faces": {str(k): count for k, count in face_census(g).items()},
+        "faces": {str(k): count for k, count in census.items()},
     }
     return (json.dumps(doc, indent=2) + "\n").encode()
 
 
-def export(g: EmbeddedGraph, format: str) -> bytes:
-    """Serialize g as planar_code, dot, or structured JSON text."""
+def export(g: EmbeddedGraph, format: str, census: dict[int, int] | None = None) -> bytes:
+    """Serialize g as planar_code, dot, or structured JSON text.
+
+    The structured format holds the face census; pass the one `validate` returned
+    to skip tracing the faces again.
+    """
     check_export(g.n, format)
     if format == "planar_code":
         return _planar_code_bytes(g)
     if format == "dot":
         return _dot_bytes(g)
     if format == "structured":
-        return _structured_bytes(g)
+        return _structured_bytes(g, face_census(g) if census is None else census)
     raise ValueError(f"unknown export format: {format!r}")

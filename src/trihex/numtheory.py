@@ -120,7 +120,8 @@ class CongruenceSolutions:
             previous = x
 
 
-# Bounded: a count row asks for one n four times, and a long range must not keep every n.
+# Bounded: `verify` asks for one n in `counting.report` and again in each signature stream,
+# and a long range must not keep every n.
 @lru_cache(maxsize=1024)
 def factorize(n: int) -> Factorization:
     """Factor 1 <= n < 2^64.

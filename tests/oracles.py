@@ -15,10 +15,17 @@ abandons a code as soon as it exceeds the best one so far.
 
 The rotation system by one coset reduction per neighbor (`build_rot`), where
 `graph.build` computes each neighbor column once.
+
+The counting report as four separate passes over the factorization of V/4,
+one per formula (`report_by_parts`), where `counting.report` builds sigma,
+delta, mu and nu in one loop.
 """
+
+import math
 
 import numpy as np
 
+from trihex.counting import CountReport
 from trihex.errors import InternalInconsistencyError
 from trihex.graph import Rotation
 from trihex.numtheory import CongruenceSolutions, Factorization
@@ -201,4 +208,54 @@ def build_rot(sig: Signature) -> Rotation:
         (coset.index(-a - 2, -b - 1), coset.index(-a - 1, -b), coset.index(-a - 1, -b - 1))
         for a in range(coset.width)
         for b in range(coset.height)
+    )
+
+
+def exact_div(numerator: int, denominator: int, what: str) -> int:
+    if numerator % denominator:
+        raise InternalInconsistencyError(f"{what}: {numerator} not divisible by {denominator}")
+    return numerator // denominator
+
+
+def sigma(f: Factorization) -> int:
+    """Number of signatures for V = 4 * f.n (divisor sum of f.n)."""
+    return math.prod((p ** (k + 1) - 1) // (p - 1) for p, k in f.factors)
+
+
+def delta(f: Factorization) -> int:
+    """Number of trihexes with 3-fold rotational symmetry for V = 4 * f.n."""
+    result = 1
+    for p, k in f.factors:
+        if p % 3 == 2 and k % 2:
+            return 0
+        if p % 3 == 1:
+            result *= k + 1
+    return result
+
+
+def mu(f: Factorization) -> int:
+    """Number of trihexes with mirror symmetry for V = 4 * f.n."""
+    w = f.exponent(2)
+    odd_part = math.prod(k + 1 for p, k in f.factors if p != 2)
+    return odd_part if w == 0 else (2 * w - 1) * odd_part
+
+
+def nu(f: Factorization) -> int:
+    """1 when some trihex with V = 4 * f.n vertices has both symmetries, else 0."""
+    return 1 if all(k % 2 == 0 for p, k in f.factors if p != 3) else 0
+
+
+def report_by_parts(f: Factorization) -> CountReport:
+    """Every counting function for V = 4 * f.n, one formula at a time."""
+    v = 4 * f.n
+    s, d, m, n = sigma(f), delta(f), mu(f), nu(f)
+    return CountReport(
+        V=v,
+        sigma=s,
+        delta=d,
+        mu=m,
+        nu=n,
+        trihexes=exact_div(s + 2 * d, 3, f"trihex count for V={v}"),
+        gamma=exact_div(s + 2 * d + 3 * m, 6, f"gamma for V={v}"),
+        rot_classes=exact_div(d + n, 2, f"rot_classes for V={v}"),
     )

@@ -1,12 +1,15 @@
 """Tests for the closed-form counting functions."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+import oracles
 from golden_counts import TABLE
+from oracles import exact_div
+from trihex import counting
 from trihex.counting import (
-    _exact_div,
     delta,
     gamma,
     mu,
@@ -17,6 +20,7 @@ from trihex.counting import (
     sigma,
     trihex_count,
 )
+from trihex.errors import InternalInconsistencyError
 from trihex.numtheory import Factorization, factorize
 
 
@@ -47,7 +51,7 @@ def gamma_cases(f: Factorization) -> int:
     rotation_possible = a % 2 == 0 and all(k % 2 == 0 for _, k in twos)
     rotation_term = 4 * prod_ones if rotation_possible else 0
 
-    return _exact_div(sigma_term + rotation_term + mirror_term, 12, f"gamma for n={f.n}")
+    return exact_div(sigma_term + rotation_term + mirror_term, 12, f"gamma for n={f.n}")
 
 
 def rot_classes_direct(v: int) -> int:
@@ -58,9 +62,9 @@ def rot_classes_direct(v: int) -> int:
     if any(k % 2 for k in twos):
         direct = 0
     elif any(k % 2 for k in ones):
-        direct = _exact_div(math.prod(k + 1 for k in ones), 2, f"rot_classes for V={v}")
+        direct = exact_div(math.prod(k + 1 for k in ones), 2, f"rot_classes for V={v}")
     else:
-        direct = _exact_div(math.prod(k + 1 for k in ones) + 1, 2, f"rot_classes for V={v}")
+        direct = exact_div(math.prod(k + 1 for k in ones) + 1, 2, f"rot_classes for V={v}")
     return direct
 
 
@@ -166,3 +170,53 @@ def test_symmetry_count_bounds():
         assert 6 * r.gamma == r.sigma + 2 * r.delta + 3 * r.mu
         assert 2 * r.rot_classes == r.delta + r.nu
         assert r.gamma <= r.trihexes <= r.sigma
+
+
+def test_report_matches_four_formula_route():
+    # the one-pass loop against the four per-function formulas, each on the
+    # trial-division factorization
+    for v in range(4, 40004, 4):
+        assert report(v) == oracles.report_by_parts(oracles.factorize(v // 4)), v
+
+
+# V/4 up to 2^64: prime powers, squares (nu = 1), and products of two or three
+# large primes, on both sides of 1 and 2 (mod 3)
+LARGE_QUARTERS = (
+    2**60,
+    3**38,
+    2**61 - 1,
+    (2**31 - 1) ** 2,
+    3 * (2**31 - 1) ** 2,
+    (2 * 3 * 5 * 7 * 1_000_003) ** 2,
+    3**3 * 7**4 * 13**2 * 999_983**2,
+    (2**31 - 1) * 4_294_967_291,
+    1_000_003 * 999_983 * 1_000_033,
+    2**5 * 1_000_003 * 999_979 * 65_537,
+)
+
+
+def test_report_matches_four_formula_route_at_64_bits():
+    for n in LARGE_QUARTERS:
+        assert report(4 * n) == oracles.report_by_parts(factorize(n)), n
+
+
+def test_report_factorizes_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(counting, "factorize", counted)
+    for v in (4, 28, 360, 4 * 2**60):
+        calls.clear()
+        report(v)
+        assert calls == [v // 4], v
+
+
+def test_report_raises_when_a_division_is_not_exact(monkeypatch):
+    # a stand-in "prime" 4: sigma 5, delta 2, mu 2, so 6 * gamma would be 15
+    monkeypatch.setattr(counting, "factorize", lambda n: SimpleNamespace(factors=((4, 1),)))
+    with pytest.raises(InternalInconsistencyError) as excinfo:
+        report(16)
+    assert str(excinfo.value) == "gamma for V=16: 15 not divisible by 6"

@@ -8,7 +8,6 @@ realizes them as explicit embedded graphs for cross-verification.
 
 from .counting import CountReport, delta, gamma, mu, nu, report, rot_classes, sigma, trihex_count
 from .enumeration import (
-    EnumerationResult,
     all_signatures,
     coinciding_signatures,
     graph_class_reps,
@@ -49,7 +48,6 @@ __all__ = [
     "CongruenceSolutions",
     "CountReport",
     "EmbeddedGraph",
-    "EnumerationResult",
     "Factorization",
     "InternalInconsistencyError",
     "Signature",

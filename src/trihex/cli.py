@@ -160,10 +160,10 @@ def cmd_build(args) -> int:
 def _verify_one(task: tuple[int, bool]) -> tuple[int, list[str]]:
     v, with_graphs = task
     try:
-        result = enumeration.verify(v)
+        reps = enumeration.verify(v)
     except VerificationFailureError as exc:
         return v, [f"{exc.field}: expected {exc.expected}, got {exc.actual}"]
-    return v, enumeration.verify_graphs(v, result.trihex_reps) if with_graphs else []
+    return v, enumeration.verify_graphs(v, reps) if with_graphs else []
 
 
 def cmd_verify(args) -> int:
@@ -189,8 +189,17 @@ def cmd_congruence(args) -> int:
         raise UsageError(f"--n must be positive, got {args.n}")
     f = factorize(args.n)
     fast = solve_fast(f)
-    # CongruenceSolutions checks that every root is a distinct root, so the
-    # closed-form count certifies the whole root set.
+    # distinct residues that each solve the congruence, as many as the
+    # closed form counts: the printed set is then all of the roots
+    previous = -1
+    for x in fast.roots:
+        if not previous < x < args.n:
+            raise InternalInconsistencyError(
+                f"roots mod {args.n} are not increasing residues: {x} after {previous}"
+            )
+        if (x * x + x + 1) % args.n:
+            raise InternalInconsistencyError(f"{x} does not solve x^2 + x + 1 = 0 (mod {args.n})")
+        previous = x
     if len(fast.roots) != omega_count(f):
         raise InternalInconsistencyError(
             f"{len(fast.roots)} roots for n={args.n}, the closed form says {omega_count(f)}"

@@ -4,8 +4,8 @@ These routines build the objects that the closed-form counts in `counting`
 merely count, so each stream's size certifies one formula (`verify`).
 `verify_graphs` then realizes the representatives as embedded graphs and
 checks the symmetry claims and the graph-class count on the graphs
-themselves.  Enumeration order is deterministic (divisors ascending, offsets
-ascending) so output is reproducible byte for byte.
+themselves.  Every stream is built in lexicographic order, so output is
+reproducible byte for byte and nothing is sorted afterwards.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from . import counting, graph
 from .errors import InternalInconsistencyError, VerificationFailureError
@@ -53,21 +52,22 @@ def trihex_reps(v: int) -> list[Signature]:
 
 
 def coinciding_signatures(v: int) -> list[Signature]:
-    """Signatures equal to both their equivalents: (tm-1, m-1, gm) over v/4 = t*m^2."""
+    """Signatures equal to both their equivalents, sorted: (tm-1, m-1, gm) over v/4 = t*m^2."""
     n = counting.quarter(v)
     result = []
-    for m in divisors(factorize(n)):
+    # descending m gives ascending s = n/m - 1, so the list comes out sorted
+    for m in reversed(divisors(factorize(n))):
         if n % (m * m):
             continue
         t = n // (m * m)
         result.extend(
             Signature(t * m - 1, m - 1, g * m) for g in solve_fast(factorize(t)).roots
         )
-    return sorted(result)
+    return result
 
 
 def self_mirror_signatures(v: int) -> list[Signature]:
-    """Signatures fixed by mirroring: solutions of 2f = -(b+1) (mod s+1) per divisor pair."""
+    """Signatures fixed by mirroring, sorted: solutions of 2f = -(b+1) (mod s+1) per divisor pair."""
     n = counting.quarter(v)
     result = []
     for d in divisors(factorize(n)):
@@ -80,74 +80,54 @@ def self_mirror_signatures(v: int) -> list[Signature]:
         step = modulus // g
         f0 = (target // g) * pow(2 // g, -1, step) % step
         result.extend(Signature(s, b, f) for f in range(f0, modulus, step))
-    return sorted(result)
+    return result
 
 
 def graph_class_reps(v: int) -> list[Signature]:
-    """One representative per graph isomorphism class: mirror pairs collapsed."""
-    return sorted(
-        rep for rep in trihex_reps(v) if rep <= canonical_rep(mirror(rep))
-    )
+    """One representative per graph isomorphism class, sorted: mirror pairs collapsed."""
+    return [rep for rep in trihex_reps(v) if rep <= canonical_rep(mirror(rep))]
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    """All enumeration streams for one vertex count."""
-
-    V: int
-    all_signatures: tuple[Signature, ...]
-    trihex_reps: tuple[Signature, ...]
-    coinciding: tuple[Signature, ...]
-    self_mirror: tuple[Signature, ...]
-    graph_class_reps: tuple[Signature, ...]
-
-
-def verify(v: int) -> EnumerationResult:
-    """Enumerate every stream for v and check each size against its formula.
+def verify(v: int) -> list[Signature]:
+    """Check each stream's size for v against its formula; return the trihex representatives.
 
     Each orbit and mirror fact is computed once: the representatives are the
     signatures that pass `is_canonical`, in one pass over the sorted
     signatures, and each one's mirror representative serves both the
-    graph-class stream and the mirror-closure check.
+    graph-class count and the mirror-closure check.
     Raises VerificationFailureError naming the first check that disagrees.
     """
     signatures = all_signatures(v)
     reps = [sig for sig in signatures if is_canonical(sig)]
     mirror_reps = [canonical_rep(mirror(rep)) for rep in reps]
-    result = EnumerationResult(
-        V=v,
-        all_signatures=tuple(signatures),
-        trihex_reps=tuple(reps),
-        coinciding=tuple(coinciding_signatures(v)),
-        self_mirror=tuple(self_mirror_signatures(v)),
-        graph_class_reps=tuple(rep for rep, m in zip(reps, mirror_reps) if rep <= m),
-    )
+    coinciding = coinciding_signatures(v)
+    self_mirror = self_mirror_signatures(v)
 
     counts = counting.report(v)
     checks = (
-        ("sigma", counts.sigma, len(result.all_signatures)),
-        ("trihexes", counts.trihexes, len(result.trihex_reps)),
-        ("delta", counts.delta, len(result.coinciding)),
-        ("mu", counts.mu, len(result.self_mirror)),
-        ("gamma", counts.gamma, len(result.graph_class_reps)),
-        ("nu", counts.nu, len(set(result.coinciding) & set(result.self_mirror))),
+        ("sigma", counts.sigma, len(signatures)),
+        ("trihexes", counts.trihexes, len(reps)),
+        ("delta", counts.delta, len(coinciding)),
+        ("mu", counts.mu, len(self_mirror)),
+        ("gamma", counts.gamma, sum(rep <= m for rep, m in zip(reps, mirror_reps))),
+        ("nu", counts.nu, len(set(coinciding) & set(self_mirror))),
     )
     for field, expected, actual in checks:
         if expected != actual:
             raise VerificationFailureError(v, field, expected, actual)
 
-    for sig in result.coinciding:
+    for sig in coinciding:
         if not is_coinciding(sig):
             raise VerificationFailureError(v, "coinciding orbit", (sig,) * 3, orbit(sig))
-    for sig in result.self_mirror:
+    for sig in self_mirror:
         if mirror(sig) != sig:
             raise VerificationFailureError(v, "self-mirror fixed", sig, mirror(sig))
     rep_set = set(reps)
-    if not set(result.coinciding) <= rep_set:
+    if not set(coinciding) <= rep_set:
         raise VerificationFailureError(v, "coinciding not canonical", "subset", "not subset")
     if set(mirror_reps) != rep_set:
         raise VerificationFailureError(v, "mirror closure", "closed", "not closed")
-    return result
+    return reps
 
 
 def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:

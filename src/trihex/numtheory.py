@@ -11,13 +11,18 @@ prime factors other than 3.  `solve_fast` finds the roots mod each prime
 power directly as primitive cube roots of unity and combines them by the
 Chinese remainder theorem.  The naive residue scan it is checked against
 lives in the tests.
+
+`Factorization` and `CongruenceSolutions` are plain named tuples with no
+checks of their own: the invariants that these routines establish by
+construction are asserted in the tests, and `trihex congruence`, whose
+output promises certified roots, checks every root it prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
 
@@ -67,57 +72,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of a positive integer, primes strictly increasing."""
+class Factorization(NamedTuple):
+    """Prime factorization of n >= 1 as (prime, exponent) pairs, primes strictly increasing."""
 
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        product = 1
-        previous = 0
-        for prime, exponent in self.factors:
-            if prime <= previous:
-                raise ValueError(f"primes must be strictly increasing: {self.factors}")
-            if exponent < 1:
-                raise ValueError(f"exponents must be >= 1: {self.factors}")
-            if not is_prime(prime):
-                raise ValueError(f"{prime} is not prime")
-            previous = prime
-            product *= prime**exponent
-        if product != self.n:
-            raise ValueError(f"factors {self.factors} do not multiply to {self.n}")
 
-    def exponent(self, prime: int) -> int:
-        """Exponent of `prime` in n (0 if it does not divide n)."""
-        for p, k in self.factors:
-            if p == prime:
-                return k
-        return 0
-
-
-@dataclass(frozen=True)
-class CongruenceSolutions:
-    """All residues x in [0, n) with x^2 + x + 1 divisible by n."""
+class CongruenceSolutions(NamedTuple):
+    """All residues x in [0, n) with x^2 + x + 1 divisible by n, strictly increasing."""
 
     modulus: int
     roots: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        previous = -1
-        for x in self.roots:
-            if not 0 <= x < self.modulus:
-                raise ValueError(f"root {x} out of range [0, {self.modulus})")
-            if x <= previous:
-                raise ValueError(f"roots must be strictly increasing: {self.roots}")
-            if (x * x + x + 1) % self.modulus != 0:
-                raise ValueError(f"{x} does not solve the congruence mod {self.modulus}")
-            previous = x
 
 
 # Bounded: `verify` asks for one n in `counting.report` and again in each signature stream,

@@ -217,6 +217,11 @@ def exact_div(numerator: int, denominator: int, what: str) -> int:
     return numerator // denominator
 
 
+def exponent(f: Factorization, p: int) -> int:
+    """Exponent of the prime p in f.n (0 if p does not divide it)."""
+    return dict(f.factors).get(p, 0)
+
+
 def sigma(f: Factorization) -> int:
     """Number of signatures for V = 4 * f.n (divisor sum of f.n)."""
     return math.prod((p ** (k + 1) - 1) // (p - 1) for p, k in f.factors)
@@ -235,7 +240,7 @@ def delta(f: Factorization) -> int:
 
 def mu(f: Factorization) -> int:
     """Number of trihexes with mirror symmetry for V = 4 * f.n."""
-    w = f.exponent(2)
+    w = exponent(f, 2)
     odd_part = math.prod(k + 1 for p, k in f.factors if p != 2)
     return odd_part if w == 0 else (2 * w - 1) * odd_part
 

@@ -369,6 +369,20 @@ def test_congruence_root_count_mismatch_exits_3(monkeypatch, capsys):
     assert err == "trihex: internal error: 4 roots for n=91, the closed form says 3\n"
 
 
+def test_congruence_bad_root_set_exits_3(monkeypatch, capsys):
+    # the roots mod 91 are 9, 16, 74 and 81; each stand-in keeps the count at 4
+    cases = {
+        (9, 16, 74, 80): "80 does not solve x^2 + x + 1 = 0 (mod 91)",
+        (9, 9, 74, 81): "roots mod 91 are not increasing residues: 9 after 9",
+        (9, 16, 74, 172): "roots mod 91 are not increasing residues: 172 after 74",
+    }
+    for roots, message in cases.items():
+        monkeypatch.setattr(cli, "solve_fast", lambda f, roots=roots: SimpleNamespace(roots=roots))
+        assert run_cli(capsys, "congruence", "--n", "91") == (
+            3, "", f"trihex: internal error: {message}\n"
+        ), roots
+
+
 def test_congruence_rejects_zero(capsys):
     code, _, _ = run_cli(capsys, "congruence", "--n", "0")
     assert code == 2

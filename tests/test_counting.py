@@ -35,8 +35,8 @@ def gamma_cases(f: Factorization) -> int:
     Split v/4 = 2^a * 3^b * (primes = 1 mod 3) * (odd primes = 2 mod 3) and
     combine the three symmetry contributions over the common denominator 12.
     """
-    a = f.exponent(2)
-    b = f.exponent(3)
+    a = oracles.exponent(f, 2)
+    b = oracles.exponent(f, 3)
     ones = [(p, k) for p, k in f.factors if p % 3 == 1]
     twos = [(p, k) for p, k in f.factors if p % 3 == 2 and p != 2]
 

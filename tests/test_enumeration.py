@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from trihex import counting, enumeration, graph
-from trihex.counting import mu, nu
+from trihex import cli, counting, enumeration, graph
+from trihex.counting import gamma, mu, nu
 from trihex.enumeration import (
     all_signatures,
     coinciding_signatures,
@@ -20,9 +20,11 @@ from trihex.errors import InternalInconsistencyError, VerificationFailureError
 from trihex.graph import CanonicalCode
 from trihex.signature import (
     Signature,
+    canonical_rep,
     has_mirror_symmetry,
     is_canonical,
     is_coinciding,
+    mirror,
     orbit,
     vertex_count,
 )
@@ -40,11 +42,12 @@ def test_all_signatures_examples():
 
 
 def test_all_signatures_sorted_and_complete():
-    for v in range(4, 404, 4):
-        sigs = all_signatures(v)
-        assert sigs == sorted(sigs)
-        assert len(sigs) == len(set(sigs))
-        assert all(vertex_count(s) == v for s in sigs)
+    # every stream is built in order and never sorted afterwards
+    for stream in cli._STREAMS.values():
+        for v in range(4, 404, 4):
+            sigs = stream(v)
+            assert all(a < b for a, b in zip(sigs, sigs[1:])), (stream.__name__, v)
+            assert all(vertex_count(s) == v for s in sigs), (stream.__name__, v)
 
 
 def test_rejects_invalid_vertex_count():
@@ -103,17 +106,18 @@ def test_graph_class_reps_examples():
 def test_verify_sweep():
     # every size identity, for every vertex count up to 400
     for v in range(4, 404, 4):
-        result = verify(v)
-        assert result.V == v
+        verify(v)
 
 
 def test_verify_streams_match_public_streams():
-    # verify builds the representative and class streams in one pass; they
-    # must equal the streams `enumerate` prints
+    # verify returns the representatives that `enumerate --stream reps`
+    # prints, and the class stream keeps the smaller of each mirror pair
     for v in range(4, 404, 4):
-        result = verify(v)
-        assert list(result.trihex_reps) == trihex_reps(v), v
-        assert list(result.graph_class_reps) == graph_class_reps(v), v
+        reps = verify(v)
+        assert reps == trihex_reps(v), v
+        classes = graph_class_reps(v)
+        assert len(classes) == gamma(v), v
+        assert set(classes) == {min(r, canonical_rep(mirror(r))) for r in reps}, v
 
 
 def test_verify_reports_non_coinciding_construction(monkeypatch):

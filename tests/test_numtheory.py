@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 from oracles import lift_prime_power, solve_naive
+from test_counting import LARGE_QUARTERS
 from trihex.numtheory import (
-    CongruenceSolutions,
     Factorization,
     _root_mod_prime_power,
     divisors,
@@ -44,17 +44,22 @@ def test_factorize_matches_trial_division():
         assert factorize.__wrapped__(n) == oracles.factorize(n), n
 
 
-@pytest.mark.parametrize(
-    "factors",
-    [
-        ((997, 2),),  # the last table prime, squared
-        ((1009, 2),),  # a square of the first prime past the table
-        ((7, 1), (997, 1), (1009, 1)),
-        ((2**61 - 1, 1),),  # a Mersenne prime
-        ((1048609, 1), (1048627, 1), (1048633, 1)),  # three 20-bit primes = 1 (mod 3)
-        ((4294967279, 1), (4294967291, 1)),  # the two largest primes below 2^32
-    ],
-)
+LARGE_FACTORS = [
+    ((997, 2),),  # the last table prime, squared
+    ((1009, 2),),  # a square of the first prime past the table
+    ((7, 1), (997, 1), (1009, 1)),
+    ((2**61 - 1, 1),),  # a Mersenne prime
+    ((1048609, 1), (1048627, 1), (1048633, 1)),  # three 20-bit primes = 1 (mod 3)
+    ((4294967279, 1), (4294967291, 1)),  # the two largest primes below 2^32
+]
+
+# the smallest strong pseudoprimes to the first 2, 3, 4, 5, 6, 7 and 9 prime bases
+STRONG_PSEUDOPRIMES = [
+    1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051,
+]
+
+
+@pytest.mark.parametrize("factors", LARGE_FACTORS)
 def test_factorize_large_examples(factors):
     n = math.prod(p**k for p, k in factors)
     assert factorize(n).factors == factors
@@ -73,11 +78,7 @@ def test_is_prime_matches_sieve():
         assert is_prime(n) == sieve[n], n
 
 
-@pytest.mark.parametrize(
-    "n",
-    # the smallest strong pseudoprimes to the first 2, 3, 4, 5, 6, 7 and 9 prime bases
-    [1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051],
-)
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
 def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)
     f = factorize(n)
@@ -108,21 +109,36 @@ def test_first_root_is_smallest_scanned_root():
             raise AssertionError(f"no root mod {p}")
 
 
+def assert_valid_factorization(f):
+    """What a Factorization promises, which nothing checks when one is built:
+    the primes multiply back to n, increase strictly, are prime, and have
+    exponents of at least 1."""
+    assert math.prod(p**k for p, k in f.factors) == f.n, f
+    primes = [p for p, _ in f.factors]
+    assert all(a < b for a, b in zip(primes, primes[1:])), f
+    assert all(is_prime(p) for p in primes), f
+    assert all(k >= 1 for _, k in f.factors), f
+
+
 def test_factorize_roundtrip_sweep():
-    for n in range(1, 5000):
+    # below 5 000 and up to 2^64
+    large = [math.prod(p**k for p, k in factors) for factors in LARGE_FACTORS]
+    for n in [*range(1, 5000), *large, 2**64 - 1, *STRONG_PSEUDOPRIMES, *LARGE_QUARTERS]:
         f = factorize(n)
-        assert math.prod(p**k for p, k in f.factors) == n
-        assert all(is_prime(p) for p, _ in f.factors)
-        assert list(dict(f.factors)) == sorted(p for p, _ in f.factors)
+        assert f.n == n
+        assert_valid_factorization(f)
 
 
 def test_factorization_validates():
-    with pytest.raises(ValueError):
-        Factorization(12, ((2, 1), (3, 1)))  # product is 6
-    with pytest.raises(ValueError):
-        Factorization(12, ((3, 1), (2, 2)))  # out of order
-    with pytest.raises(ValueError):
-        Factorization(8, ((8, 1),))  # not prime
+    # the checker above rejects each way a factorization can be wrong
+    for bad in [
+        Factorization(12, ((2, 1), (3, 1))),  # product is 6
+        Factorization(12, ((3, 1), (2, 2))),  # out of order
+        Factorization(8, ((8, 1),)),  # not prime
+        Factorization(8, ((2, 3), (3, 0))),  # zero exponent
+    ]:
+        with pytest.raises(AssertionError):
+            assert_valid_factorization(bad)
 
 
 @pytest.mark.parametrize(
@@ -157,15 +173,6 @@ def test_solve_naive_examples():
     assert solve_naive(3).roots == (1,)
     assert solve_naive(7).roots == (2, 4)
     assert solve_naive(91).roots == (9, 16, 74, 81)
-
-
-def test_congruence_solutions_validates():
-    with pytest.raises(ValueError):
-        CongruenceSolutions(7, (3,))  # 13 is not divisible by 7
-    with pytest.raises(ValueError):
-        CongruenceSolutions(7, (4, 2))  # unsorted
-    with pytest.raises(ValueError):
-        CongruenceSolutions(7, (2, 9))  # out of range
 
 
 def test_lift_prime_power_examples():
@@ -216,9 +223,30 @@ def test_solve_fast_examples():
     assert all(r % 7 in (2, 4) for r in roots49)
 
 
+def assert_certified_roots(n, solutions):
+    """The four checks `trihex congruence` makes before it prints a root set."""
+    roots = solutions.roots
+    assert solutions.modulus == n
+    assert all(0 <= x < n for x in roots), n
+    assert all(a < b for a, b in zip(roots, roots[1:])), n
+    assert all((x * x + x + 1) % n == 0 for x in roots), n
+    assert len(roots) == omega_count(factorize(n)), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    # the moduli of test_congruence_64_bit_time_and_memory, too large to scan
+    [3_000_000_019, 2**61 - 1, 1048609 * 1048627 * 1048633],
+)
+def test_solve_fast_roots_certified_at_64_bits(n):
+    assert_certified_roots(n, solve_fast(factorize(n)))
+
+
 def test_fast_equals_naive_sweep():
     for n in range(1, 3000):
-        assert solve_fast(factorize(n)).roots == solve_naive(n).roots, n
+        fast = solve_fast(factorize(n))
+        assert fast.roots == solve_naive(n).roots, n
+        assert_certified_roots(n, fast)
 
 
 def test_root_count_matches_formula_sweep():

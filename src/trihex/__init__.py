@@ -6,7 +6,7 @@ closed-form multiplicative formulas, enumerates them constructively, and
 realizes them as explicit embedded graphs for cross-verification.
 """
 
-from .counting import CountReport, delta, gamma, mu, nu, report, rot_classes, sigma, trihex_count
+from .counting import CountReport, report
 from .enumeration import (
     all_signatures,
     coinciding_signatures,
@@ -29,7 +29,7 @@ from .graph import (
     mirror_image,
     validate,
 )
-from .numtheory import CongruenceSolutions, Factorization, divisors, factorize, omega_count, solve_fast
+from .numtheory import Factorization, divisors, factorize, omega_count, solve_fast
 from .signature import (
     Signature,
     canonical_rep,
@@ -45,7 +45,6 @@ from .signature import (
 
 __all__ = [
     "CanonicalCode",
-    "CongruenceSolutions",
     "CountReport",
     "EmbeddedGraph",
     "Factorization",
@@ -57,13 +56,11 @@ __all__ = [
     "canonical_code",
     "canonical_rep",
     "coinciding_signatures",
-    "delta",
     "divisors",
     "export",
     "face_census",
     "faces",
     "factorize",
-    "gamma",
     "graph_class_reps",
     "has_code",
     "has_mirror_symmetry",
@@ -72,17 +69,12 @@ __all__ = [
     "is_coinciding",
     "mirror",
     "mirror_image",
-    "mu",
-    "nu",
     "omega_count",
     "orbit",
     "parse_signature",
     "report",
-    "rot_classes",
     "self_mirror_signatures",
-    "sigma",
     "solve_fast",
-    "trihex_count",
     "trihex_reps",
     "validate",
     "verify",

@@ -10,8 +10,9 @@ Subcommands:
               closed-form count
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
-(including a number to factorize that is not below 2^64), 3 internal error
-(two computations that must agree did not).
+(including a number to factorize that is not below 2^64 and an --output
+file that cannot be written), 3 internal error (two computations that must
+agree did not).
 Range work fans out to a process pool (--jobs, default 1; 0 = all cores;
 never more workers than cores or vertex counts); results are re-ordered
 before emission so output is deterministic.
@@ -42,27 +43,23 @@ _STREAMS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_range(args) -> list[int]:
     if args.v is not None and args.start is None and args.end is None:
         start = end = args.v
     elif args.v is None and args.start is not None and args.end is not None:
         start, end = args.start, args.end
     else:
-        raise UsageError("give either --v or both --from and --to")
+        raise ValueError("give either --v or both --from and --to")
     if start % 4 or end % 4 or start < 4:
-        raise UsageError(f"vertex counts must be multiples of 4 and >= 4: {start}..{end}")
+        raise ValueError(f"vertex counts must be multiples of 4 and >= 4: {start}..{end}")
     if start > end:
-        raise UsageError(f"empty range: {start} > {end}")
+        raise ValueError(f"empty range: {start} > {end}")
     return list(range(start, end + 1, 4))
 
 
 def _jobs(args) -> int:
     if args.jobs < 0:
-        raise UsageError(f"--jobs must be nonnegative, got {args.jobs}")
+        raise ValueError(f"--jobs must be nonnegative, got {args.jobs}")
     return args.jobs or os.cpu_count() or 1
 
 
@@ -75,10 +72,24 @@ def _map_ordered(fn, items, jobs: int):
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
-def _to_stdout(write, data) -> None:
-    """Write data to stdout; a reader that closes the pipe early (`| head -1`) ends it quietly."""
+def _emit(data: str | bytes, args) -> None:
+    """Write text or bytes to the --output file, or else to stdout.
+
+    A file that cannot be written is a usage error (exit 2); a reader that
+    closes stdout early (`| head -1`) ends the output quietly.
+    """
+    if args.output:
+        try:
+            with open(args.output, "wb") as fh:
+                fh.write(data.encode() if isinstance(data, str) else data)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
+        return
     try:
-        write(data)
+        if isinstance(data, str):
+            sys.stdout.write(data)
+        else:
+            sys.stdout.buffer.write(data)
         sys.stdout.flush()
     except BrokenPipeError:
         # stdout now points at devnull, so the flush at interpreter exit cannot fail again
@@ -87,20 +98,8 @@ def _to_stdout(write, data) -> None:
         os.close(devnull)
 
 
-def _emit(text: str, args) -> None:
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        _to_stdout(sys.stdout.write, text)
-
-
-def _emit_bytes(data: bytes, args) -> None:
-    if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(data)
-    else:
-        _to_stdout(sys.stdout.buffer.write, data)
+def _emit_json(doc: dict, args) -> None:
+    _emit(json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2) + "\n", args)
 
 
 def cmd_count(args) -> int:
@@ -111,14 +110,13 @@ def cmd_count(args) -> int:
         lines.extend(r.csv_row() for r in reports)
         _emit("\n".join(lines) + "\n", args)
     else:
-        doc = {"schema_version": SCHEMA_VERSION, "reports": [r._asdict() for r in reports]}
-        _emit(json.dumps(doc, indent=2) + "\n", args)
+        _emit_json({"reports": [r._asdict() for r in reports]}, args)
     return 0
 
 
 def cmd_enumerate(args) -> int:
     if args.v is None:
-        raise UsageError("enumerate requires --v")
+        raise ValueError("enumerate requires --v")
     vs = _parse_range(args)
     signatures = _STREAMS[args.stream](vs[0])
     if args.format == "text":
@@ -128,32 +126,23 @@ def cmd_enumerate(args) -> int:
         lines.extend(f"{sig.s},{sig.b},{sig.f}" for sig in signatures)
         _emit("\n".join(lines) + "\n", args)
     else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "V": vs[0],
-            "stream": args.stream,
-            "signatures": [list(sig) for sig in signatures],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args)
+        _emit_json({"V": vs[0], "stream": args.stream, "signatures": [list(sig) for sig in signatures]}, args)
     return 0
 
 
 def cmd_build(args) -> int:
-    try:
-        sig = parse_signature(args.sig)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    sig = parse_signature(args.sig)
     graph.check_export(vertex_count(sig), args.format)
     g = graph.build(sig)
     census = graph.validate(g)
-    data = graph.export(g, args.format, census)
+    _emit(graph.export(g, args.format, census), args)
+    # after the output, so that an --output file that cannot be written leaves one stderr line
     if not args.quiet:
         print(
             f"signature {sig}: {g.n} vertices, faces "
             + ", ".join(f"{count} of length {k}" for k, count in census.items()),
             file=sys.stderr,
         )
-    _emit_bytes(data, args)
     return 0
 
 
@@ -186,13 +175,13 @@ def cmd_verify(args) -> int:
 
 def cmd_congruence(args) -> int:
     if args.n < 1:
-        raise UsageError(f"--n must be positive, got {args.n}")
+        raise ValueError(f"--n must be positive, got {args.n}")
     f = factorize(args.n)
-    fast = solve_fast(f)
+    roots = solve_fast(f)
     # distinct residues that each solve the congruence, as many as the
     # closed form counts: the printed set is then all of the roots
     previous = -1
-    for x in fast.roots:
+    for x in roots:
         if not previous < x < args.n:
             raise InternalInconsistencyError(
                 f"roots mod {args.n} are not increasing residues: {x} after {previous}"
@@ -200,20 +189,14 @@ def cmd_congruence(args) -> int:
         if (x * x + x + 1) % args.n:
             raise InternalInconsistencyError(f"{x} does not solve x^2 + x + 1 = 0 (mod {args.n})")
         previous = x
-    if len(fast.roots) != omega_count(f):
+    if len(roots) != omega_count(f):
         raise InternalInconsistencyError(
-            f"{len(fast.roots)} roots for n={args.n}, the closed form says {omega_count(f)}"
+            f"{len(roots)} roots for n={args.n}, the closed form says {omega_count(f)}"
         )
     if args.format == "structured":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "n": args.n,
-            "roots": list(fast.roots),
-            "count": len(fast.roots),
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args)
+        _emit_json({"n": args.n, "roots": list(roots), "count": len(roots)}, args)
     else:
-        _emit(" ".join(str(x) for x in fast.roots) + f"\ncount {len(fast.roots)}\n", args)
+        _emit(" ".join(map(str, roots)) + f"\ncount {len(roots)}\n", args)
     return 0
 
 
@@ -276,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"trihex: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistencyError as exc:

@@ -1,4 +1,4 @@
-"""Closed-form counting functions of the vertex count V.
+"""Closed-form counts for the vertex count V.
 
 All counts are driven by the prime factorization V/4 = prod p^k, with w the
 exponent of 2:
@@ -14,13 +14,13 @@ exponent of 2:
   rot_classes - graph classes with 3-fold symmetry = (delta + nu) / 2
 
 `report` factorizes V/4 once, builds sigma, delta, mu and nu in one pass over
-its prime powers, and derives the last three counts from them; every other
-function here returns one of its fields.  Everything is exact integer
-arithmetic; the rational coefficients become checked divisions, and the
-remaining relations between the counts (nu in {0, 1}, delta and mu at least
-nu) are test assertions.  The four per-function formulas and the paper's
-direct case formulas for gamma and rot_classes, independent second routes,
-are kept in the tests.
+its prime powers, and derives the last three counts from them; there is no
+separate function per count, so callers read the field of the `CountReport`
+they need.  Everything is exact integer arithmetic; the rational
+coefficients become checked divisions, and the remaining relations between
+the counts (nu in {0, 1}, delta and mu at least nu) are test assertions.
+The four per-count formulas and the paper's direct case formulas for gamma
+and rot_classes, independent second routes, are kept in the tests.
 """
 
 from __future__ import annotations
@@ -36,41 +36,6 @@ def quarter(v: int) -> int:
     if v < 4 or v % 4:
         raise ValueError(f"vertex count must be a multiple of 4 and >= 4, got {v}")
     return v // 4
-
-
-def sigma(v: int) -> int:
-    """Number of signatures with vertex count v (divisor sum of v/4)."""
-    return report(v).sigma
-
-
-def delta(v: int) -> int:
-    """Number of trihexes with v vertices and 3-fold rotational symmetry."""
-    return report(v).delta
-
-
-def mu(v: int) -> int:
-    """Number of trihexes with v vertices and mirror symmetry."""
-    return report(v).mu
-
-
-def nu(v: int) -> int:
-    """1 when some trihex with v vertices has both symmetries, else 0."""
-    return report(v).nu
-
-
-def trihex_count(v: int) -> int:
-    """Total number of trihexes with v vertices."""
-    return report(v).trihexes
-
-
-def gamma(v: int) -> int:
-    """Number of graph isomorphism classes of trihexes with v vertices."""
-    return report(v).gamma
-
-
-def rot_classes(v: int) -> int:
-    """Graph isomorphism classes of trihexes with 3-fold rotational symmetry."""
-    return report(v).rot_classes
 
 
 class CountReport(NamedTuple):

@@ -60,9 +60,7 @@ def coinciding_signatures(v: int) -> list[Signature]:
         if n % (m * m):
             continue
         t = n // (m * m)
-        result.extend(
-            Signature(t * m - 1, m - 1, g * m) for g in solve_fast(factorize(t)).roots
-        )
+        result.extend(Signature(t * m - 1, m - 1, g * m) for g in solve_fast(factorize(t)))
     return result
 
 

@@ -9,13 +9,13 @@ by the prime factorization: 0 as soon as a prime congruent to 2 (mod 3)
 divides n or 9 divides n, otherwise 2^r where r is the number of distinct
 prime factors other than 3.  `solve_fast` finds the roots mod each prime
 power directly as primitive cube roots of unity and combines them by the
-Chinese remainder theorem.  The naive residue scan it is checked against
-lives in the tests.
+Chinese remainder theorem, and returns them as a strictly increasing tuple.
+The naive residue scan it is checked against lives in the tests.
 
-`Factorization` and `CongruenceSolutions` are plain named tuples with no
-checks of their own: the invariants that these routines establish by
-construction are asserted in the tests, and `trihex congruence`, whose
-output promises certified roots, checks every root it prints.
+`Factorization` is a plain named tuple with no checks of its own: the
+invariants that these routines establish by construction are asserted in
+the tests, and `trihex congruence`, whose output promises certified roots,
+checks every root it prints.
 """
 
 from __future__ import annotations
@@ -77,13 +77,6 @@ class Factorization(NamedTuple):
 
     n: int
     factors: tuple[tuple[int, int], ...]
-
-
-class CongruenceSolutions(NamedTuple):
-    """All residues x in [0, n) with x^2 + x + 1 divisible by n, strictly increasing."""
-
-    modulus: int
-    roots: tuple[int, ...]
 
 
 # Bounded: `verify` asks for one n in `counting.report` and again in each signature stream,
@@ -214,8 +207,8 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return x, m
 
 
-def solve_fast(f: Factorization) -> CongruenceSolutions:
-    """Roots of x^2 + x + 1 (mod f.n) assembled prime power by prime power.
+def solve_fast(f: Factorization) -> tuple[int, ...]:
+    """All x in [0, f.n) with x^2 + x + 1 = 0 (mod f.n), strictly increasing.
 
     Per prime power: no roots when p = 2 (mod 3) or when p = 3 with exponent
     above 1; the single root 1 when the factor is exactly 3; otherwise the
@@ -226,10 +219,10 @@ def solve_fast(f: Factorization) -> CongruenceSolutions:
     for prime, exponent in f.factors:
         modulus = prime**exponent
         if prime % 3 == 2:
-            return CongruenceSolutions(f.n, ())
+            return ()
         if prime == 3:
             if exponent > 1:
-                return CongruenceSolutions(f.n, ())
+                return ()
             parts.append(([1], 3))
         else:
             x = _root_mod_prime_power(prime, exponent)
@@ -240,4 +233,4 @@ def solve_fast(f: Factorization) -> CongruenceSolutions:
         combined = [
             _crt_pair(r, m, rp, modulus) for r, m in combined for rp in roots_part
         ]
-    return CongruenceSolutions(f.n, tuple(sorted(x for x, _ in combined)))
+    return tuple(sorted(x for x, _ in combined))

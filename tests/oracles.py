@@ -28,7 +28,7 @@ import numpy as np
 from trihex.counting import CountReport
 from trihex.errors import InternalInconsistencyError
 from trihex.graph import Rotation
-from trihex.numtheory import CongruenceSolutions, Factorization
+from trihex.numtheory import Factorization
 from trihex.signature import Signature
 
 # Largest modulus for which x*x + x + 1 with x < n fits in int64; above it
@@ -72,8 +72,8 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def solve_naive(n: int) -> CongruenceSolutions:
-    """Roots of x^2 + x + 1 (mod n) by scanning every residue class."""
+def solve_naive(n: int) -> tuple[int, ...]:
+    """Roots of x^2 + x + 1 (mod n), ascending, by scanning every residue class."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     if n <= _NP_SCAN_LIMIT:
@@ -85,7 +85,7 @@ def solve_naive(n: int) -> CongruenceSolutions:
         roots = tuple(int(r) for r in np.flatnonzero(values == 0))
     else:
         roots = tuple(x for x in range(n) if (x * x + x + 1) % n == 0)
-    return CongruenceSolutions(n, roots)
+    return roots
 
 
 def first_root_mod_prime(p: int) -> int:

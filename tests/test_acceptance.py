@@ -60,8 +60,8 @@ def test_criterion_3_congruence_solver():
     started = time.time()
     violations = []
     for n in range(1, 50_001):
-        naive = solve_naive(n).roots
-        fast = solve_fast(factorize(n)).roots
+        naive = solve_naive(n)
+        fast = solve_fast(factorize(n))
         if naive != fast:
             violations.append(f"n={n}: fast {fast} != naive {naive}")
         if len(naive) != omega_count(factorize(n)):
@@ -143,10 +143,11 @@ def test_criterion_6_property_suites():
 
     for v in range(4, 4004, 4):
         try:
-            if counting.gamma(v) != gamma_cases(factorize(v // 4)):
-                violations.append(f"gamma dual path V={v}: {counting.gamma(v)} vs cases")
-            if counting.rot_classes(v) != rot_classes_direct(v):
-                violations.append(f"rot_classes dual path V={v}: {counting.rot_classes(v)} vs direct")
+            r = counting.report(v)
+            if r.gamma != gamma_cases(factorize(v // 4)):
+                violations.append(f"gamma dual path V={v}: {r.gamma} vs cases")
+            if r.rot_classes != rot_classes_direct(v):
+                violations.append(f"rot_classes dual path V={v}: {r.rot_classes} vs direct")
         except Exception as exc:
             violations.append(f"dual paths V={v}: {exc}")
 

@@ -252,6 +252,22 @@ def test_work_growing_with_v_is_refused(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (2, "", f"trihex: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["count --v 28", "verify --v 28"])
+def test_negative_jobs_is_refused(capsys, command):
+    assert run_cli(capsys, *command.split(), "--jobs", "-1") == (
+        2, "", "trihex: --jobs must be nonnegative, got -1\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["count --v 28", "verify --v 28", "build --sig 6,2,1 --format planar_code"])
+def test_unwritable_output_is_refused(tmp_path, capsys, command):
+    # a missing directory and a directory: one stderr line and exit 2, not a traceback and exit 1
+    for path, reason in ((tmp_path / "missing" / "out", "No such file or directory"), (tmp_path, "Is a directory")):
+        assert run_cli(capsys, *command.split(), "--output", str(path)) == (
+            2, "", f"trihex: cannot write {path}: {reason}\n"
+        ), path
+
+
 def test_build_validates_before_export(monkeypatch, capsys):
     validated = []
     monkeypatch.setattr(graph, "validate", lambda g: validated.append(g.source) or graph.face_census(g))
@@ -377,7 +393,7 @@ def test_congruence_bad_root_set_exits_3(monkeypatch, capsys):
         (9, 16, 74, 172): "roots mod 91 are not increasing residues: 172 after 74",
     }
     for roots, message in cases.items():
-        monkeypatch.setattr(cli, "solve_fast", lambda f, roots=roots: SimpleNamespace(roots=roots))
+        monkeypatch.setattr(cli, "solve_fast", lambda f, roots=roots: roots)
         assert run_cli(capsys, "congruence", "--n", "91") == (
             3, "", f"trihex: internal error: {message}\n"
         ), roots
@@ -487,9 +503,10 @@ def test_count_inexact_division_exits_3(monkeypatch, capsys):
     )
 
 
-# sha256 of the exact output bytes, recorded before canonical codes and the
-# graph checks were restructured; any change to an export format or to the
-# verify report shows up here.
+# sha256 of the exact output bytes: the build and verify entries recorded
+# before canonical codes and the graph checks were restructured, the count,
+# enumerate and congruence entries before the CLI emitters were merged; any
+# change to an output format shows up here.
 PINNED_SHA256 = {
     "build --sig 0,0,0 --format planar_code": "460f4ac94d3a84d4e9fe0a00a5be44eac05b93a7ef869573f055767c0c8f7264",
     "build --sig 0,0,0 --format dot": "c10490376eece2cbaaaa13c6c59a38d6819f7e33871bc5d9501d764a84f2771d",
@@ -504,11 +521,25 @@ PINNED_SHA256 = {
     "build --sig 13,1,4 --format dot": "fc95a5f2584f68f441fb6394cdb75aa75c15c1d2e3aa7a77d7a81278c1d70a09",
     "build --sig 13,1,4 --format structured": "661c4cc8e645e3ddcd3f80879f35dee9edcc943ce35638a72e928a3230f8be1e",
     "verify --with-graphs --from 4 --to 60": "994b0e5eb56ca9fabf5a9b72f623cbdf5df9cbccfb85be083864c173da6465c7",
+    "count --from 4 --to 400": "cbf4c1249144ea631e88d3a17154e9d3a7b4abb63d963d6267141f0f0423fc43",
+    "count --from 4 --to 400 --format structured": "e10760343873cb81f53d95c26f08b6642f0b088321741eea9fad10515d5a7cdd",
+    "enumerate --v 5040 --stream all": "c6d2893c0e40e7afc9721cc2cefc48fbc5076dc1a1c2b557f501fa90f7e0ac09",
+    "enumerate --v 5040 --stream all --format csv": "9bc225066e4699160f3d4857220ca16bc2fdda1d8d0afeb70103411b46f79bcd",
+    "enumerate --v 5040 --stream all --format structured": "f4417aab83f971f67a41cd717cb711222ccab1e1233939d20e39c30a68890b73",
+    "enumerate --v 5040 --stream classes": "dda48faeddce04557e0dfa9003b0029bcee1224d841abde0aedb30821fb197d5",
+    "enumerate --v 5040 --stream classes --format csv": "49cdf8fb6aab23771a43b80f6990bc1f2eb0da18b874777c8958d766fd634f0e",
+    "enumerate --v 5040 --stream classes --format structured": "0fb249a26a96ac4c2be68718b61be0d19897f36e75e6b674ceec62d5734e09bc",
+    "congruence --n 91": "253c41ae3211b61a03361166bffecedcc07f5d1510f6734825441ae19f165895",
+    "congruence --n 91 --format structured": "4d27fae2b3ab03659d0e162f57916a22c40afda025a2748215226e1f55d10cfa",
 }
 
 
-def test_output_bytes_pinned(tmp_path, capsys):
+def test_output_bytes_pinned(tmp_path, capsysbinary):
+    # every command through both branches of the emitter: the --output file and stdout
     path = tmp_path / "out"
     for command, digest in PINNED_SHA256.items():
         assert main(command.split() + ["--output", str(path)]) == 0, command
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, command
+        capsysbinary.readouterr()
+        assert main(command.split()) == 0, command
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest, command

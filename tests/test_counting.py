@@ -9,17 +9,7 @@ import oracles
 from golden_counts import TABLE
 from oracles import exact_div
 from trihex import counting
-from trihex.counting import (
-    delta,
-    gamma,
-    mu,
-    nu,
-    quarter,
-    report,
-    rot_classes,
-    sigma,
-    trihex_count,
-)
+from trihex.counting import quarter, report
 from trihex.errors import InternalInconsistencyError
 from trihex.numtheory import Factorization, factorize
 
@@ -70,63 +60,61 @@ def rot_classes_direct(v: int) -> int:
 
 @pytest.mark.parametrize("bad", [0, 2, 6, 18, -4])
 def test_rejects_invalid_vertex_counts(bad):
-    for fn in (sigma, delta, mu, nu, trihex_count, gamma, rot_classes, report):
-        with pytest.raises(ValueError):
-            fn(bad)
+    with pytest.raises(ValueError):
+        report(bad)
 
 
 def test_sigma_examples():
-    assert sigma(4) == 1
-    assert sigma(28) == 8
-    assert sigma(112) == 56  # divisor sum of 28
+    assert report(4).sigma == 1
+    assert report(28).sigma == 8
+    assert report(112).sigma == 56  # divisor sum of 28
 
 
 def test_sigma_is_divisor_sum():
     for v in range(4, 2004, 4):
         n = v // 4
-        assert sigma(v) == sum(d for d in range(1, n + 1) if n % d == 0)
+        assert report(v).sigma == sum(d for d in range(1, n + 1) if n % d == 0)
 
 
 def test_delta_examples():
-    assert delta(28) == 2
-    assert delta(8) == 0
-    assert delta(4) == 1
+    assert report(28).delta == 2
+    assert report(8).delta == 0
+    assert report(4).delta == 1
 
 
 def test_trihex_count_examples():
-    assert trihex_count(28) == 4
-    assert trihex_count(120) == 24
-    assert trihex_count(360) == 78
+    assert report(28).trihexes == 4
+    assert report(120).trihexes == 24
+    assert report(360).trihexes == 78
 
 
 def test_mu_examples():
-    assert mu(4) == 1
-    assert mu(28) == 2
-    assert mu(48) == 6
+    assert report(4).mu == 1
+    assert report(28).mu == 2
+    assert report(48).mu == 6
 
 
 def test_nu_examples():
-    assert nu(4) == 1
-    assert nu(144) == 1
-    assert nu(28) == 0
+    assert report(4).nu == 1
+    assert report(144).nu == 1
+    assert report(28).nu == 0
 
 
 def test_gamma_examples():
-    assert gamma(28) == 3
-    assert gamma(4) == 1
-    assert gamma(240) == 34
+    assert report(28).gamma == 3
+    assert report(4).gamma == 1
+    assert report(240).gamma == 34
 
 
 def test_rot_classes_examples():
-    assert rot_classes(4) == 1
-    assert rot_classes(28) == 1
-    assert rot_classes(8) == 0
+    assert report(4).rot_classes == 1
+    assert report(28).rot_classes == 1
+    assert report(8).rot_classes == 0
 
 
 def test_golden_table():
     for v, trihexes, classes in TABLE:
-        assert trihex_count(v) == trihexes, v
-        assert gamma(v) == classes, v
+        assert (report(v).trihexes, report(v).gamma) == (trihexes, classes), v
 
 
 def test_report_examples():
@@ -149,15 +137,17 @@ def test_report_serialization():
 def test_divisibility_identities():
     # the formula combinations must always land on integers
     for v in range(4, 4004, 4):
-        assert (sigma(v) + 2 * delta(v)) % 3 == 0
-        assert (sigma(v) + 2 * delta(v) + 3 * mu(v)) % 6 == 0
-        assert (delta(v) + nu(v)) % 2 == 0
+        r = report(v)
+        assert (r.sigma + 2 * r.delta) % 3 == 0
+        assert (r.sigma + 2 * r.delta + 3 * r.mu) % 6 == 0
+        assert (r.delta + r.nu) % 2 == 0
 
 
 def test_gamma_and_rot_dual_paths_agree():
     for v in range(4, 4004, 4):
-        assert gamma(v) == gamma_cases(factorize(v // 4)), v
-        assert rot_classes(v) == rot_classes_direct(v), v
+        r = report(v)
+        assert r.gamma == gamma_cases(factorize(v // 4)), v
+        assert r.rot_classes == rot_classes_direct(v), v
 
 
 def test_symmetry_count_bounds():

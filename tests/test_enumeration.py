@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import pytest
 
 from trihex import cli, counting, enumeration, graph
-from trihex.counting import gamma, mu, nu
 from trihex.enumeration import (
     all_signatures,
     coinciding_signatures,
@@ -116,7 +115,7 @@ def test_verify_streams_match_public_streams():
         reps = verify(v)
         assert reps == trihex_reps(v), v
         classes = graph_class_reps(v)
-        assert len(classes) == gamma(v), v
+        assert len(classes) == counting.report(v).gamma, v
         assert set(classes) == {min(r, canonical_rep(mirror(r))) for r in reps}, v
 
 
@@ -235,9 +234,9 @@ def test_mirror_symmetry_bijections():
     for v in range(4, 404, 4):
         reps = trihex_reps(v)
         mirror_reps = [r for r in reps if has_mirror_symmetry(r)]
-        assert len(mirror_reps) == mu(v), v
+        assert len(mirror_reps) == counting.report(v).mu, v
         both = [r for r in mirror_reps if is_coinciding(r)]
-        assert len(both) == nu(v), v
+        assert len(both) == counting.report(v).nu, v
 
 
 def test_verification_failure_reports_field():

@@ -169,10 +169,10 @@ def test_omega_count_examples(n, expected):
 
 
 def test_solve_naive_examples():
-    assert solve_naive(1).roots == (0,)
-    assert solve_naive(3).roots == (1,)
-    assert solve_naive(7).roots == (2, 4)
-    assert solve_naive(91).roots == (9, 16, 74, 81)
+    assert solve_naive(1) == (0,)
+    assert solve_naive(3) == (1,)
+    assert solve_naive(7) == (2, 4)
+    assert solve_naive(91) == (9, 16, 74, 81)
 
 
 def test_lift_prime_power_examples():
@@ -184,7 +184,7 @@ def test_lift_prime_power_examples():
 
 def test_lift_prime_power_sweep():
     for p in (7, 13, 19, 31, 37, 43):
-        for root in solve_naive(p).roots:
+        for root in solve_naive(p):
             for ell in (1, 2, 3):
                 x = lift_prime_power(p, root, ell)
                 assert 0 <= x < p**ell
@@ -216,17 +216,15 @@ def test_lift_prime_power_rejects_bad_input():
 
 
 def test_solve_fast_examples():
-    assert solve_fast(factorize(21)).roots == (4, 16)
-    assert solve_fast(factorize(1)).roots == (0,)
-    roots49 = solve_fast(factorize(49)).roots
+    assert solve_fast(factorize(21)) == (4, 16)
+    assert solve_fast(factorize(1)) == (0,)
+    roots49 = solve_fast(factorize(49))
     assert len(roots49) == 2
     assert all(r % 7 in (2, 4) for r in roots49)
 
 
-def assert_certified_roots(n, solutions):
+def assert_certified_roots(n, roots):
     """The four checks `trihex congruence` makes before it prints a root set."""
-    roots = solutions.roots
-    assert solutions.modulus == n
     assert all(0 <= x < n for x in roots), n
     assert all(a < b for a, b in zip(roots, roots[1:])), n
     assert all((x * x + x + 1) % n == 0 for x in roots), n
@@ -245,13 +243,13 @@ def test_solve_fast_roots_certified_at_64_bits(n):
 def test_fast_equals_naive_sweep():
     for n in range(1, 3000):
         fast = solve_fast(factorize(n))
-        assert fast.roots == solve_naive(n).roots, n
+        assert fast == solve_naive(n), n
         assert_certified_roots(n, fast)
 
 
 def test_root_count_matches_formula_sweep():
     for n in range(1, 3000):
-        assert len(solve_naive(n).roots) == omega_count(factorize(n)), n
+        assert len(solve_naive(n)) == omega_count(factorize(n)), n
 
 
 def test_omega_multiplicative():
@@ -269,7 +267,7 @@ def test_root_pairing():
         if not is_prime(p) or p % 3 != 1:
             continue
         for ell in (1, 2):
-            roots = solve_fast(factorize(p**ell)).roots
+            roots = solve_fast(factorize(p**ell))
             assert len(roots) == 2
             assert sum(roots) == p**ell - 1
 
@@ -277,9 +275,9 @@ def test_root_pairing():
 def test_solve_naive_python_fallback(monkeypatch):
     # moduli past the int64-safe range take the exact-integer path
     monkeypatch.setattr(oracles, "_NP_SCAN_LIMIT", 10)
-    assert oracles.solve_naive(3).roots == (1,)
-    assert oracles.solve_naive(91).roots == (9, 16, 74, 81)
-    assert oracles.solve_naive(49).roots == (18, 30)
+    assert oracles.solve_naive(3) == (1,)
+    assert oracles.solve_naive(91) == (9, 16, 74, 81)
+    assert oracles.solve_naive(49) == (18, 30)
     assert oracles.first_root_mod_prime(13) == 3
 
 

@@ -21,9 +21,11 @@ before emission so output is deterministic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -72,6 +74,32 @@ def _map_ordered(fn, items, jobs: int):
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
+@contextlib.contextmanager
+def _output_file(path: str | None):
+    """Open the --output file before any work, so that one that cannot be opened is refused first.
+
+    A file that cannot be opened is a usage error (exit 2).  It is opened
+    for appending, so nothing is truncated until `_emit` writes, and a file
+    that the command created is removed again when the command raises: a
+    refused command leaves no new file and an existing one as it was.
+    """
+    if path is None:
+        yield None
+        return
+    created = not os.path.lexists(path)
+    try:
+        fh = open(path, "ab")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
+        try:
+            yield fh
+        except BaseException:
+            if created:
+                os.unlink(path)
+            raise
+
+
 def _emit(data: str | bytes, args) -> None:
     """Write text or bytes to the --output file, or else to stdout.
 
@@ -79,9 +107,13 @@ def _emit(data: str | bytes, args) -> None:
     closes stdout early (`| head -1`) ends the output quietly.
     """
     if args.output:
+        fh = args.output_file
         try:
-            with open(args.output, "wb") as fh:
-                fh.write(data.encode() if isinstance(data, str) else data)
+            # a pipe or a device cannot be truncated, and needs no truncating
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
+            fh.write(data.encode() if isinstance(data, str) else data)
+            fh.flush()
         except OSError as exc:
             raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
         return
@@ -258,7 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _output_file(args.output) as args.output_file:
+            return args.func(args)
     except ValueError as exc:
         print(f"trihex: {exc}", file=sys.stderr)
         return 2

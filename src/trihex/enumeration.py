@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable
+from itertools import chain
 
 from . import counting, graph
 from .errors import InternalInconsistencyError, VerificationFailureError
@@ -128,23 +129,49 @@ def verify(v: int) -> list[Signature]:
     return reps
 
 
+def _has_half_turns(g: graph.EmbeddedGraph, rep: Signature) -> bool:
+    """Whether `build(rep)`'s translations by A and B are distinct, nontrivial automorphisms of g.
+
+    Each must carry every rotation onto the rotation of the image vertex,
+    neighbor for neighbor.  Both are involutions and commute by the coset
+    arithmetic, so with their product and the identity they are the group
+    D2 that `canonical_code` relies on.
+    """
+    rot = g.rot
+    tau_a, tau_b = graph.half_turn_translations(rep)
+    identity = list(range(g.n))
+    return tau_a != tau_b and all(
+        tau != identity
+        # tau of each neighbor, vertex by vertex, against the rotation of tau of each vertex
+        and list(map(tau.__getitem__, chain.from_iterable(rot))) == list(chain.from_iterable(map(rot.__getitem__, tau)))
+        for tau in (tau_a, tau_b)
+    )
+
+
 def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
     """Check the trihex representatives `reps` of v as graphs; return the problems found.
 
-    Each representative is built and validated once and gets two oriented
-    canonical codes: forward, and backward (the code of its mirror image).
-    Orbit members are only coded: a member with the representative's code is
-    isomorphic to it, so it would pass the same validation.  The checks are:
-    exactly 12 oriented automorphisms (the rotation group T, with its 3-fold
-    axes) for coinciding signatures and 4 (D2) otherwise, the rotation groups
-    of the trihex point groups (Deza & Dutour Sikiric, *Geometry of Chemical
-    Graphs*, 2008); chirality (the two codes differ) exactly without mirror
-    symmetry; distinct oriented codes for distinct representatives; the same
-    oriented code for every orbit member; gamma classes up to reflection
-    (the smaller of the two codes); and the census of those classes by full
-    automorphism order (the oriented count, doubled when the two codes are
-    equal): nu of order 24 (Td), rot_classes - nu of order 12 (T), mu - nu of
-    order 8 (D2d or D2h) and the rest of order 4 (D2).
+    Each representative is built and validated once, its half-turns are
+    checked, and it gets two oriented canonical codes: forward, and
+    backward (the code of its mirror image).  The half-turns are the
+    translations by A and B of the representative's own signature, checked
+    on g only, since the mirror image keeps g's vertex labels and has the
+    same automorphisms; without them the codes' count of 4 times the tied
+    roots would be assumed, so a representative that lacks them gets no
+    codes.  Orbit members are only matched with `has_code`: a match is a
+    witness in itself, a miss is reported either way, and a member with the
+    representative's code is isomorphic to it, so it would pass the same
+    validation.  The checks are: exactly 12 oriented automorphisms (the
+    rotation group T, with its 3-fold axes) for coinciding signatures and 4
+    (D2) otherwise, the rotation groups of the trihex point groups (Deza &
+    Dutour Sikiric, *Geometry of Chemical Graphs*, 2008); chirality (the two
+    codes differ) exactly without mirror symmetry; distinct oriented codes
+    for distinct representatives; the same oriented code for every orbit
+    member; gamma classes up to reflection (the smaller of the two codes);
+    and the census of those classes by full automorphism order (the oriented
+    count, doubled when the two codes are equal): nu of order 24 (Td),
+    rot_classes - nu of order 12 (T), mu - nu of order 8 (D2d or D2h) and
+    the rest of order 4 (D2).
     """
     problems: list[str] = []
     oriented: dict[tuple[int, ...], Signature] = {}
@@ -155,6 +182,9 @@ def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
             graph.validate(g)
         except InternalInconsistencyError as exc:
             problems.append(f"build {rep}: {exc}")
+            continue
+        if not _has_half_turns(g, rep):
+            problems.append(f"{rep}: half-turn translations are not automorphisms")
             continue
         fwd = graph.canonical_code(g)
         bwd = graph.canonical_code(graph.mirror_image(g))

@@ -22,11 +22,17 @@ its east representative gives the rotation system
 which is what `build` constructs.  The sign of f in B is the handedness
 convention; it is pinned by the mirror-image and equivalent-signature
 tests, not by choice.  `build` only constructs and `validate` checks.
-`canonical_code` roots plantri's breadth-first code at the 12 darts on the
-triangles, found by a corner scan, not at all 3n darts, and abandons a root
-as soon as a block of its code exceeds the best one (Brinkmann & McKay,
-2007); `has_code` asks whether some root gives a known code, and abandons a
-root at its first block that differs.
+
+Every trihex has three half-turns among its automorphisms, which with the
+identity form the group D2: in the quotient they are the translations by A,
+B and A + B, which commute with rot because 2A and 2B lie in 2L
+(`half_turn_translations`).  So `canonical_code` roots plantri's
+breadth-first code at the three darts of one triangle, the first that a
+corner scan finds, and not at all 3n darts: D2 carries that triangle onto
+each of the other three (Brinkmann & McKay, 2007, prune roots by known
+automorphisms the same way).  `has_code` asks whether one of those three
+roots gives a known code, and abandons a root at its first block that
+differs.
 """
 
 from __future__ import annotations
@@ -87,6 +93,32 @@ def build(sig: Signature) -> EmbeddedGraph:
     for a in range(w):
         rot.extend(zip(column(-a - 2, -1), column(-a - 1, 0), column(-a - 1, -1)))
     return EmbeddedGraph(rot=tuple(rot), source=sig)
+
+
+def half_turn_translations(sig: Signature) -> tuple[list[int], list[int]]:
+    """The vertex permutations of `build(sig)` that translate by A and by B.
+
+    Translating by a vector t of L sends the coset g of 2L to g + t and
+    rot(g) to rot(g) - t, which is rot(g) + t mod 2L, so each translation is
+    an orientation-preserving automorphism, and an involution because 2t
+    lies in 2L.  The two, and their product, are the half-turns of the
+    trihex, the group D2 of `canonical_code`.  They are computed by `build`'s
+    coset arithmetic, coset (a, y) being vertex
+    (a mod w)*h + (y + (a div w)*shear) mod h, and not read off the graph.
+    """
+    h, w, shear = 2 * (sig.s + 1), 2 * (sig.b + 1), 2 * sig.f
+
+    def translated(da: int, dy: int) -> list[int]:
+        perm: list[int] = []
+        for a in range(w):
+            # column a lands on column a + da, shifted down by dy + q*shear
+            q, a = divmod(a + da, w)
+            base, k = a * h, (dy + q * shear) % h
+            perm.extend(range(base + k, base + h))
+            perm.extend(range(base, base + k))
+        return perm
+
+    return translated(0, sig.s + 1), translated(sig.b + 1, -sig.f)
 
 
 def validate(g: EmbeddedGraph) -> dict[int, int]:
@@ -156,20 +188,16 @@ def mirror_image(g: EmbeddedGraph) -> EmbeddedGraph:
     return EmbeddedGraph(rot=tuple(nbrs[::-1] for nbrs in g.rot), source=mirror(g.source))
 
 
-def _code_from(
-    rot: Rotation, start_v: int, start_w: int, bound: list[int] | None = None, exact: bool = False
-) -> list[int] | None:
+def _code_from(rot: Rotation, start_v: int, start_w: int, target: list[int] | None = None) -> list[int] | None:
     """Breadth-first code of the graph rooted at the dart (start_v, start_w).
 
     Vertices are numbered in discovery order (start_v is 0 and start_w is
     1); each vertex emits its three neighbors' numbers, reading its rotation
-    forwards from the entry edge.  With a `bound`, each complete block of 4
-    vertices (12 entries) is compared with the same slice of it: the code is
-    abandoned (None) at the first block above the bound, and comparing stops
-    at the first block below it, or, when `exact`, the code is abandoned at
-    the first block that differs.  A partial last block is never compared,
-    so a returned code can still differ from the bound when n is not a
-    multiple of 4.
+    forwards from the entry edge.  With a `target`, each complete block of 4
+    vertices (12 entries) is compared with the same slice of it, and the
+    code is abandoned (None) at the first block that differs.  A partial
+    last block is never compared, so a returned code can still differ from
+    the target when n is not a multiple of 4.
     """
     n = len(rot)
     label = [-1] * n
@@ -180,7 +208,6 @@ def _code_from(
     code: list[int] = []
     append = code.append
     next_label = 2
-    tied = bound is not None
     for i in range(n):
         v = order[i]
         a, b, c = rot[v]
@@ -207,80 +234,82 @@ def _code_from(
             order.append(y)
             entry[ly] = v
         append(ly)
-        if tied and i % 4 == 3:
+        if target is not None and i % 4 == 3:
             lo = 3 * i - 9
-            block = code[lo:]
-            limit = bound[lo : lo + 12]
-            if block != limit:
-                if exact or block > limit:
-                    return None
-                tied = False
+            if code[lo:] != target[lo : lo + 12]:
+                return None
     return code
 
 
-def _triangle_darts(g: EmbeddedGraph) -> list[tuple[int, int]]:
-    """The darts on a triangular face, 12 for a trihex.
+def _triangle_roots(g: EmbeddedGraph) -> list[tuple[int, int]]:
+    """The three darts of the first triangular face that a corner scan finds, or none.
 
     The dart (p, w) is on one when its face closes after three steps: q
-    follows p in w's rotation, p follows w in q's, and w follows q in p's.
-    A 3-cycle that is not a face fails one of the last two.  Only a vertex
-    with two adjacent neighbors has its three corners checked.
+    follows p in w's rotation, p follows w in q's, and w follows q in p's,
+    and then (w, q) and (q, p) are the face's other two darts.  A 3-cycle
+    that is not a face fails one of the last two.  Only a vertex with two
+    adjacent neighbors has its three corners checked.
     """
     rot = g.rot
-    darts = []
     for w, (x, y, z) in enumerate(rot):
         if x in rot[z] or y in rot[x] or z in rot[y]:
             for p, q in ((z, x), (x, y), (y, z)):
                 rq, rp = rot[q], rot[p]
                 # rot[u][j - 2] is the neighbor after rot[u][j]
                 if rq[rq.index(w) - 2] == p and rp[rp.index(q) - 2] == w:
-                    darts.append((p, w))
-    return darts
+                    return [(p, w), (w, q), (q, p)]
+    return []
 
 
 def canonical_code(g: EmbeddedGraph) -> CanonicalCode:
     """Oriented canonical code of a trihex and its number of orientation-preserving automorphisms.
 
     The code is the least breadth-first code rooted at one of the 12 darts on
-    a triangle, found by a scan of the corners at each vertex.  Isomorphisms
-    map triangles to triangles, so the minimum over these roots is canonical
-    (plantri's rooted code on an invariant dart set; Brinkmann & McKay,
-    *Fast generation of planar graphs*, 2007), and the roots that tie for it
-    are one orbit of the automorphisms.  Each root is coded with the best
-    code so far as its bound, so a losing root is abandoned at its first
-    block of 4 vertices above the best; a root that ties runs to the end and
-    counts.  Two trihexes are isomorphic by an orientation-preserving map
-    exactly when their codes are equal.  The code of the reflected embedding
-    is `canonical_code(mirror_image(g))`: g is chiral when the two differ,
-    and the smaller one names g's class up to reflection.  A graph with no
-    triangular face raises ValueError.
+    the four triangles.  Isomorphisms map triangles to triangles, so that
+    minimum is canonical (plantri's rooted code on an invariant dart set;
+    Brinkmann & McKay, *Fast generation of planar graphs*, 2007), and the
+    roots that tie for it are one orbit of the automorphisms.  Only the three
+    darts of one triangle, the first that a corner scan finds, are coded,
+    because g is a trihex and so has the half-turns D2 (`build`'s
+    translations by A, B and A + B) among its automorphisms:
+
+    - a nontrivial orientation-preserving automorphism fixes no dart;
+    - so an involution cannot map a triangle to itself, since on the
+      triangle's three darts it would be a rotation of order 1 or 3, and so
+      fix them all;
+    - so D2 acts simply transitively on the four triangles, and each D2
+      orbit of the 12 triangle darts meets every triangle exactly once.
+
+    Codes are constant on orbits, so the least code over the three roots is
+    the least over all 12, and the darts that tie for it are a union of D2
+    orbits: 4 times the roots that tie here.  The domain is trihexes; on a
+    graph without D2 the result means nothing, and `verify_graphs` checks
+    that each graph it codes has it.  Two trihexes are isomorphic by an
+    orientation-preserving map exactly when their codes are equal.  The code
+    of the reflected embedding is `canonical_code(mirror_image(g))`: g is
+    chiral when the two differ, and the smaller one names g's class up to
+    reflection.  A graph with no triangular face raises ValueError.
     """
-    best: list[int] | None = None
-    count = 0
-    for v, w in _triangle_darts(g):
-        code = _code_from(g.rot, v, w, best)
-        if code is None:
-            continue
-        if best is None or code < best:
-            best, count = code, 1
-        elif code == best:
-            count += 1
-    if best is None:
+    roots = _triangle_roots(g)
+    if not roots:
         raise ValueError("canonical_code needs a triangular face, and the graph has none")
-    return CanonicalCode(tuple(best), count)
+    codes = [_code_from(g.rot, v, w) for v, w in roots]
+    best = min(codes)
+    return CanonicalCode(tuple(best), 4 * codes.count(best))
 
 
 def has_code(g: EmbeddedGraph, code: tuple[int, ...]) -> bool:
-    """Whether some triangle-rooted code of g equals `code`.
+    """Whether the code rooted at one of the three darts `canonical_code` codes equals `code`.
 
     Each root is abandoned at its first block of 4 vertices that differs
     from `code`, above or below it, and the search stops at the first match.
-    For a canonical code this is the same test as
-    `canonical_code(g).code == code`, since an isomorphism maps triangles to
-    triangles.
+    For a trihex g and a canonical code this is the same test as
+    `canonical_code(g).code == code`: an isomorphism maps the code's root to
+    a dart on some triangle of g, and one of g's half-turns carries that
+    dart onto the triangle whose darts are tried.
     """
     target = list(code)
-    return any(_code_from(g.rot, v, w, target, exact=True) == target for v, w in _triangle_darts(g))
+    return any(_code_from(g.rot, v, w, target) == target for v, w in _triangle_roots(g))
 
 
 def check_export(n: int, format: str) -> None:

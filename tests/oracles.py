@@ -10,8 +10,8 @@ Hensel lifting of a root mod p to the root mod p^ell above it
 unity mod p^ell directly.
 
 The all-darts canonical code (`_min_code`), where the library roots the
-code at the 12 triangle darts only: it tries all 3n starting darts and
-abandons a code as soon as it exceeds the best one so far.
+code at the three darts of one triangle only: it tries all 3n starting
+darts and abandons a code as soon as it exceeds the best one so far.
 
 The rotation system by one coset reduction per neighbor (`build_rot`), where
 `graph.build` computes each neighbor column once.

@@ -97,12 +97,12 @@ def test_criterion_5_symmetry_correspondence():
     # classes up to reflection = gamma, by the same checks as `verify --with-graphs`
     started = time.time()
     violations = []
-    for v in range(4, 484, 4):
+    for v in range(4, 564, 4):
         violations.extend(
             f"V={v}: {problem}"
             for problem in enumeration.verify_graphs(v, enumeration.trihex_reps(v))
         )
-    _finish(5, "graph-level symmetry correspondence, V <= 480", started, violations)
+    _finish(5, "graph-level symmetry correspondence, V <= 560", started, violations)
 
 
 def _signatures_upto(v_max):

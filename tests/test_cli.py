@@ -260,12 +260,47 @@ def test_negative_jobs_is_refused(capsys, command):
 
 
 @pytest.mark.parametrize("command", ["count --v 28", "verify --v 28", "build --sig 6,2,1 --format planar_code"])
-def test_unwritable_output_is_refused(tmp_path, capsys, command):
-    # a missing directory and a directory: one stderr line and exit 2, not a traceback and exit 1
+def test_unwritable_output_is_refused(tmp_path, monkeypatch, capsys, command):
+    # a missing directory and a directory: one stderr line and exit 2, not a
+    # traceback and exit 1, and before any work, so the work may not even run
+    def no_work(*args):
+        raise AssertionError("worked before opening --output")
+
+    for module, name in ((counting, "report"), (enumeration, "verify"), (graph, "build")):
+        monkeypatch.setattr(module, name, no_work)
     for path, reason in ((tmp_path / "missing" / "out", "No such file or directory"), (tmp_path, "Is a directory")):
         assert run_cli(capsys, *command.split(), "--output", str(path)) == (
             2, "", f"trihex: cannot write {path}: {reason}\n"
         ), path
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "count --v 6",
+        f"verify --v {4 * (2**61 - 1)}",
+        f"enumerate --v {4 * (2**61 - 1)}",
+        "build --sig 250000,0,0 --format dot",
+        f"congruence --n {2**64}",
+    ],
+)
+def test_refused_command_leaves_output_alone(tmp_path, capsys, command):
+    # the file is opened before the work, but a refusal creates no file and
+    # leaves an existing one as it was
+    path = tmp_path / "new.csv"
+    code, out, err = run_cli(capsys, *command.split(), "--output", str(path))
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert not path.exists()
+    path.write_bytes(b"kept\n")
+    assert run_cli(capsys, *command.split(), "--output", str(path)) == (code, out, err)
+    assert path.read_bytes() == b"kept\n"
+
+
+def test_output_replaces_a_longer_file(tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * 10_000)
+    assert run_cli(capsys, "count", "--v", "28", "--output", str(path)) == (0, "", "")
+    assert path.read_bytes() == b"V,sigma,delta,mu,nu,trihexes,gamma,rot_classes\n28,8,2,2,0,4,3,1\n"
 
 
 def test_build_validates_before_export(monkeypatch, capsys):

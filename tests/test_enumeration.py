@@ -1,6 +1,7 @@
 """Tests for constructive enumeration against the closed-form counts."""
 
 import math
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -194,6 +195,28 @@ def test_verify_graphs_reports_census_off_by_one(monkeypatch, field, expected):
     assert verify_graphs(28, reps) == [
         f"classes by automorphism order 24/12/8/4: (0, 1, 2, 0) != {expected}"
     ]
+
+
+def test_verify_graphs_reports_graphs_without_half_turns(monkeypatch):
+    # the same graphs with their vertices shuffled pass validation, but the
+    # translations read off each signature no longer map them onto themselves,
+    # so no representative is coded and none counts as a class
+    build = graph.build
+
+    def shuffled(sig):
+        g = build(sig)
+        new = list(range(g.n))
+        random.Random(g.n).shuffle(new)
+        rot = [()] * g.n
+        for v, nbrs in enumerate(g.rot):
+            rot[new[v]] = tuple(new[w] for w in nbrs)
+        return graph.EmbeddedGraph(tuple(rot), sig)
+
+    monkeypatch.setattr(graph, "build", shuffled)
+    reps = trihex_reps(28)
+    assert verify_graphs(28, reps) == [
+        f"{rep}: half-turn translations are not automorphisms" for rep in reps
+    ] + ["graph classes 0 != gamma 3"]
 
 
 def test_verify_graphs_validates_each_representative_once(monkeypatch):

@@ -13,12 +13,13 @@ from trihex.graph import (
     CanonicalCode,
     EmbeddedGraph,
     _code_from,
-    _triangle_darts,
+    _triangle_roots,
     build,
     canonical_code,
     export,
     face_census,
     faces,
+    half_turn_translations,
     has_code,
     mirror_image,
     validate,
@@ -126,6 +127,32 @@ def test_build_matches_coset_index_oracle():
     for v in range(4, 404, 4):
         for sig in all_signatures(v):
             assert build(sig).rot == oracles.build_rot(sig), sig
+
+
+def _is_automorphism(rot, perm):
+    # perm carries each vertex's rotation onto its image's, neighbor for neighbor
+    return [rot[p] for p in perm] == [(perm[x], perm[y], perm[z]) for x, y, z in rot]
+
+
+def test_half_turn_translations_are_automorphisms():
+    # every trihex has D2: the translations by A = (0, s+1) and B = (b+1, -f),
+    # read through the coset index, are two distinct nontrivial involutions
+    # that carry each rotation onto the rotation of the image vertex
+    for v in range(4, 404, 4):
+        for sig in all_signatures(v):
+            coset = oracles._CosetIndex(sig)
+            # coset (a, y) with a < width and y < height is vertex a*height + y
+            cosets = [(a, y) for a in range(coset.width) for y in range(coset.height)]
+            assert [coset.index(a, y) for a, y in cosets] == list(range(v)), sig
+            tau_a = [coset.index(a, y + sig.s + 1) for a, y in cosets]
+            tau_b = [coset.index(a + sig.b + 1, y - sig.f) for a, y in cosets]
+            rot = build(sig).rot
+            identity = list(range(v))
+            assert tau_a != tau_b, sig
+            for tau in (tau_a, tau_b):
+                assert tau != identity and [tau[t] for t in tau] == identity, sig
+                assert _is_automorphism(rot, tau), sig
+            assert half_turn_translations(sig) == (tau_a, tau_b), sig
 
 
 def test_build_rejects_nothing_but_validates():
@@ -286,12 +313,11 @@ def test_triangle_rooted_code_matches_all_darts_oracle():
 
 
 # a triangular prism: two triangles and three quadrilaterals, n = 6, so the
-# last block of a code (vertices 4 and 5) is never compared with a bound
+# last block of a code (vertices 4 and 5) is never compared with a target
 PRISM = EmbeddedGraph(((1, 2, 3), (2, 0, 4), (0, 1, 5), (5, 4, 0), (3, 5, 1), (4, 3, 2)), Signature(0, 0, 0))
 # the prism with vertex 3's rotation reversed, an embedding on the torus with
-# one triangle: the roots (1,0) and (2,1) tie on the first block, and (2,1) is
-# larger only in the partial last block, so it comes back from `_code_from`
-# without being abandoned and must not be counted as a tie
+# one triangle; neither prism has the half-turns D2 of a trihex, so they test
+# the corner scan and `_code_from`, not `canonical_code`
 TWISTED_PRISM = EmbeddedGraph(PRISM.rot[:3] + ((0, 4, 5),) + PRISM.rot[4:], Signature(0, 0, 0))
 CUBE = EmbeddedGraph(
     ((1, 3, 4), (2, 0, 5), (3, 1, 6), (0, 2, 7), (7, 5, 0), (4, 6, 1), (5, 7, 2), (6, 4, 3)), Signature(0, 0, 0)
@@ -317,17 +343,16 @@ def _darts_on_a_triangle(rot):
 
 
 def test_triangle_darts_match_face_walk_oracle():
-    # the corner scan finds each dart whose face closes after three steps, once
+    # the corner scan returns the three darts of one face that closes after three steps
     graphs = [PRISM, mirror_image(PRISM), TWISTED_PRISM, mirror_image(TWISTED_PRISM)]
     for rep in _reps_upto(240):
         g = build(rep)
         graphs += [g, mirror_image(g)]
     for h in graphs:
-        darts = _triangle_darts(h)
-        assert len(darts) == len(set(darts)), h.source
-        assert set(darts) == set(_darts_on_a_triangle(h.rot)), h.source
-    assert len(_triangle_darts(PRISM)) == 6 and len(_triangle_darts(TWISTED_PRISM)) == 3
-    assert _triangle_darts(CUBE) == []
+        roots = _triangle_roots(h)
+        assert len(roots) == 3 and set(roots) <= set(_darts_on_a_triangle(h.rot)), h.source
+        assert [_step(h.rot, *d) for d in roots] == roots[1:] + roots[:1], h.source
+    assert _triangle_roots(CUBE) == []
 
 
 def test_prism_and_cube_faces():
@@ -343,23 +368,22 @@ def test_canonical_code_without_triangle_raises():
 
 
 def test_canonical_code_is_least_unbounded_triangle_code():
-    # abandoning losing roots early changes neither the code nor the tie count
-    graphs = [PRISM, mirror_image(PRISM), TWISTED_PRISM, mirror_image(TWISTED_PRISM)]
+    # coding one triangle's three darts changes neither the least code over
+    # all 12 triangle darts nor the number of those 12 that tie for it
+    graphs = []
     for rep in _reps_upto(120):
         g = build(rep)
         graphs += [g, mirror_image(g)]
     for h in graphs:
         codes = [_code_from(h.rot, v, w) for v, w in _darts_on_a_triangle(h.rot)]
+        assert len(codes) == 12, h.source
         best = min(codes)
         assert canonical_code(h) == CanonicalCode(tuple(best), codes.count(best)), h.source
-    assert canonical_code(PRISM).oriented_aut_count == 6
-    assert canonical_code(TWISTED_PRISM).oriented_aut_count == 1
 
 
 def test_bounded_code_is_none_or_the_full_code():
-    # a bounded code is abandoned exactly when its first entry that differs
-    # from the bound lies in a complete block of 4 vertices and is above it,
-    # or, for an exact bound, is above or below it
+    # a code with a target is abandoned exactly when its first entry that
+    # differs from the target lies in a complete block of 4 vertices
     graphs = [PRISM, TWISTED_PRISM, CUBE]
     for rep in _reps_upto(24):
         g = build(rep)
@@ -369,18 +393,13 @@ def test_bounded_code_is_none_or_the_full_code():
         roots = [(v, w) for v in range(h.n) for w in h.rot[v]]
         codes = [_code_from(h.rot, *root) for root in roots]
         for root, code in zip(roots, codes):
-            for bound in codes:
-                got = _code_from(h.rot, *root, bound)
-                got_exact = _code_from(h.rot, *root, bound, exact=True)
-                first = next((k for k in range(len(code)) if code[k] != bound[k]), len(code))
-                if first < compared and code[first] > bound[first]:
+            for target in codes:
+                got = _code_from(h.rot, *root, target)
+                first = next((k for k in range(len(code)) if code[k] != target[k]), len(code))
+                if first < compared:
                     assert got is None, (h.source, root)
                 else:
                     assert got == code, (h.source, root)
-                if first < compared:
-                    assert got_exact is None, (h.source, root)
-                else:
-                    assert got_exact == code, (h.source, root)
 
 
 def test_has_code_abandons_roots_below_the_target(monkeypatch):
@@ -401,7 +420,7 @@ def test_has_code_abandons_roots_below_the_target(monkeypatch):
             assert _code(low) < target
             calls.clear()
             assert not has_code(low, target)
-            assert calls == [None] * 12, low.source
+            assert calls == [None] * 3, low.source
 
 
 def test_has_code_finds_orbit_members_and_only_them():

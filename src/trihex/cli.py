@@ -56,6 +56,11 @@ def _parse_range(args) -> list[int]:
         raise ValueError(f"vertex counts must be multiples of 4 and >= 4: {start}..{end}")
     if start > end:
         raise ValueError(f"empty range: {start} > {end}")
+    count = (end - start) // 4 + 1
+    if count > enumeration.MAX_VERTEX_COUNTS:
+        raise ValueError(
+            f"{start}..{end} has {count} vertex counts; a range holds at most {enumeration.MAX_VERTEX_COUNTS}"
+        )
     return list(range(start, end + 1, 4))
 
 
@@ -189,6 +194,15 @@ def _verify_one(task: tuple[int, bool]) -> tuple[int, list[str]]:
 
 def cmd_verify(args) -> int:
     vs = _parse_range(args)
+    if args.with_graphs:
+        work = 0
+        for v in vs:
+            work += counting.report(v).trihexes * v
+            if work > enumeration.MAX_GRAPH_WORK:
+                raise ValueError(
+                    f"graph work, trihexes(V) * V summed, reaches {work} by V={v}; "
+                    f"verify --with-graphs holds at most {enumeration.MAX_GRAPH_WORK}"
+                )
     tasks = [(v, args.with_graphs) for v in vs]
     results = _map_ordered(_verify_one, tasks, _jobs(args))
     lines = []

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable
-from itertools import chain
 
 from . import counting, graph
 from .errors import InternalInconsistencyError, VerificationFailureError
@@ -32,6 +31,18 @@ from .signature import (
 # `all_signatures` refuses a V with more signatures than this.  There are
 # sigma(V/4) of them, which grows with V: V = 4p for a prime p has p + 1.
 MAX_SIGNATURES = 2_000_000
+
+# `cli` refuses a range of more vertex counts than this before listing it.
+# On a 2-core Xeon VM with Python 3.11, the largest it admits, V = 4..2 000 000,
+# takes 4.4 s and 224 MiB through `count`, 9.6 s and 1 078 MiB as structured,
+# about what `enumerate` takes at MAX_SIGNATURES.
+MAX_VERTEX_COUNTS = 500_000
+
+# `cli verify --with-graphs` refuses a range whose graph work, the sum of
+# trihexes(V) * V, passes this, before building a graph.  A unit takes 9-11 us
+# at --jobs 1 on the same machine: V = 4..756 (4 989 188 units) takes 43 s and
+# 23 MiB, and V = 7060 alone (4 998 480) 55 s and 352 MiB, for its codes.
+MAX_GRAPH_WORK = 5_000_000
 
 
 def all_signatures(v: int) -> list[Signature]:
@@ -129,49 +140,29 @@ def verify(v: int) -> list[Signature]:
     return reps
 
 
-def _has_half_turns(g: graph.EmbeddedGraph, rep: Signature) -> bool:
-    """Whether `build(rep)`'s translations by A and B are distinct, nontrivial automorphisms of g.
-
-    Each must carry every rotation onto the rotation of the image vertex,
-    neighbor for neighbor.  Both are involutions and commute by the coset
-    arithmetic, so with their product and the identity they are the group
-    D2 that `canonical_code` relies on.
-    """
-    rot = g.rot
-    tau_a, tau_b = graph.half_turn_translations(rep)
-    identity = list(range(g.n))
-    return tau_a != tau_b and all(
-        tau != identity
-        # tau of each neighbor, vertex by vertex, against the rotation of tau of each vertex
-        and list(map(tau.__getitem__, chain.from_iterable(rot))) == list(chain.from_iterable(map(rot.__getitem__, tau)))
-        for tau in (tau_a, tau_b)
-    )
-
-
 def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
     """Check the trihex representatives `reps` of v as graphs; return the problems found.
 
-    Each representative is built and validated once, its half-turns are
-    checked, and it gets two oriented canonical codes: forward, and
-    backward (the code of its mirror image).  The half-turns are the
-    translations by A and B of the representative's own signature, checked
-    on g only, since the mirror image keeps g's vertex labels and has the
-    same automorphisms; without them the codes' count of 4 times the tied
-    roots would be assumed, so a representative that lacks them gets no
-    codes.  Orbit members are only matched with `has_code`: a match is a
-    witness in itself, a miss is reported either way, and a member with the
-    representative's code is isomorphic to it, so it would pass the same
-    validation.  The checks are: exactly 12 oriented automorphisms (the
-    rotation group T, with its 3-fold axes) for coinciding signatures and 4
-    (D2) otherwise, the rotation groups of the trihex point groups (Deza &
-    Dutour Sikiric, *Geometry of Chemical Graphs*, 2008); chirality (the two
-    codes differ) exactly without mirror symmetry; distinct oriented codes
-    for distinct representatives; the same oriented code for every orbit
-    member; gamma classes up to reflection (the smaller of the two codes);
-    and the census of those classes by full automorphism order (the oriented
-    count, doubled when the two codes are equal): nu of order 24 (Td),
-    rot_classes - nu of order 12 (T), mu - nu of order 8 (D2d or D2h) and
-    the rest of order 4 (D2).
+    Each representative is built and validated once, its half-turns D2 are
+    checked (`graph.check_half_turns`, on g only: the mirror image has the
+    same automorphisms), and it gets two oriented canonical codes: forward,
+    and backward (the code of its mirror image).  A representative that
+    fails either check is reported once and gets no codes, since
+    `canonical_code` relies on D2.  Orbit members are only matched with
+    `has_code`: a match is a witness in itself, a miss is reported either
+    way, and a member with the representative's code is isomorphic to it,
+    so it would pass the same validation.  The checks are: exactly 12
+    oriented automorphisms (the rotation group T, with its 3-fold axes) for
+    coinciding signatures and 4 (D2) otherwise, the rotation groups of the
+    trihex point groups (Deza & Dutour Sikiric, *Geometry of Chemical
+    Graphs*, 2008); chirality (the two codes differ) exactly without mirror
+    symmetry; distinct oriented codes for distinct representatives; the
+    same oriented code for every orbit member; gamma classes up to
+    reflection (the smaller of the two codes); and the census of those
+    classes by full automorphism order (the oriented count, doubled when
+    the two codes are equal): nu of order 24 (Td), rot_classes - nu of
+    order 12 (T), mu - nu of order 8 (D2d or D2h) and the rest of order 4
+    (D2).
     """
     problems: list[str] = []
     oriented: dict[tuple[int, ...], Signature] = {}
@@ -180,11 +171,9 @@ def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
         try:
             g = graph.build(rep)
             graph.validate(g)
+            graph.check_half_turns(g, rep)
         except InternalInconsistencyError as exc:
             problems.append(f"build {rep}: {exc}")
-            continue
-        if not _has_half_turns(g, rep):
-            problems.append(f"{rep}: half-turn translations are not automorphisms")
             continue
         fwd = graph.canonical_code(g)
         bwd = graph.canonical_code(graph.mirror_image(g))

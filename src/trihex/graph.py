@@ -23,23 +23,18 @@ which is what `build` constructs.  The sign of f in B is the handedness
 convention; it is pinned by the mirror-image and equivalent-signature
 tests, not by choice.  `build` only constructs and `validate` checks.
 
-Every trihex has three half-turns among its automorphisms, which with the
-identity form the group D2: in the quotient they are the translations by A,
-B and A + B, which commute with rot because 2A and 2B lie in 2L
-(`half_turn_translations`).  So `canonical_code` roots plantri's
-breadth-first code at the three darts of one triangle, the first that a
-corner scan finds, and not at all 3n darts: D2 carries that triangle onto
-each of the other three (Brinkmann & McKay, 2007, prune roots by known
-automorphisms the same way).  `has_code` asks whether one of those three
-roots gives a known code, and abandons a root at its first block that
-differs.
+Every trihex has the half-turns D2 among its automorphisms (the argument
+is in `canonical_code`), and `check_half_turns` checks them on a graph, so
+`canonical_code` and `has_code` root plantri's breadth-first code at the
+three darts of one triangle and not at all 3n darts.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
 from .signature import Signature, hexagon_count, mirror, vertex_count
@@ -53,8 +48,7 @@ Rotation = tuple[tuple[int, int, int], ...]
 MAX_VERTICES = 1_000_000
 
 
-@dataclass(frozen=True)
-class EmbeddedGraph:
+class EmbeddedGraph(NamedTuple):
     """A cubic rotation system together with the signature it realizes."""
 
     rot: Rotation
@@ -65,8 +59,7 @@ class EmbeddedGraph:
         return len(self.rot)
 
 
-@dataclass(frozen=True)
-class CanonicalCode:
+class CanonicalCode(NamedTuple):
     """Relabeling-invariant code of an embedded graph, up to orientation-preserving maps."""
 
     code: tuple[int, ...]
@@ -95,16 +88,11 @@ def build(sig: Signature) -> EmbeddedGraph:
     return EmbeddedGraph(rot=tuple(rot), source=sig)
 
 
-def half_turn_translations(sig: Signature) -> tuple[list[int], list[int]]:
+def _half_turn_translations(sig: Signature) -> tuple[list[int], list[int]]:
     """The vertex permutations of `build(sig)` that translate by A and by B.
 
-    Translating by a vector t of L sends the coset g of 2L to g + t and
-    rot(g) to rot(g) - t, which is rot(g) + t mod 2L, so each translation is
-    an orientation-preserving automorphism, and an involution because 2t
-    lies in 2L.  The two, and their product, are the half-turns of the
-    trihex, the group D2 of `canonical_code`.  They are computed by `build`'s
-    coset arithmetic, coset (a, y) being vertex
-    (a mod w)*h + (y + (a div w)*shear) mod h, and not read off the graph.
+    They are computed by `build`'s coset arithmetic, coset (a, y) being
+    vertex (a mod w)*h + (y + (a div w)*shear) mod h, and not read off the graph.
     """
     h, w, shear = 2 * (sig.s + 1), 2 * (sig.b + 1), 2 * sig.f
 
@@ -119,6 +107,26 @@ def half_turn_translations(sig: Signature) -> tuple[list[int], list[int]]:
         return perm
 
     return translated(0, sig.s + 1), translated(sig.b + 1, -sig.f)
+
+
+def check_half_turns(g: EmbeddedGraph, sig: Signature) -> None:
+    """Raise unless `build(sig)`'s translations by A and B are distinct, nontrivial automorphisms of g.
+
+    Each must carry every rotation onto the rotation of the image vertex,
+    neighbor for neighbor; with their product they are the half-turns D2
+    that `canonical_code` relies on.  The signature is an argument and not
+    `g.source`, because `mirror_image(g)` keeps g's vertex labels.
+    """
+    rot = g.rot
+    tau_a, tau_b = _half_turn_translations(sig)
+    identity = list(range(g.n))
+    if len(tau_a) != g.n or tau_a == tau_b or not all(
+        tau != identity
+        # tau of each neighbor, vertex by vertex, against the rotation of tau of each vertex
+        and list(map(tau.__getitem__, chain.from_iterable(rot))) == list(chain.from_iterable(map(rot.__getitem__, tau)))
+        for tau in (tau_a, tau_b)
+    ):
+        raise InternalInconsistencyError(f"{sig}: half-turn translations are not automorphisms")
 
 
 def validate(g: EmbeddedGraph) -> dict[int, int]:
@@ -270,9 +278,14 @@ def canonical_code(g: EmbeddedGraph) -> CanonicalCode:
     Brinkmann & McKay, *Fast generation of planar graphs*, 2007), and the
     roots that tie for it are one orbit of the automorphisms.  Only the three
     darts of one triangle, the first that a corner scan finds, are coded,
-    because g is a trihex and so has the half-turns D2 (`build`'s
-    translations by A, B and A + B) among its automorphisms:
+    because g is a trihex and so has the half-turns D2 among its
+    automorphisms:
 
+    - in `build`'s quotient, translating by a vector t of L sends the coset
+      c of 2L to c + t and rot(c) to rot(c) - t, which is rot(c) + t mod 2L;
+      so the translations by A, B and A + B are orientation-preserving
+      automorphisms, and involutions because 2t lies in 2L: with the
+      identity they are D2 (`check_half_turns` checks them on a graph);
     - a nontrivial orientation-preserving automorphism fixes no dart;
     - so an involution cannot map a triangle to itself, since on the
       triangle's three darts it would be a rotation of order 1 or 3, and so
@@ -283,12 +296,11 @@ def canonical_code(g: EmbeddedGraph) -> CanonicalCode:
     Codes are constant on orbits, so the least code over the three roots is
     the least over all 12, and the darts that tie for it are a union of D2
     orbits: 4 times the roots that tie here.  The domain is trihexes; on a
-    graph without D2 the result means nothing, and `verify_graphs` checks
-    that each graph it codes has it.  Two trihexes are isomorphic by an
-    orientation-preserving map exactly when their codes are equal.  The code
-    of the reflected embedding is `canonical_code(mirror_image(g))`: g is
-    chiral when the two differ, and the smaller one names g's class up to
-    reflection.  A graph with no triangular face raises ValueError.
+    graph without D2 the result means nothing.  Two trihexes are isomorphic
+    by an orientation-preserving map exactly when their codes are equal.
+    The code of the reflected embedding is `canonical_code(mirror_image(g))`:
+    g is chiral when the two differ, and the smaller one names g's class up
+    to reflection.  A graph with no triangular face raises ValueError.
     """
     roots = _triangle_roots(g)
     if not roots:
@@ -304,9 +316,7 @@ def has_code(g: EmbeddedGraph, code: tuple[int, ...]) -> bool:
     Each root is abandoned at its first block of 4 vertices that differs
     from `code`, above or below it, and the search stops at the first match.
     For a trihex g and a canonical code this is the same test as
-    `canonical_code(g).code == code`: an isomorphism maps the code's root to
-    a dart on some triangle of g, and one of g's half-turns carries that
-    dart onto the triangle whose darts are tried.
+    `canonical_code(g).code == code`, by the D2 argument of `canonical_code`.
     """
     target = list(code)
     return any(_code_from(g.rot, v, w, target) == target for v, w in _triangle_roots(g))

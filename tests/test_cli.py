@@ -246,10 +246,44 @@ def test_build_refuses_planar_code_before_building(monkeypatch, capsys):
         (f"verify --v {4 * (2**61 - 1)}",
          f"V={4 * (2**61 - 1)} has {2**61} signatures; enumeration holds at most 2000000"),
         ("build --sig 250000,0,0 --format dot", "build holds at most 1000000 vertices, got 1000004"),
+        ("count --from 4 --to 2000004", "4..2000004 has 500001 vertex counts; a range holds at most 500000"),
     ],
 )
 def test_work_growing_with_v_is_refused(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (2, "", f"trihex: {message}\n")
+
+
+def test_range_is_refused_before_it_is_listed(monkeypatch, capsys):
+    # 10^12 vertex counts: listing them first would exhaust memory, so the
+    # refusal may not even call range
+    def no_range(*args):
+        raise AssertionError("listed the range before refusing it")
+
+    monkeypatch.setattr(cli, "range", no_range, raising=False)
+    assert run_cli(capsys, "count", "--from", "4", "--to", "4000000000000") == (
+        2, "", "trihex: 4..4000000000000 has 1000000000000 vertex counts; a range holds at most 500000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, work, v",
+    [
+        # one V that passes MAX_SIGNATURES and MAX_VERTICES but would build 348 480 graphs of 997 920 vertices
+        ("--v 997920", 347755161600, 997920),
+        # the first V at which the sum passes the cap; the range's end is never reached
+        ("--from 4 --to 2000000", 5080388, 760),
+    ],
+)
+def test_verify_with_graphs_refuses_too_much_graph_work(monkeypatch, capsys, argv, work, v):
+    def no_work(*args):
+        raise AssertionError("worked before refusing")
+
+    for module, name in ((enumeration, "verify"), (graph, "build")):
+        monkeypatch.setattr(module, name, no_work)
+    assert run_cli(capsys, "verify", "--with-graphs", *argv.split()) == (
+        2, "", f"trihex: graph work, trihexes(V) * V summed, reaches {work} by V={v}; "
+        "verify --with-graphs holds at most 5000000\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["count --v 28", "verify --v 28"])
@@ -282,6 +316,8 @@ def test_unwritable_output_is_refused(tmp_path, monkeypatch, capsys, command):
         f"enumerate --v {4 * (2**61 - 1)}",
         "build --sig 250000,0,0 --format dot",
         f"congruence --n {2**64}",
+        "count --from 4 --to 2000004",
+        "verify --v 997920 --with-graphs",
     ],
 )
 def test_refused_command_leaves_output_alone(tmp_path, capsys, command):
@@ -486,16 +522,17 @@ def test_congruence_64_bit_time_and_memory(capsys, n, roots):
 
 
 def test_import_leaves_numpy_out():
+    # nor dataclasses, which would load inspect, ast and dis on every start
     src = pathlib.Path(trihex.__file__).parent.parent
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, trihex.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, trihex.cli; print({'numpy', 'dataclasses'} & set(sys.modules))"],
         env={"PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     )
-    assert result.stdout == "False\n"
+    assert result.stdout == "set()\n"
 
 
 def test_count_survives_early_pipe_close():

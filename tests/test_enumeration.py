@@ -215,7 +215,7 @@ def test_verify_graphs_reports_graphs_without_half_turns(monkeypatch):
     monkeypatch.setattr(graph, "build", shuffled)
     reps = trihex_reps(28)
     assert verify_graphs(28, reps) == [
-        f"{rep}: half-turn translations are not automorphisms" for rep in reps
+        f"build {rep}: {rep}: half-turn translations are not automorphisms" for rep in reps
     ] + ["graph classes 0 != gamma 3"]
 
 

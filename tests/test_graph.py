@@ -1,6 +1,7 @@
 """Tests for graph realization, canonical codes, and export formats."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -13,13 +14,14 @@ from trihex.graph import (
     CanonicalCode,
     EmbeddedGraph,
     _code_from,
+    _half_turn_translations,
     _triangle_roots,
     build,
     canonical_code,
+    check_half_turns,
     export,
     face_census,
     faces,
-    half_turn_translations,
     has_code,
     mirror_image,
     validate,
@@ -146,13 +148,35 @@ def test_half_turn_translations_are_automorphisms():
             assert [coset.index(a, y) for a, y in cosets] == list(range(v)), sig
             tau_a = [coset.index(a, y + sig.s + 1) for a, y in cosets]
             tau_b = [coset.index(a + sig.b + 1, y - sig.f) for a, y in cosets]
-            rot = build(sig).rot
+            g = build(sig)
+            rot = g.rot
             identity = list(range(v))
             assert tau_a != tau_b, sig
             for tau in (tau_a, tau_b):
                 assert tau != identity and [tau[t] for t in tau] == identity, sig
                 assert _is_automorphism(rot, tau), sig
-            assert half_turn_translations(sig) == (tau_a, tau_b), sig
+            assert _half_turn_translations(sig) == (tau_a, tau_b), sig
+            check_half_turns(g, sig)
+
+
+def test_half_turn_check_depends_on_labels():
+    # mirror_image(g) keeps g's vertex labels, so the translations of the
+    # mirror signature, read through the labels `build` gives it, are not
+    # automorphisms of mirror_image(g), while those of g's own signature are
+    checked = 0
+    for rep in _reps_upto(120):
+        if mirror(rep) == rep:
+            continue
+        reflected = mirror_image(build(rep))
+        check_half_turns(reflected, rep)
+        message = f"^{re.escape(str(mirror(rep)))}: half-turn translations are not automorphisms$"
+        with pytest.raises(InternalInconsistencyError, match=message):
+            check_half_turns(reflected, mirror(rep))
+        checked += 1
+    assert checked == 183
+    # a graph with another vertex count is refused, not indexed out of range
+    with pytest.raises(InternalInconsistencyError, match=r"^\(0,0,0\): half-turn"):
+        check_half_turns(build(Signature(1, 0, 0)), Signature(0, 0, 0))
 
 
 def test_build_rejects_nothing_but_validates():

@@ -19,7 +19,6 @@ from .enumeration import (
 from .errors import InternalInconsistencyError, VerificationFailureError
 from .graph import (
     CanonicalCode,
-    EmbeddedGraph,
     build,
     canonical_code,
     export,
@@ -34,7 +33,6 @@ from .signature import (
     Signature,
     canonical_rep,
     has_mirror_symmetry,
-    hexagon_count,
     is_canonical,
     is_coinciding,
     mirror,
@@ -46,7 +44,6 @@ from .signature import (
 __all__ = [
     "CanonicalCode",
     "CountReport",
-    "EmbeddedGraph",
     "Factorization",
     "InternalInconsistencyError",
     "Signature",
@@ -64,7 +61,6 @@ __all__ = [
     "graph_class_reps",
     "has_code",
     "has_mirror_symmetry",
-    "hexagon_count",
     "is_canonical",
     "is_coinciding",
     "mirror",

@@ -36,6 +36,18 @@ from .signature import parse_signature, vertex_count
 
 SCHEMA_VERSION = 1
 
+# A range holds at most this many vertex counts, refused before it is listed.
+# On a 2-core Xeon VM with Python 3.11, the largest it admits, V = 4..2 000 000,
+# takes 4.4 s and 224 MiB through `count`, 9.6 s and 1 078 MiB as structured,
+# about what `enumerate` takes at enumeration.MAX_SIGNATURES.
+MAX_VERTEX_COUNTS = 500_000
+
+# `verify --with-graphs` refuses a range whose graph work, the sum of
+# trihexes(V) * V, passes this, before building a graph.  A unit takes 9-11 us
+# at --jobs 1 on the same machine: V = 4..756 (4 989 188 units) takes 43 s and
+# 23 MiB, and V = 7060 alone (4 998 480) 55 s and 352 MiB, for its codes.
+MAX_GRAPH_WORK = 5_000_000
+
 _STREAMS = {
     "all": enumeration.all_signatures,
     "reps": enumeration.trihex_reps,
@@ -57,22 +69,15 @@ def _parse_range(args) -> list[int]:
     if start > end:
         raise ValueError(f"empty range: {start} > {end}")
     count = (end - start) // 4 + 1
-    if count > enumeration.MAX_VERTEX_COUNTS:
-        raise ValueError(
-            f"{start}..{end} has {count} vertex counts; a range holds at most {enumeration.MAX_VERTEX_COUNTS}"
-        )
+    if count > MAX_VERTEX_COUNTS:
+        raise ValueError(f"{start}..{end} has {count} vertex counts; a range holds at most {MAX_VERTEX_COUNTS}")
     return list(range(start, end + 1, 4))
 
 
-def _jobs(args) -> int:
-    if args.jobs < 0:
-        raise ValueError(f"--jobs must be nonnegative, got {args.jobs}")
-    return args.jobs or os.cpu_count() or 1
-
-
 def _map_ordered(fn, items, jobs: int):
-    """Apply fn over items, preserving order, in min(jobs, cores, items) worker processes when that exceeds 1."""
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+    """Apply fn over items in order, in min(jobs or cores, cores, items) worker processes when that exceeds 1."""
+    cores = os.cpu_count() or 1
+    workers = min(jobs or cores, len(items), cores)
     if workers <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -141,7 +146,7 @@ def _emit_json(doc: dict, args) -> None:
 
 def cmd_count(args) -> int:
     vs = _parse_range(args)
-    reports = _map_ordered(counting.report, vs, _jobs(args))
+    reports = _map_ordered(counting.report, vs, args.jobs)
     if args.format == "csv":
         lines = [",".join(counting.CountReport._fields)]
         lines.extend(r.csv_row() for r in reports)
@@ -170,13 +175,13 @@ def cmd_enumerate(args) -> int:
 def cmd_build(args) -> int:
     sig = parse_signature(args.sig)
     graph.check_export(vertex_count(sig), args.format)
-    g = graph.build(sig)
-    census = graph.validate(g)
-    _emit(graph.export(g, args.format, census), args)
+    rot = graph.build(sig)
+    census = graph.validate(rot)
+    _emit(graph.export(rot, sig, args.format, census), args)
     # after the output, so that an --output file that cannot be written leaves one stderr line
     if not args.quiet:
         print(
-            f"signature {sig}: {g.n} vertices, faces "
+            f"signature {sig}: {len(rot)} vertices, faces "
             + ", ".join(f"{count} of length {k}" for k, count in census.items()),
             file=sys.stderr,
         )
@@ -198,13 +203,13 @@ def cmd_verify(args) -> int:
         work = 0
         for v in vs:
             work += counting.report(v).trihexes * v
-            if work > enumeration.MAX_GRAPH_WORK:
+            if work > MAX_GRAPH_WORK:
                 raise ValueError(
                     f"graph work, trihexes(V) * V summed, reaches {work} by V={v}; "
-                    f"verify --with-graphs holds at most {enumeration.MAX_GRAPH_WORK}"
+                    f"verify --with-graphs holds at most {MAX_GRAPH_WORK}"
                 )
     tasks = [(v, args.with_graphs) for v in vs]
-    results = _map_ordered(_verify_one, tasks, _jobs(args))
+    results = _map_ordered(_verify_one, tasks, args.jobs)
     lines = []
     failures = 0
     for v, problems in results:
@@ -304,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 0:
+            raise ValueError(f"--jobs must be nonnegative, got {args.jobs}")
         with _output_file(args.output) as args.output_file:
             return args.func(args)
     except ValueError as exc:

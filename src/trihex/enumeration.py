@@ -32,18 +32,6 @@ from .signature import (
 # sigma(V/4) of them, which grows with V: V = 4p for a prime p has p + 1.
 MAX_SIGNATURES = 2_000_000
 
-# `cli` refuses a range of more vertex counts than this before listing it.
-# On a 2-core Xeon VM with Python 3.11, the largest it admits, V = 4..2 000 000,
-# takes 4.4 s and 224 MiB through `count`, 9.6 s and 1 078 MiB as structured,
-# about what `enumerate` takes at MAX_SIGNATURES.
-MAX_VERTEX_COUNTS = 500_000
-
-# `cli verify --with-graphs` refuses a range whose graph work, the sum of
-# trihexes(V) * V, passes this, before building a graph.  A unit takes 9-11 us
-# at --jobs 1 on the same machine: V = 4..756 (4 989 188 units) takes 43 s and
-# 23 MiB, and V = 7060 alone (4 998 480) 55 s and 352 MiB, for its codes.
-MAX_GRAPH_WORK = 5_000_000
-
 
 def all_signatures(v: int) -> list[Signature]:
     """Every signature (s, b, f) with 4(s+1)(b+1) = v, lexicographically sorted."""
@@ -144,7 +132,7 @@ def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
     """Check the trihex representatives `reps` of v as graphs; return the problems found.
 
     Each representative is built and validated once, its half-turns D2 are
-    checked (`graph.check_half_turns`, on g only: the mirror image has the
+    checked (`graph.check_half_turns`, on rot only: the mirror image has the
     same automorphisms), and it gets two oriented canonical codes: forward,
     and backward (the code of its mirror image).  A representative that
     fails either check is reported once and gets no codes, since
@@ -169,14 +157,14 @@ def verify_graphs(v: int, reps: Iterable[Signature]) -> list[str]:
     classes: dict[tuple[int, ...], int] = {}
     for rep in reps:
         try:
-            g = graph.build(rep)
-            graph.validate(g)
-            graph.check_half_turns(g, rep)
+            rot = graph.build(rep)
+            graph.validate(rot)
+            graph.check_half_turns(rot, rep)
         except InternalInconsistencyError as exc:
             problems.append(f"build {rep}: {exc}")
             continue
-        fwd = graph.canonical_code(g)
-        bwd = graph.canonical_code(graph.mirror_image(g))
+        fwd = graph.canonical_code(rot)
+        bwd = graph.canonical_code(graph.mirror_image(rot))
         if fwd.oriented_aut_count != (12 if is_coinciding(rep) else 4):
             problems.append(f"{rep}: 3-fold symmetry vs automorphism count")
         if (fwd.code != bwd.code) == has_mirror_symmetry(rep):

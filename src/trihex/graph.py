@@ -1,4 +1,8 @@
-"""Realize a signature as an embedded cubic graph (rotation system).
+"""Realize a signature as an embedded cubic graph, which is its rotation table.
+
+A graph is its rotation table, a `Rotation`: rot[v] lists v's three
+neighbors counterclockwise, and nothing else is stored.  `export` takes the
+signature as well, for its structured format.
 
 Construction
 ------------
@@ -21,10 +25,11 @@ its east representative gives the rotation system
 
 which is what `build` constructs.  The sign of f in B is the handedness
 convention; it is pinned by the mirror-image and equivalent-signature
-tests, not by choice.  `build` only constructs and `validate` checks.
+tests, not by choice.  `build` only constructs, and `validate` checks from
+the table alone that it is a trihex.
 
 Every trihex has the half-turns D2 among its automorphisms (the argument
-is in `canonical_code`), and `check_half_turns` checks them on a graph, so
+is in `canonical_code`), and `check_half_turns` checks them on a table, so
 `canonical_code` and `has_code` root plantri's breadth-first code at the
 three darts of one triangle and not at all 3n darts.
 """
@@ -37,7 +42,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
-from .signature import Signature, hexagon_count, mirror, vertex_count
+from .signature import Signature, vertex_count
 
 Rotation = tuple[tuple[int, int, int], ...]
 
@@ -48,17 +53,6 @@ Rotation = tuple[tuple[int, int, int], ...]
 MAX_VERTICES = 1_000_000
 
 
-class EmbeddedGraph(NamedTuple):
-    """A cubic rotation system together with the signature it realizes."""
-
-    rot: Rotation
-    source: Signature
-
-    @property
-    def n(self) -> int:
-        return len(self.rot)
-
-
 class CanonicalCode(NamedTuple):
     """Relabeling-invariant code of an embedded graph, up to orientation-preserving maps."""
 
@@ -66,7 +60,7 @@ class CanonicalCode(NamedTuple):
     oriented_aut_count: int
 
 
-def build(sig: Signature) -> EmbeddedGraph:
+def build(sig: Signature) -> Rotation:
     """Quotient the hexagonal tiling by the half-turn group of `sig`; `validate` checks the result."""
     n = vertex_count(sig)
     if n > MAX_VERTICES:
@@ -85,7 +79,7 @@ def build(sig: Signature) -> EmbeddedGraph:
     rot: list[tuple[int, int, int]] = []
     for a in range(w):
         rot.extend(zip(column(-a - 2, -1), column(-a - 1, 0), column(-a - 1, -1)))
-    return EmbeddedGraph(rot=tuple(rot), source=sig)
+    return tuple(rot)
 
 
 def _half_turn_translations(sig: Signature) -> tuple[list[int], list[int]]:
@@ -109,66 +103,67 @@ def _half_turn_translations(sig: Signature) -> tuple[list[int], list[int]]:
     return translated(0, sig.s + 1), translated(sig.b + 1, -sig.f)
 
 
-def check_half_turns(g: EmbeddedGraph, sig: Signature) -> None:
-    """Raise unless `build(sig)`'s translations by A and B are distinct, nontrivial automorphisms of g.
+def check_half_turns(rot: Rotation, sig: Signature) -> None:
+    """Raise unless `build(sig)`'s translations by A and B are distinct, nontrivial automorphisms of rot.
 
     Each must carry every rotation onto the rotation of the image vertex,
     neighbor for neighbor; with their product they are the half-turns D2
-    that `canonical_code` relies on.  The signature is an argument and not
-    `g.source`, because `mirror_image(g)` keeps g's vertex labels.
+    that `canonical_code` relies on.
     """
-    rot = g.rot
+    n = len(rot)
     tau_a, tau_b = _half_turn_translations(sig)
-    identity = list(range(g.n))
-    if len(tau_a) != g.n or tau_a == tau_b or not all(
+    identity = list(range(n))
+    if len(tau_a) != n or tau_a == tau_b or not all(
         tau != identity
         # tau of each neighbor, vertex by vertex, against the rotation of tau of each vertex
         and list(map(tau.__getitem__, chain.from_iterable(rot))) == list(chain.from_iterable(map(rot.__getitem__, tau)))
         for tau in (tau_a, tau_b)
     ):
-        raise InternalInconsistencyError(f"{sig}: half-turn translations are not automorphisms")
+        raise InternalInconsistencyError("half-turn translations are not automorphisms")
 
 
-def validate(g: EmbeddedGraph) -> dict[int, int]:
-    """Check degree, adjacency symmetry, connectivity, and face census; raise on the first failure.
+def validate(rot: Rotation) -> dict[int, int]:
+    """Check from the table alone that rot is a trihex; raise on the first failure.
 
-    Returns the face census it checked, so a caller that also reports it need not trace the faces again.
+    It must be simple cubic, symmetric and connected, with 4 triangles and
+    n/2 - 2 hexagons, the count Euler's formula leaves for them.  Returns the
+    face census it checked, so a caller that also reports it need not trace
+    the faces again.
     """
-    for v, nbrs in enumerate(g.rot):
+    for v, nbrs in enumerate(rot):
         if len(set(nbrs)) != 3 or v in nbrs:
-            raise InternalInconsistencyError(f"{g.source}: vertex {v} is not simple cubic")
+            raise InternalInconsistencyError(f"vertex {v} is not simple cubic")
         for w in nbrs:
-            if v not in g.rot[w]:
-                raise InternalInconsistencyError(f"{g.source}: adjacency not symmetric")
+            if v not in rot[w]:
+                raise InternalInconsistencyError("adjacency not symmetric")
 
     seen = {0}
     stack = [0]
     while stack:
-        for w in g.rot[stack.pop()]:
+        for w in rot[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    if len(seen) != g.n:
-        raise InternalInconsistencyError(f"{g.source}: graph is not connected")
+    if len(seen) != len(rot):
+        raise InternalInconsistencyError("graph is not connected")
 
-    census = face_census(g)
-    h = hexagon_count(g.source)
+    census = face_census(rot)
+    h = len(rot) // 2 - 2
     expected = {3: 4, 6: h} if h else {3: 4}
     if census != expected:
-        raise InternalInconsistencyError(f"{g.source}: face census {census}, wanted 4 triangles, {h} hexagons")
+        raise InternalInconsistencyError(f"face census {census}, wanted 4 triangles, {h} hexagons")
     return census
 
 
-def faces(g: EmbeddedGraph) -> list[list[int]]:
+def faces(rot: Rotation) -> list[list[int]]:
     """Trace the faces of the rotation system; each dart lies on one face.
 
     The dart (v, rot[v][t]) is marked at index 3v + t, and faces come out in
     the order of their first dart.
     """
-    rot = g.rot
     result = []
-    seen = bytearray(3 * g.n)
-    for d in range(3 * g.n):
+    seen = bytearray(3 * len(rot))
+    for d in range(3 * len(rot)):
         if seen[d]:
             continue
         face = []
@@ -185,15 +180,18 @@ def faces(g: EmbeddedGraph) -> list[list[int]]:
     return result
 
 
-def face_census(g: EmbeddedGraph) -> dict[int, int]:
+def face_census(rot: Rotation) -> dict[int, int]:
     """Number of faces of each length, in ascending order of length."""
-    lengths = Counter(len(face) for face in faces(g))
+    lengths = Counter(len(face) for face in faces(rot))
     return {k: lengths[k] for k in sorted(lengths)}
 
 
-def mirror_image(g: EmbeddedGraph) -> EmbeddedGraph:
-    """The reflected embedding: every rotation reversed, realizing the mirror signature."""
-    return EmbeddedGraph(rot=tuple(nbrs[::-1] for nbrs in g.rot), source=mirror(g.source))
+def mirror_image(rot: Rotation) -> Rotation:
+    """The reflected embedding: every rotation reversed, with rot's vertex labels.
+
+    For `build(sig)` it is isomorphic, though not equal, to `build(mirror(sig))`.
+    """
+    return tuple(nbrs[::-1] for nbrs in rot)
 
 
 def _code_from(rot: Rotation, start_v: int, start_w: int, target: list[int] | None = None) -> list[int] | None:
@@ -249,7 +247,7 @@ def _code_from(rot: Rotation, start_v: int, start_w: int, target: list[int] | No
     return code
 
 
-def _triangle_roots(g: EmbeddedGraph) -> list[tuple[int, int]]:
+def _triangle_roots(rot: Rotation) -> list[tuple[int, int]]:
     """The three darts of the first triangular face that a corner scan finds, or none.
 
     The dart (p, w) is on one when its face closes after three steps: q
@@ -258,7 +256,6 @@ def _triangle_roots(g: EmbeddedGraph) -> list[tuple[int, int]]:
     that is not a face fails one of the last two.  Only a vertex with two
     adjacent neighbors has its three corners checked.
     """
-    rot = g.rot
     for w, (x, y, z) in enumerate(rot):
         if x in rot[z] or y in rot[x] or z in rot[y]:
             for p, q in ((z, x), (x, y), (y, z)):
@@ -269,7 +266,7 @@ def _triangle_roots(g: EmbeddedGraph) -> list[tuple[int, int]]:
     return []
 
 
-def canonical_code(g: EmbeddedGraph) -> CanonicalCode:
+def canonical_code(rot: Rotation) -> CanonicalCode:
     """Oriented canonical code of a trihex and its number of orientation-preserving automorphisms.
 
     The code is the least breadth-first code rooted at one of the 12 darts on
@@ -278,14 +275,14 @@ def canonical_code(g: EmbeddedGraph) -> CanonicalCode:
     Brinkmann & McKay, *Fast generation of planar graphs*, 2007), and the
     roots that tie for it are one orbit of the automorphisms.  Only the three
     darts of one triangle, the first that a corner scan finds, are coded,
-    because g is a trihex and so has the half-turns D2 among its
+    because rot is a trihex and so has the half-turns D2 among its
     automorphisms:
 
     - in `build`'s quotient, translating by a vector t of L sends the coset
       c of 2L to c + t and rot(c) to rot(c) - t, which is rot(c) + t mod 2L;
       so the translations by A, B and A + B are orientation-preserving
       automorphisms, and involutions because 2t lies in 2L: with the
-      identity they are D2 (`check_half_turns` checks them on a graph);
+      identity they are D2 (`check_half_turns` checks them on a table);
     - a nontrivial orientation-preserving automorphism fixes no dart;
     - so an involution cannot map a triangle to itself, since on the
       triangle's three darts it would be a rotation of order 1 or 3, and so
@@ -298,28 +295,28 @@ def canonical_code(g: EmbeddedGraph) -> CanonicalCode:
     orbits: 4 times the roots that tie here.  The domain is trihexes; on a
     graph without D2 the result means nothing.  Two trihexes are isomorphic
     by an orientation-preserving map exactly when their codes are equal.
-    The code of the reflected embedding is `canonical_code(mirror_image(g))`:
-    g is chiral when the two differ, and the smaller one names g's class up
+    The code of the reflected embedding is `canonical_code(mirror_image(rot))`:
+    rot is chiral when the two differ, and the smaller one names its class up
     to reflection.  A graph with no triangular face raises ValueError.
     """
-    roots = _triangle_roots(g)
+    roots = _triangle_roots(rot)
     if not roots:
         raise ValueError("canonical_code needs a triangular face, and the graph has none")
-    codes = [_code_from(g.rot, v, w) for v, w in roots]
+    codes = [_code_from(rot, v, w) for v, w in roots]
     best = min(codes)
     return CanonicalCode(tuple(best), 4 * codes.count(best))
 
 
-def has_code(g: EmbeddedGraph, code: tuple[int, ...]) -> bool:
+def has_code(rot: Rotation, code: tuple[int, ...]) -> bool:
     """Whether the code rooted at one of the three darts `canonical_code` codes equals `code`.
 
     Each root is abandoned at its first block of 4 vertices that differs
     from `code`, above or below it, and the search stops at the first match.
-    For a trihex g and a canonical code this is the same test as
-    `canonical_code(g).code == code`, by the D2 argument of `canonical_code`.
+    For a trihex rot and a canonical code this is the same test as
+    `canonical_code(rot).code == code`, by the D2 argument of `canonical_code`.
     """
     target = list(code)
-    return any(_code_from(g.rot, v, w, target) == target for v, w in _triangle_roots(g))
+    return any(_code_from(rot, v, w, target) == target for v, w in _triangle_roots(rot))
 
 
 def check_export(n: int, format: str) -> None:
@@ -328,53 +325,41 @@ def check_export(n: int, format: str) -> None:
         raise ValueError(f"planar_code holds at most 65535 vertices (2-byte entries), got {n}")
 
 
-def _planar_code_bytes(g: EmbeddedGraph) -> bytes:
-    out = bytearray(b">>planar_code<<")
-    if g.n <= 255:
-        out.append(g.n)
-        for nbrs in g.rot:
-            out.extend(w + 1 for w in nbrs)
-            out.append(0)
-    else:
-        out.append(0)
-        out.extend(g.n.to_bytes(2, "little"))
-        for nbrs in g.rot:
-            for w in nbrs:
-                out.extend((w + 1).to_bytes(2, "little"))
-            out.extend((0).to_bytes(2, "little"))
-    return bytes(out)
+def export(rot: Rotation, sig: Signature, format: str, census: dict[int, int] | None = None) -> bytes:
+    """Serialize rot, the graph `build(sig)` returns, as planar_code, dot, or structured JSON text.
 
-
-def _dot_bytes(g: EmbeddedGraph) -> bytes:
-    lines = ["graph trihex {"]
-    lines.extend(
-        f"  {v} -- {w};" for v in range(g.n) for w in g.rot[v] if v < w
-    )
-    lines.append("}")
-    return ("\n".join(lines) + "\n").encode()
-
-
-def _structured_bytes(g: EmbeddedGraph, census: dict[int, int]) -> bytes:
-    doc = {
-        "n": g.n,
-        "signature": list(g.source),
-        "rot": [list(nbrs) for nbrs in g.rot],
-        "faces": {str(k): count for k, count in census.items()},
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode()
-
-
-def export(g: EmbeddedGraph, format: str, census: dict[int, int] | None = None) -> bytes:
-    """Serialize g as planar_code, dot, or structured JSON text.
-
-    The structured format holds the face census; pass the one `validate` returned
-    to skip tracing the faces again.
+    The structured format holds the signature and the face census; pass the
+    census `validate` returned to skip tracing the faces again.
     """
-    check_export(g.n, format)
+    n = len(rot)
+    check_export(n, format)
     if format == "planar_code":
-        return _planar_code_bytes(g)
+        out = bytearray(b">>planar_code<<")
+        if n <= 255:
+            out.append(n)
+            for nbrs in rot:
+                out.extend(w + 1 for w in nbrs)
+                out.append(0)
+        else:
+            out.append(0)
+            out.extend(n.to_bytes(2, "little"))
+            for nbrs in rot:
+                for w in nbrs:
+                    out.extend((w + 1).to_bytes(2, "little"))
+                out.extend((0).to_bytes(2, "little"))
+        return bytes(out)
     if format == "dot":
-        return _dot_bytes(g)
+        lines = ["graph trihex {"]
+        lines.extend(f"  {v} -- {w};" for v in range(n) for w in rot[v] if v < w)
+        lines.append("}")
+        return ("\n".join(lines) + "\n").encode()
     if format == "structured":
-        return _structured_bytes(g, face_census(g) if census is None else census)
+        census = face_census(rot) if census is None else census
+        doc = {
+            "n": n,
+            "signature": list(sig),
+            "rot": [list(nbrs) for nbrs in rot],
+            "faces": {str(k): count for k, count in census.items()},
+        }
+        return (json.dumps(doc, indent=2) + "\n").encode()
     raise ValueError(f"unknown export format: {format!r}")

@@ -42,11 +42,6 @@ def vertex_count(sig: Signature) -> int:
     return 4 * (sig.s + 1) * (sig.b + 1)
 
 
-def hexagon_count(sig: Signature) -> int:
-    """Number of hexagonal faces: 2sb + 2s + 2b (always V/2 - 2)."""
-    return 2 * sig.s * sig.b + 2 * sig.s + 2 * sig.b
-
-
 def _hnf(a1: int, y1: int, a2: int, y2: int) -> Signature:
     """Signature of the lattice spanned by (a1, y1) and (a2, y2), read off its HNF.
 

@@ -16,6 +16,9 @@ darts and abandons a code as soon as it exceeds the best one so far.
 The rotation system by one coset reduction per neighbor (`build_rot`), where
 `graph.build` computes each neighbor column once.
 
+The paper's hexagon count 2sb + 2s + 2b (`hexagon_count`), where
+`graph.validate` takes n/2 - 2 from Euler's formula.
+
 The counting report as four separate passes over the factorization of V/4,
 one per formula (`report_by_parts`), where `counting.report` builds sigma,
 delta, mu and nu in one loop.
@@ -209,6 +212,11 @@ def build_rot(sig: Signature) -> Rotation:
         for a in range(coset.width)
         for b in range(coset.height)
     )
+
+
+def hexagon_count(sig: Signature) -> int:
+    """Number of hexagonal faces of the trihex `sig`, by the paper's formula."""
+    return 2 * sig.s * sig.b + 2 * sig.s + 2 * sig.b
 
 
 def exact_div(numerator: int, denominator: int, what: str) -> int:

@@ -87,8 +87,8 @@ def test_criterion_4_graph_realization():
             expected = {3: 4, 6: h} if h else {3: 4}
             if census != expected:
                 violations.append(f"{rep}: face census {census}")
-            if g.n != v:
-                violations.append(f"{rep}: n={g.n} != {v}")
+            if len(g) != v:
+                violations.append(f"{rep}: n={len(g)} != {v}")
     _finish(4, "graph realization, V <= 120", started, violations)
 
 

@@ -286,7 +286,10 @@ def test_verify_with_graphs_refuses_too_much_graph_work(monkeypatch, capsys, arg
     )
 
 
-@pytest.mark.parametrize("command", ["count --v 28", "verify --v 28"])
+@pytest.mark.parametrize(
+    "command",
+    ["count --v 28", "verify --v 28", "enumerate --v 8", "build --sig 0,0,0 --format dot", "congruence --n 7"],
+)
 def test_negative_jobs_is_refused(capsys, command):
     assert run_cli(capsys, *command.split(), "--jobs", "-1") == (
         2, "", "trihex: --jobs must be nonnegative, got -1\n"
@@ -341,16 +344,16 @@ def test_output_replaces_a_longer_file(tmp_path, capsys):
 
 def test_build_validates_before_export(monkeypatch, capsys):
     validated = []
-    monkeypatch.setattr(graph, "validate", lambda g: validated.append(g.source) or graph.face_census(g))
+    monkeypatch.setattr(graph, "validate", lambda g: validated.append(g) or graph.face_census(g))
     assert run_cli(capsys, "build", "--sig", "6,2,1", "--format", "dot")[0] == 0
-    assert [str(sig) for sig in validated] == ["(6,2,1)"]
+    assert validated == [graph.build(parse_signature("6,2,1"))]
 
     def broken(g):
-        raise InternalInconsistencyError(f"{g.source}: graph is not connected")
+        raise InternalInconsistencyError("graph is not connected")
 
     monkeypatch.setattr(graph, "validate", broken)
     assert run_cli(capsys, "build", "--sig", "6,2,1", "--format", "dot") == (
-        3, "", "trihex: internal error: (6,2,1): graph is not connected\n"
+        3, "", "trihex: internal error: graph is not connected\n"
     )
 
 
@@ -361,15 +364,15 @@ def test_build_structured_traces_faces_once(monkeypatch, capsys):
     faces = graph.faces
 
     def counted(g):
-        traces.append(g.source)
+        traces.append(g)
         return faces(g)
 
     monkeypatch.setattr(graph, "faces", counted)
     assert run_cli(capsys, "build", "--sig", "13,1,4", "--format", "structured") == expected
     assert expected[2] == "signature (13,1,4): 112 vertices, faces 4 of length 3, 54 of length 6\n"
     assert len(traces) == 1
-    g = graph.build(parse_signature("13,1,4"))
-    assert graph.export(g, "structured") == expected[1].encode()
+    sig = parse_signature("13,1,4")
+    assert graph.export(graph.build(sig), sig, "structured") == expected[1].encode()
     assert len(traces) == 2
 
 

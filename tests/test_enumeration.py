@@ -205,34 +205,34 @@ def test_verify_graphs_reports_graphs_without_half_turns(monkeypatch):
 
     def shuffled(sig):
         g = build(sig)
-        new = list(range(g.n))
-        random.Random(g.n).shuffle(new)
-        rot = [()] * g.n
-        for v, nbrs in enumerate(g.rot):
+        new = list(range(len(g)))
+        random.Random(len(g)).shuffle(new)
+        rot = [()] * len(g)
+        for v, nbrs in enumerate(g):
             rot[new[v]] = tuple(new[w] for w in nbrs)
-        return graph.EmbeddedGraph(tuple(rot), sig)
+        return tuple(rot)
 
     monkeypatch.setattr(graph, "build", shuffled)
     reps = trihex_reps(28)
     assert verify_graphs(28, reps) == [
-        f"build {rep}: {rep}: half-turn translations are not automorphisms" for rep in reps
+        f"build {rep}: half-turn translations are not automorphisms" for rep in reps
     ] + ["graph classes 0 != gamma 3"]
 
 
 def test_verify_graphs_validates_each_representative_once(monkeypatch):
     reps = trihex_reps(28)
     validated = []
-    monkeypatch.setattr(graph, "validate", lambda g: validated.append(g.source))
+    monkeypatch.setattr(graph, "validate", validated.append)
     assert verify_graphs(28, reps) == []
-    assert validated == reps
+    assert validated == [graph.build(rep) for rep in reps]
 
     def broken(g):
-        raise InternalInconsistencyError(f"{g.source}: face census wrong")
+        raise InternalInconsistencyError("face census wrong")
 
     # a representative that fails validation is reported and gets no codes
     monkeypatch.setattr(graph, "validate", broken)
     assert verify_graphs(28, reps) == [
-        f"build {rep}: {rep}: face census wrong" for rep in reps
+        f"build {rep}: face census wrong" for rep in reps
     ] + ["graph classes 0 != gamma 3"]
 
 

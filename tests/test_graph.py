@@ -1,7 +1,6 @@
 """Tests for graph realization, canonical codes, and export formats."""
 
 import json
-import re
 from collections import Counter
 
 import pytest
@@ -12,7 +11,6 @@ from trihex.enumeration import all_signatures, trihex_reps
 from trihex.errors import InternalInconsistencyError
 from trihex.graph import (
     CanonicalCode,
-    EmbeddedGraph,
     _code_from,
     _half_turn_translations,
     _triangle_roots,
@@ -29,7 +27,6 @@ from trihex.graph import (
 from trihex.signature import (
     Signature,
     has_mirror_symmetry,
-    hexagon_count,
     is_coinciding,
     mirror,
     orbit,
@@ -46,16 +43,16 @@ def _is_chiral(g):
 
 def test_build_tetrahedron():
     g = build(Signature(0, 0, 0))
-    assert g.n == 4
+    assert len(g) == 4
     assert sorted(len(f) for f in faces(g)) == [3, 3, 3, 3]
     # K4: every vertex adjacent to the other three
-    for v, nbrs in enumerate(g.rot):
+    for v, nbrs in enumerate(g):
         assert sorted(nbrs) == sorted(set(range(4)) - {v})
 
 
 def test_build_large_example():
     g = build(Signature(6, 2, 1))
-    assert g.n == 84
+    assert len(g) == 84
     census = Counter(len(f) for f in faces(g))
     assert census == {3: 4, 6: 40}
     assert list(face_census(g).items()) == [(3, 4), (6, 40)]
@@ -65,8 +62,8 @@ def test_build_large_example():
 def test_faces_cover_every_dart():
     for sig in (Signature(0, 0, 0), Signature(3, 1, 2), Signature(6, 2, 1)):
         g = build(sig)
-        assert sum(len(f) for f in faces(g)) == 3 * g.n
-        assert len(faces(g)) == 4 + hexagon_count(sig)
+        assert sum(len(f) for f in faces(g)) == 3 * len(g)
+        assert len(faces(g)) == 4 + oracles.hexagon_count(sig)
 
 
 def test_equivalent_signatures_build_isomorphic_graphs():
@@ -91,7 +88,7 @@ def test_aut_count_divides_dart_count():
     for sig in (Signature(0, 0, 0), Signature(2, 0, 0), Signature(13, 1, 4)):
         g = build(sig)
         cc = canonical_code(g)
-        assert (3 * g.n) % cc.oriented_aut_count == 0
+        assert (3 * len(g)) % cc.oriented_aut_count == 0
 
 
 def test_mirror_signatures_build_mirror_graphs():
@@ -128,7 +125,7 @@ def test_build_matches_coset_index_oracle():
     # one coset reduction per neighbor, against each neighbor column computed once
     for v in range(4, 404, 4):
         for sig in all_signatures(v):
-            assert build(sig).rot == oracles.build_rot(sig), sig
+            assert build(sig) == oracles.build_rot(sig), sig
 
 
 def _is_automorphism(rot, perm):
@@ -148,15 +145,14 @@ def test_half_turn_translations_are_automorphisms():
             assert [coset.index(a, y) for a, y in cosets] == list(range(v)), sig
             tau_a = [coset.index(a, y + sig.s + 1) for a, y in cosets]
             tau_b = [coset.index(a + sig.b + 1, y - sig.f) for a, y in cosets]
-            g = build(sig)
-            rot = g.rot
+            rot = build(sig)
             identity = list(range(v))
             assert tau_a != tau_b, sig
             for tau in (tau_a, tau_b):
                 assert tau != identity and [tau[t] for t in tau] == identity, sig
                 assert _is_automorphism(rot, tau), sig
             assert _half_turn_translations(sig) == (tau_a, tau_b), sig
-            check_half_turns(g, sig)
+            check_half_turns(rot, sig)
 
 
 def test_half_turn_check_depends_on_labels():
@@ -169,46 +165,49 @@ def test_half_turn_check_depends_on_labels():
             continue
         reflected = mirror_image(build(rep))
         check_half_turns(reflected, rep)
-        message = f"^{re.escape(str(mirror(rep)))}: half-turn translations are not automorphisms$"
-        with pytest.raises(InternalInconsistencyError, match=message):
+        with pytest.raises(InternalInconsistencyError, match="^half-turn translations are not automorphisms$"):
             check_half_turns(reflected, mirror(rep))
         checked += 1
     assert checked == 183
     # a graph with another vertex count is refused, not indexed out of range
-    with pytest.raises(InternalInconsistencyError, match=r"^\(0,0,0\): half-turn"):
+    with pytest.raises(InternalInconsistencyError, match="^half-turn"):
         check_half_turns(build(Signature(1, 0, 0)), Signature(0, 0, 0))
 
 
 def test_build_rejects_nothing_but_validates():
     # build output always satisfies the embedded-graph invariants; spot-check
-    # the stored rotation is a tuple of 3-tuples
+    # that the graph is a tuple of 3-tuples
     g = build(Signature(5, 1, 2))
     validate(g)
-    assert isinstance(g, EmbeddedGraph)
-    assert all(len(nbrs) == 3 for nbrs in g.rot)
+    assert type(g) is tuple and all(type(nbrs) is tuple and len(nbrs) == 3 for nbrs in g)
 
 
 def _with_rotation(g, v, nbrs):
-    rot = list(g.rot)
-    rot[v] = nbrs
-    return EmbeddedGraph(tuple(rot), g.source)
+    return g[:v] + (nbrs,) + g[v + 1 :]
 
 
 def test_validate_rejects_broken_rotation_systems():
     tetra = build(Signature(0, 0, 0))
     g8 = build(Signature(1, 0, 0))
-    assert g8.rot[0] == (3, 4, 7) and 0 not in g8.rot[1]
-    two_tetrahedra = EmbeddedGraph(
-        tetra.rot + tuple(tuple(w + 4 for w in nbrs) for nbrs in tetra.rot), g8.source
-    )
+    assert g8[0] == (3, 4, 7) and 0 not in g8[1]
+    two_tetrahedra = tetra + tuple(tuple(w + 4 for w in nbrs) for nbrs in tetra)
+    # an 8-vertex hexagonal torus next to tetra: E(c) ~ W(c + o) for o in
+    # (2,1), (1,0), (1,1) over Z^2/2Z^2, with E(a, b) at 4 + 2a + b and W(a, b) at 8 + 2a + b
+    cosets, offsets = [(0, 0), (0, 1), (1, 0), (1, 1)], [(2, 1), (1, 0), (1, 1)]
+    east = [tuple(8 + 2 * ((a + x) % 2) + (b + y) % 2 for x, y in offsets) for a, b in cosets]
+    west = [tuple(4 + 2 * ((a - x) % 2) + (b - y) % 2 for x, y in offsets) for a, b in cosets]
+    tetra_and_torus = tetra + tuple(east) + tuple(west)
+    # simple, cubic and symmetric with 4 triangles and 12/2 - 2 hexagons: only connectivity fails
+    assert face_census(tetra_and_torus) == {3: 4, 6: 4}
     g = build(Signature(6, 2, 1))
     cases = [
-        (_with_rotation(tetra, 0, (1, 1, 2)), r"\(0,0,0\): vertex 0 is not simple cubic"),
-        (_with_rotation(g8, 0, (1, 4, 7)), r"\(1,0,0\): adjacency not symmetric"),
-        (two_tetrahedra, r"\(1,0,0\): graph is not connected"),
+        (_with_rotation(tetra, 0, (1, 1, 2)), "vertex 0 is not simple cubic"),
+        (_with_rotation(g8, 0, (1, 4, 7)), "adjacency not symmetric"),
+        (two_tetrahedra, "graph is not connected"),
+        (tetra_and_torus, "graph is not connected"),
         (
-            _with_rotation(g, 0, g.rot[0][::-1]),
-            r"\(6,2,1\): face census \{3: 3, 6: 38, 15: 1\}, wanted 4 triangles, 40 hexagons",
+            _with_rotation(g, 0, g[0][::-1]),
+            r"face census \{3: 3, 6: 38, 15: 1\}, wanted 4 triangles, 40 hexagons",
         ),
     ]
     for broken, message in cases:
@@ -217,8 +216,8 @@ def test_validate_rejects_broken_rotation_systems():
 
 
 def test_planar_code_tetrahedron_bytes():
-    g = build(Signature(0, 0, 0))
-    data = export(g, "planar_code")
+    sig = Signature(0, 0, 0)
+    data = export(build(sig), sig, "planar_code")
     header = b">>planar_code<<"
     assert data.startswith(header)
     body = data[len(header):]
@@ -232,32 +231,34 @@ def test_planar_code_tetrahedron_bytes():
 
 
 def test_planar_code_wide_entries():
-    g = build(Signature(69, 0, 0))  # 280 vertices forces two-byte entries
-    data = export(g, "planar_code")
+    sig = Signature(69, 0, 0)  # 280 vertices forces two-byte entries
+    g = build(sig)
+    data = export(g, sig, "planar_code")
     body = data[len(b">>planar_code<<"):]
     assert body[0] == 0
-    assert int.from_bytes(body[1:3], "little") == g.n
-    assert len(body) == 1 + 2 + 2 * 4 * g.n
+    assert int.from_bytes(body[1:3], "little") == len(g)
+    assert len(body) == 1 + 2 + 2 * 4 * len(g)
 
 
 def test_planar_code_export_refuses_more_than_65535_vertices():
     # export checks the size itself; the rotations are never read
-    g = EmbeddedGraph(((0, 0, 0),) * 65536, Signature(16383, 0, 0))
+    g = ((0, 0, 0),) * 65536
     message = "^planar_code holds at most 65535 vertices \\(2-byte entries\\), got 65536$"
     with pytest.raises(ValueError, match=message):
-        export(g, "planar_code")
+        export(g, Signature(16383, 0, 0), "planar_code")
 
 
 def test_dot_edge_lines():
-    g = build(Signature(6, 2, 1))
-    text = export(g, "dot").decode()
+    sig = Signature(6, 2, 1)
+    g = build(sig)
+    text = export(g, sig, "dot").decode()
     edge_lines = [line for line in text.splitlines() if "--" in line]
-    assert len(edge_lines) == 3 * g.n // 2
+    assert len(edge_lines) == 3 * len(g) // 2
 
 
 def test_structured_export():
-    g = build(Signature(6, 2, 1))
-    doc = json.loads(export(g, "structured"))
+    sig = Signature(6, 2, 1)
+    doc = json.loads(export(build(sig), sig, "structured"))
     assert doc["n"] == 84
     assert doc["signature"] == [6, 2, 1]
     assert doc["faces"] == {"3": 4, "6": 40}
@@ -265,9 +266,9 @@ def test_structured_export():
 
 
 def test_export_rejects_unknown_format():
-    g = build(Signature(0, 0, 0))
+    sig = Signature(0, 0, 0)
     with pytest.raises(ValueError):
-        export(g, "gml")
+        export(build(sig), sig, "gml")
 
 
 def test_full_correspondence_small_sweep():
@@ -302,7 +303,6 @@ def _reps_upto(v_max):
 def test_mirror_image_is_an_involution():
     for sig in (Signature(0, 0, 0), Signature(6, 0, 2), Signature(5, 2, 1), Signature(13, 1, 4)):
         g = build(sig)
-        assert mirror_image(g).source == mirror(sig)
         assert mirror_image(mirror_image(g)) == g
 
 
@@ -332,20 +332,18 @@ def test_triangle_rooted_code_matches_all_darts_oracle():
     for rep in _reps_upto(240):
         g = build(rep)
         for h in (g, mirror_image(g)):
-            code, count = oracles._min_code(h.rot)
-            assert canonical_code(h) == CanonicalCode(tuple(code), count), h.source
+            code, count = oracles._min_code(h)
+            assert canonical_code(h) == CanonicalCode(tuple(code), count), rep
 
 
 # a triangular prism: two triangles and three quadrilaterals, n = 6, so the
 # last block of a code (vertices 4 and 5) is never compared with a target
-PRISM = EmbeddedGraph(((1, 2, 3), (2, 0, 4), (0, 1, 5), (5, 4, 0), (3, 5, 1), (4, 3, 2)), Signature(0, 0, 0))
+PRISM = ((1, 2, 3), (2, 0, 4), (0, 1, 5), (5, 4, 0), (3, 5, 1), (4, 3, 2))
 # the prism with vertex 3's rotation reversed, an embedding on the torus with
 # one triangle; neither prism has the half-turns D2 of a trihex, so they test
 # the corner scan and `_code_from`, not `canonical_code`
-TWISTED_PRISM = EmbeddedGraph(PRISM.rot[:3] + ((0, 4, 5),) + PRISM.rot[4:], Signature(0, 0, 0))
-CUBE = EmbeddedGraph(
-    ((1, 3, 4), (2, 0, 5), (3, 1, 6), (0, 2, 7), (7, 5, 0), (4, 6, 1), (5, 7, 2), (6, 4, 3)), Signature(0, 0, 0)
-)
+TWISTED_PRISM = PRISM[:3] + ((0, 4, 5),) + PRISM[4:]
+CUBE = ((1, 3, 4), (2, 0, 5), (3, 1, 6), (0, 2, 7), (7, 5, 0), (4, 6, 1), (5, 7, 2), (6, 4, 3))
 
 
 def _step(rot, v, w):
@@ -374,8 +372,8 @@ def test_triangle_darts_match_face_walk_oracle():
         graphs += [g, mirror_image(g)]
     for h in graphs:
         roots = _triangle_roots(h)
-        assert len(roots) == 3 and set(roots) <= set(_darts_on_a_triangle(h.rot)), h.source
-        assert [_step(h.rot, *d) for d in roots] == roots[1:] + roots[:1], h.source
+        assert len(roots) == 3 and set(roots) <= set(_darts_on_a_triangle(h)), h
+        assert [_step(h, *d) for d in roots] == roots[1:] + roots[:1], h
     assert _triangle_roots(CUBE) == []
 
 
@@ -388,7 +386,7 @@ def test_prism_and_cube_faces():
 def test_canonical_code_without_triangle_raises():
     with pytest.raises(ValueError, match="^canonical_code needs a triangular face, and the graph has none$"):
         canonical_code(CUBE)
-    assert not has_code(CUBE, tuple(_code_from(CUBE.rot, 0, 1)))
+    assert not has_code(CUBE, tuple(_code_from(CUBE, 0, 1)))
 
 
 def test_canonical_code_is_least_unbounded_triangle_code():
@@ -399,10 +397,10 @@ def test_canonical_code_is_least_unbounded_triangle_code():
         g = build(rep)
         graphs += [g, mirror_image(g)]
     for h in graphs:
-        codes = [_code_from(h.rot, v, w) for v, w in _darts_on_a_triangle(h.rot)]
-        assert len(codes) == 12, h.source
+        codes = [_code_from(h, v, w) for v, w in _darts_on_a_triangle(h)]
+        assert len(codes) == 12, h
         best = min(codes)
-        assert canonical_code(h) == CanonicalCode(tuple(best), codes.count(best)), h.source
+        assert canonical_code(h) == CanonicalCode(tuple(best), codes.count(best)), h
 
 
 def test_bounded_code_is_none_or_the_full_code():
@@ -413,17 +411,17 @@ def test_bounded_code_is_none_or_the_full_code():
         g = build(rep)
         graphs += [g, mirror_image(g)]
     for h in graphs:
-        compared = 12 * (h.n // 4)
-        roots = [(v, w) for v in range(h.n) for w in h.rot[v]]
-        codes = [_code_from(h.rot, *root) for root in roots]
+        compared = 12 * (len(h) // 4)
+        roots = [(v, w) for v in range(len(h)) for w in h[v]]
+        codes = [_code_from(h, *root) for root in roots]
         for root, code in zip(roots, codes):
             for target in codes:
-                got = _code_from(h.rot, *root, target)
+                got = _code_from(h, *root, target)
                 first = next((k for k in range(len(code)) if code[k] != target[k]), len(code))
                 if first < compared:
-                    assert got is None, (h.source, root)
+                    assert got is None, (h, root)
                 else:
-                    assert got == code, (h.source, root)
+                    assert got == code, (h, root)
 
 
 def test_has_code_abandons_roots_below_the_target(monkeypatch):
@@ -444,7 +442,7 @@ def test_has_code_abandons_roots_below_the_target(monkeypatch):
             assert _code(low) < target
             calls.clear()
             assert not has_code(low, target)
-            assert calls == [None] * 3, low.source
+            assert calls == [None] * 3, low
 
 
 def test_has_code_finds_orbit_members_and_only_them():

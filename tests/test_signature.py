@@ -4,13 +4,13 @@ import math
 
 import pytest
 
+from oracles import hexagon_count
 from trihex.enumeration import all_signatures, coinciding_signatures, self_mirror_signatures
 from trihex.errors import InternalInconsistencyError
 from trihex.signature import (
     Signature,
     canonical_rep,
     has_mirror_symmetry,
-    hexagon_count,
     is_canonical,
     is_coinciding,
     mirror,

@@ -6,7 +6,7 @@ closed-form multiplicative formulas, enumerates them constructively, and
 realizes them as explicit embedded graphs for cross-verification.
 """
 
-from .counting import CountReport, report
+from .counting import CountReport, report, reports
 from .enumeration import (
     all_signatures,
     coinciding_signatures,
@@ -28,7 +28,7 @@ from .graph import (
     mirror_image,
     validate,
 )
-from .numtheory import Factorization, divisors, factorize, omega_count, solve_fast
+from .numtheory import Factorization, divisors, factor_range, factorize, omega_count, solve_fast
 from .signature import (
     Signature,
     canonical_rep,
@@ -57,6 +57,7 @@ __all__ = [
     "export",
     "face_census",
     "faces",
+    "factor_range",
     "factorize",
     "graph_class_reps",
     "has_code",
@@ -69,6 +70,7 @@ __all__ = [
     "orbit",
     "parse_signature",
     "report",
+    "reports",
     "self_mirror_signatures",
     "solve_fast",
     "trihex_reps",

@@ -14,8 +14,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error
 file that cannot be written), 3 internal error (two computations that must
 agree did not).
 Range work fans out to a process pool (--jobs, default 1; 0 = all cores;
-never more workers than cores or vertex counts); results are re-ordered
-before emission so output is deterministic.
+never more workers than cores or vertex counts): `count` maps contiguous
+pieces of its range, each sieved by `counting.reports`, and `verify` one
+vertex count per task.  Results come back in order, so output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import stat
@@ -31,15 +34,16 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import counting, enumeration, graph
 from .errors import InternalInconsistencyError, VerificationFailureError
-from .numtheory import factorize, omega_count, solve_fast
+from .numtheory import check_factorable, factorize, omega_count, solve_fast
 from .signature import parse_signature, vertex_count
 
 SCHEMA_VERSION = 1
 
 # A range holds at most this many vertex counts, refused before it is listed.
 # On a 2-core Xeon VM with Python 3.11, the largest it admits, V = 4..2 000 000,
-# takes 4.4 s and 224 MiB through `count`, 9.6 s and 1 078 MiB as structured,
-# about what `enumerate` takes at enumeration.MAX_SIGNATURES.
+# takes 2.8-3.4 s and 84 MiB through `count` as CSV at --jobs 1, and 8.4-12.9 s
+# and 1 015 MiB as structured, which holds one dict per row: about what
+# `enumerate` takes at enumeration.MAX_SIGNATURES.
 MAX_VERTEX_COUNTS = 500_000
 
 # `verify --with-graphs` refuses a range whose graph work, the sum of
@@ -57,7 +61,7 @@ _STREAMS = {
 }
 
 
-def _parse_range(args) -> list[int]:
+def _parse_range(args) -> range:
     if args.v is not None and args.start is None and args.end is None:
         start = end = args.v
     elif args.v is None and args.start is not None and args.end is not None:
@@ -71,17 +75,22 @@ def _parse_range(args) -> list[int]:
     count = (end - start) // 4 + 1
     if count > MAX_VERTEX_COUNTS:
         raise ValueError(f"{start}..{end} has {count} vertex counts; a range holds at most {MAX_VERTEX_COUNTS}")
-    return list(range(start, end + 1, 4))
+    return range(start, end + 1, 4)
+
+
+def _workers(jobs: int, items: int) -> int:
+    cores = os.cpu_count() or 1
+    return min(jobs or cores, items, cores)
 
 
 def _map_ordered(fn, items, jobs: int):
-    """Apply fn over items in order, in min(jobs or cores, cores, items) worker processes when that exceeds 1."""
-    cores = os.cpu_count() or 1
-    workers = min(jobs or cores, len(items), cores)
+    """Yield fn(item) for each item in order, from _workers(jobs, len(items)) processes when that exceeds 1."""
+    workers = _workers(jobs, len(items))
     if workers <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
+        yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
 
 
 @contextlib.contextmanager
@@ -144,15 +153,25 @@ def _emit_json(doc: dict, args) -> None:
     _emit(json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2) + "\n", args)
 
 
+def _count_rows(vs: range) -> list[counting.CountReport]:
+    return list(counting.reports(vs[0], vs[-1]))
+
+
 def cmd_count(args) -> int:
     vs = _parse_range(args)
-    reports = _map_ordered(counting.report, vs, args.jobs)
+    # from the range's ends, before any row is factored
+    check_factorable(vs[0] // 4, vs[-1] // 4 + 1)
+    # contiguous pieces of at most one sieve segment each, and at least one per worker
+    pieces = max(-(-len(vs) // counting.SEGMENT), _workers(args.jobs, len(vs)))
+    size = -(-len(vs) // pieces)
+    rows = itertools.chain.from_iterable(
+        _map_ordered(_count_rows, [vs[i : i + size] for i in range(0, len(vs), size)], args.jobs)
+    )
     if args.format == "csv":
-        lines = [",".join(counting.CountReport._fields)]
-        lines.extend(r.csv_row() for r in reports)
-        _emit("\n".join(lines) + "\n", args)
+        header = ",".join(counting.CountReport._fields)
+        _emit("\n".join(itertools.chain([header], map(counting.CountReport.csv_row, rows))) + "\n", args)
     else:
-        _emit_json({"reports": [r._asdict() for r in reports]}, args)
+        _emit_json({"reports": [r._asdict() for r in rows]}, args)
     return 0
 
 

@@ -13,22 +13,29 @@ exponent of 2:
   gamma  - graph isomorphism classes = (sigma + 2*delta + 3*mu) / 6
   rot_classes - graph classes with 3-fold symmetry = (delta + nu) / 2
 
-`report` factorizes V/4 once, builds sigma, delta, mu and nu in one pass over
-its prime powers, and derives the last three counts from them; there is no
-separate function per count, so callers read the field of the `CountReport`
-they need.  Everything is exact integer arithmetic; the rational
-coefficients become checked divisions, and the remaining relations between
-the counts (nu in {0, 1}, delta and mu at least nu) are test assertions.
+One fold builds sigma, delta, mu and nu in one pass over the prime powers of
+V/4 and derives the last three counts from them.  `report(v)` folds one
+`factorize` call; `reports(start, end)` folds the factorizations that
+`numtheory.factor_range` sieves for a whole range, one segment of SEGMENT
+vertex counts at a time, so a table needs no `factorize` call per row and
+its memory does not grow with the range.  There is no separate function per
+count, so callers read the field of the `CountReport` they need.
+Everything is exact integer arithmetic; the rational coefficients become
+checked divisions, and the remaining relations between the counts (nu in
+{0, 1}, delta and mu at least nu) are test assertions.
 The four per-count formulas and the paper's direct case formulas for gamma
 and rot_classes, independent second routes, are kept in the tests.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InternalInconsistencyError
-from .numtheory import factorize
+from .numtheory import factor_range, factorize
+
+# Vertex counts per sieve in `reports`: bounds its memory, not its output.
+SEGMENT = 4096
 
 
 def quarter(v: int) -> int:
@@ -51,17 +58,36 @@ class CountReport(NamedTuple):
     rot_classes: int
 
     def csv_row(self) -> str:
-        return ",".join(map(str, self))
+        return "%d,%d,%d,%d,%d,%d,%d,%d" % self
 
 
 def report(v: int) -> CountReport:
-    """Compute every counting function for v in one pass over the factorization of v/4."""
+    """Compute every counting function for v from one factorization of v/4."""
+    return _fold(v, factorize(quarter(v)).factors)
+
+
+def reports(start: int, end: int) -> Iterator[CountReport]:
+    """`report(v)` for v = start, start + 4, ..., end, in order, from one sieve per segment.
+
+    `factor_range` factors SEGMENT consecutive values of v/4 at a time, so
+    the memory held does not grow with the range.  A segment that reaches
+    v/4 >= 2^64 is refused before it is factored; `check_factorable`
+    refuses a whole range up front.
+    """
+    lo, hi = quarter(start), quarter(end)
+    for first in range(lo, hi + 1, SEGMENT):
+        stop = min(first + SEGMENT, hi + 1)
+        yield from map(_fold, range(4 * first, 4 * stop, 4), factor_range(first, stop))
+
+
+def _fold(v: int, factors: Iterable[tuple[int, int]]) -> CountReport:
+    """Every counting function for v in one pass over the prime powers of v/4."""
     s = 1  # sigma: product of the prime-power divisor sums
     d = 1  # delta: product of k + 1 over p = 1 (mod 3); 0 once some p = 2 (mod 3) has odd k
     odd = 1  # product of k + 1 over the odd primes
     w = 0  # exponent of 2
     n = 1  # nu: 0 once some p != 3 has odd k
-    for p, k in factorize(quarter(v)).factors:
+    for p, k in factors:
         s *= (p ** (k + 1) - 1) // (p - 1)
         if p == 2:
             w = k

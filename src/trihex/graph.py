@@ -130,12 +130,15 @@ def validate(rot: Rotation) -> dict[int, int]:
     face census it checked, so a caller that also reports it need not trace
     the faces again.
     """
-    for v, nbrs in enumerate(rot):
-        if len(set(nbrs)) != 3 or v in nbrs:
-            raise InternalInconsistencyError(f"vertex {v} is not simple cubic")
-        for w in nbrs:
-            if v not in rot[w]:
-                raise InternalInconsistencyError("adjacency not symmetric")
+    try:
+        for v, nbrs in enumerate(rot):
+            if len(set(nbrs)) != 3 or v in nbrs:
+                raise InternalInconsistencyError(f"vertex {v} is not simple cubic")
+            for w in nbrs:
+                if v not in rot[w]:
+                    raise InternalInconsistencyError("adjacency not symmetric")
+    except IndexError:
+        raise InternalInconsistencyError(f"vertex {v} has a neighbor outside 0..{len(rot) - 1}") from None
 
     seen = {0}
     stack = [0]

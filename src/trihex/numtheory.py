@@ -3,7 +3,12 @@
 Everything here is exact integer arithmetic, and no routine does work in
 proportion to n or its square root.  `is_prime` is deterministic
 Miller-Rabin; `factorize` trial-divides by the primes below 1000 and splits
-what is left with Brent's variant of Pollard rho, for n < 2^64.  The number
+what is left with Brent's variant of Pollard rho, for n < 2^64.
+`factor_range` factors consecutive n with one trial division for the whole
+range, a sieve that steps each of the 168 small primes over its multiples,
+so its work is in proportion to the length of the range; the cofactors it
+leaves go to the same Miller-Rabin and rho.  `check_factorable` is the
+n < 2^64 refusal both share, and it refuses a range from its ends.  The number
 of roots of x^2 + x + 1 (mod n) is multiplicative in n and fully determined
 by the prime factorization: 0 as soon as a prime congruent to 2 (mod 3)
 divides n or 9 divides n, otherwise 2^r where r is the number of distinct
@@ -79,6 +84,57 @@ class Factorization(NamedTuple):
     factors: tuple[tuple[int, int], ...]
 
 
+def check_factorable(start: int, stop: int) -> None:
+    """Refuse range(start, stop) unless every n in it is in 1 <= n < 2^64, naming the first n outside.
+
+    The bound keeps Pollard rho's work bounded.  It is arithmetic on the
+    ends alone, so a caller can refuse a whole range before factoring any
+    of it.
+    """
+    if start < 1:
+        raise ValueError(f"cannot factorize {start}; need n >= 1")
+    if stop > 2**64:
+        raise ValueError(f"cannot factorize {max(start, 2**64)}; need n < 2^64")
+
+
+def factor_range(start: int, stop: int) -> list[list[tuple[int, int]]]:
+    """The factorization of each n in range(start, stop), for 1 <= n < 2^64, as (prime, exponent) lists.
+
+    One trial division serves the whole range: each prime below 1000 whose
+    square is below stop steps over its multiples in the range and is
+    divided out of them.  A cofactor left once the primes pass
+    sqrt(stop - 1), or left below 997^2, has no smaller prime factor and is
+    prime; any other has no prime factor below 1000 and is split by
+    Miller-Rabin and Brent's variant of Pollard rho.  The work is the
+    length of the range times at most the 168 small primes, plus rho on
+    the cofactors that need it.
+    """
+    check_factorable(start, stop)
+    count = stop - start
+    rest = list(range(start, stop))
+    factors: list[list[tuple[int, int]]] = [[] for _ in rest]
+    for p in _SMALL_PRIMES:
+        if p * p >= stop:
+            break
+        for i in range(-start % p, count, p):
+            r = rest[i] // p
+            k = 1
+            while not r % p:
+                r //= p
+                k += 1
+            rest[i] = r
+            factors[i].append((p, k))
+    else:
+        for i, r in enumerate(rest):
+            if r >= 997 * 997:
+                factors[i].extend(_large_factors(r))
+                rest[i] = 1
+    for primes, r in zip(factors, rest):
+        if r > 1:
+            primes.append((r, 1))
+    return factors
+
+
 # Bounded: `verify` asks for one n in `counting.report` and again in each signature stream,
 # and a long range must not keep every n.
 @lru_cache(maxsize=1024)
@@ -90,10 +146,7 @@ def factorize(n: int) -> Factorization:
     table has no prime factor below 1000 and is split by Miller-Rabin and
     Brent's variant of Pollard rho.
     """
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}; need n >= 1")
-    if n >= 2**64:  # keeps Pollard rho's work bounded
-        raise ValueError(f"cannot factorize {n}; need n < 2^64")
+    check_factorable(n, n + 1)
     remaining = n
     factors: list[tuple[int, int]] = []
     for p in _SMALL_PRIMES:
@@ -108,9 +161,14 @@ def factorize(n: int) -> Factorization:
                 k += 1
             factors.append((p, k))
     else:
-        large = _prime_factors(remaining)
-        factors.extend((p, large.count(p)) for p in sorted(set(large)))
+        factors.extend(_large_factors(remaining))
     return Factorization(n, tuple(factors))
+
+
+def _large_factors(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n, primes increasing, for n with no prime factor below 1000."""
+    primes = _prime_factors(n)
+    return [(p, primes.count(p)) for p in sorted(set(primes))]
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import pytest
 
@@ -76,7 +75,7 @@ def test_parses_share_no_state(capsys):
 
 
 def test_count_range_keeps_factorize_cache_bounded(tmp_path):
-    # a row asks for factorize(V/4) once, and the cache does not retain
+    # rows come from the range sieve, not factorize, and nothing retains
     # every row's factorization
     factorize.cache_clear()
     tracemalloc.start()
@@ -87,7 +86,7 @@ def test_count_range_keeps_factorize_cache_bounded(tmp_path):
         tracemalloc.stop()
     assert retained < 2 * 2**20, retained
     info = factorize.cache_info()
-    assert info.hits + info.misses == 80000 // 4, info
+    assert info.hits + info.misses == 0, info
 
 
 def test_count_structured(capsys):
@@ -102,9 +101,13 @@ def test_count_structured(capsys):
 
 
 def test_count_deterministic_across_jobs(capsys):
-    _, serial, _ = run_cli(capsys, "count", "--from", "4", "--to", "120")
-    _, parallel, _ = run_cli(capsys, "count", "--from", "4", "--to", "120", "--jobs", "2")
-    assert serial == parallel
+    # 15 000 rows: four sieve segments, cut into pieces for the pool
+    for fmt in ("csv", "structured"):
+        argv = ["count", "--from", "4", "--to", "60000", "--format", fmt]
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        assert serial[0] == 0 and serial[2] == "", fmt
+        for jobs in ("2", "0"):
+            assert run_cli(capsys, *argv, "--jobs", jobs) == serial, (fmt, jobs)
 
 
 class RecordingExecutor:
@@ -303,7 +306,7 @@ def test_unwritable_output_is_refused(tmp_path, monkeypatch, capsys, command):
     def no_work(*args):
         raise AssertionError("worked before opening --output")
 
-    for module, name in ((counting, "report"), (enumeration, "verify"), (graph, "build")):
+    for module, name in ((counting, "reports"), (enumeration, "verify"), (graph, "build")):
         monkeypatch.setattr(module, name, no_work)
     for path, reason in ((tmp_path / "missing" / "out", "No such file or directory"), (tmp_path, "Is a directory")):
         assert run_cli(capsys, *command.split(), "--output", str(path)) == (
@@ -492,6 +495,16 @@ def test_beyond_64_bits_exits_2(capsys, argv):
     assert err == f"trihex: cannot factorize {2**64}; need n < 2^64\n"
 
 
+def test_count_range_past_64_bits_is_refused_before_factoring(capsys):
+    # V/4 = 2^64 - 40 .. 2^64: the 40 rows below the limit would take rho
+    # about 0.4 s; the refusal is arithmetic on the range's ends
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--from", "73786976294838206304", "--to", "73786976294838206464")
+    seconds = time.perf_counter() - started
+    assert (code, out, err) == (2, "", f"trihex: cannot factorize {2**64}; need n < 2^64\n")
+    assert seconds < 0.2, seconds
+
+
 @pytest.mark.parametrize(
     "n,roots",
     [
@@ -561,10 +574,10 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
-    def broken(v):
-        raise InternalInconsistencyError(f"routes disagree at V={v}")
+    def broken(start, end):
+        raise InternalInconsistencyError(f"routes disagree at V={start}")
 
-    monkeypatch.setattr(counting, "report", broken)
+    monkeypatch.setattr(counting, "reports", broken)
     code, out, err = run_cli(capsys, "count", "--v", "28")
     assert code == 3
     assert out == ""
@@ -572,7 +585,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 
 
 def test_count_inexact_division_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(counting, "factorize", lambda n: SimpleNamespace(factors=((4, 1),)))
+    monkeypatch.setattr(counting, "factor_range", lambda start, stop: [((4, 1),)])
     assert run_cli(capsys, "count", "--v", "16") == (
         3, "", "trihex: internal error: gamma for V=16: 15 not divisible by 6\n"
     )
@@ -598,6 +611,9 @@ PINNED_SHA256 = {
     "verify --with-graphs --from 4 --to 60": "994b0e5eb56ca9fabf5a9b72f623cbdf5df9cbccfb85be083864c173da6465c7",
     "count --from 4 --to 400": "cbf4c1249144ea631e88d3a17154e9d3a7b4abb63d963d6267141f0f0423fc43",
     "count --from 4 --to 400 --format structured": "e10760343873cb81f53d95c26f08b6642f0b088321741eea9fad10515d5a7cdd",
+    # V/4 = 997 000..1 023 000: past 997^2, over segment and pool-piece boundaries
+    "count --from 3988000 --to 4092000": "37518ce9829157812b6f435c9931dbefa105deb87fe2dc641c84c5764e0f667c",
+    "count --from 3988000 --to 4092000 --format structured": "6be7964deca24997da8e4478330077161b610536f81956e5774c5749777a760f",
     "enumerate --v 5040 --stream all": "c6d2893c0e40e7afc9721cc2cefc48fbc5076dc1a1c2b557f501fa90f7e0ac09",
     "enumerate --v 5040 --stream all --format csv": "9bc225066e4699160f3d4857220ca16bc2fdda1d8d0afeb70103411b46f79bcd",
     "enumerate --v 5040 --stream all --format structured": "f4417aab83f971f67a41cd717cb711222ccab1e1233939d20e39c30a68890b73",

@@ -1,6 +1,7 @@
 """Tests for the closed-form counting functions."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,7 @@ import oracles
 from golden_counts import TABLE
 from oracles import exact_div
 from trihex import counting
-from trihex.counting import quarter, report
+from trihex.counting import quarter, report, reports
 from trihex.errors import InternalInconsistencyError
 from trihex.numtheory import Factorization, factorize
 
@@ -210,3 +211,36 @@ def test_report_raises_when_a_division_is_not_exact(monkeypatch):
     with pytest.raises(InternalInconsistencyError) as excinfo:
         report(16)
     assert str(excinfo.value) == "gamma for V=16: 15 not divisible by 6"
+
+
+@pytest.mark.parametrize(
+    "start, end",
+    [
+        (4, 40_000),
+        # V/4 = 997 000..1 023 000: past the sieve's last prime, 997^2, and
+        # through 1009^2 and 1009 * 1013, which go to rho
+        (4 * 997_000, 4 * 1_023_000),
+        (4 * (2**64 - 12), 4 * (2**64 - 1)),
+    ],
+)
+def test_reports_match_report(start, end):
+    # each range spans several sieve segments, or ends at the 64-bit limit
+    assert list(reports(start, end)) == [report(v) for v in range(start, end + 4, 4)]
+
+
+def test_reports_refuse_like_report():
+    with pytest.raises(ValueError, match="^vertex count must be a multiple of 4 and >= 4, got 6$"):
+        next(reports(6, 40))
+    with pytest.raises(ValueError, match=r"^cannot factorize 18446744073709551616; need n < 2\^64$"):
+        next(reports(4 * 2**64, 4 * 2**64))
+
+
+def test_reports_memory_does_not_grow_with_the_range():
+    # one segment of factorizations at a time (about 1 MiB): all 50 000 at once take about 13 MiB
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in reports(4, 200_000)) == 50_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak

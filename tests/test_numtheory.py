@@ -11,7 +11,9 @@ from test_counting import LARGE_QUARTERS
 from trihex.numtheory import (
     Factorization,
     _root_mod_prime_power,
+    check_factorable,
     divisors,
+    factor_range,
     factorize,
     is_prime,
     omega_count,
@@ -36,6 +38,41 @@ def test_factorize_refuses_64_bit_overflow():
     assert factorize(2**64 - 1).n == 2**64 - 1
     with pytest.raises(ValueError, match=r"cannot factorize 18446744073709551616; need n < 2\^64"):
         factorize(2**64)
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [
+        (1, 20_000),
+        (994_000, 996_000),  # the sieve reaches its last prime, 997, at 997^2 = 994 009
+        (1_018_000, 1_018_200),  # 1009^2 = 1 018 081 goes to rho
+        (1_022_100, 1_022_200),  # and so does 1009 * 1013 = 1 022 117
+        (7, 8),
+        (5, 5),
+    ],
+)
+def test_factor_range_matches_trial_division(start, stop):
+    assert factor_range(start, stop) == [list(oracles.factorize(n).factors) for n in range(start, stop)]
+
+
+def test_factor_range_near_64_bits():
+    start = 2**64 - 300
+    for n, factors in zip(range(start, 2**64), factor_range(start, 2**64)):
+        assert tuple(factors) == factorize(n).factors, n
+        assert_valid_factorization(Factorization(n, tuple(factors)))
+
+
+@pytest.mark.parametrize(
+    "start, stop, refused",
+    [(0, 5, "0; need n >= 1"), (-3, 5, "-3; need n >= 1"), (2**64 - 2, 2**64 + 3, f"{2**64}; need n < 2\\^64"),
+     (2**64 + 5, 2**64 + 9, f"{2**64 + 5}; need n < 2\\^64")],
+)
+def test_factor_range_refuses_outside_64_bits(start, stop, refused):
+    # the first n of the range that cannot be factorized, named before any is
+    for check in (check_factorable, factor_range):
+        with pytest.raises(ValueError, match=f"^cannot factorize {refused}$"):
+            check(start, stop)
+    check_factorable(1, 2**64)
 
 
 def test_factorize_matches_trial_division():

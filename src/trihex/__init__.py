@@ -28,7 +28,7 @@ from .graph import (
     mirror_image,
     validate,
 )
-from .numtheory import Factorization, divisors, factor_range, factorize, omega_count, solve_fast
+from .numtheory import divisors, factor_range, factorize, omega_count, solve_fast
 from .signature import (
     Signature,
     canonical_rep,
@@ -44,7 +44,6 @@ from .signature import (
 __all__ = [
     "CanonicalCode",
     "CountReport",
-    "Factorization",
     "InternalInconsistencyError",
     "Signature",
     "VerificationFailureError",

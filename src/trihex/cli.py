@@ -34,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import counting, enumeration, graph
 from .errors import InternalInconsistencyError, VerificationFailureError
-from .numtheory import check_factorable, factorize, omega_count, solve_fast
+from .numtheory import check_factorable, omega_count, solve_fast
 from .signature import parse_signature, vertex_count
 
 SCHEMA_VERSION = 1
@@ -244,10 +244,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_congruence(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be positive, got {args.n}")
-    f = factorize(args.n)
-    roots = solve_fast(f)
+    roots = solve_fast(args.n)
     # distinct residues that each solve the congruence, as many as the
     # closed form counts: the printed set is then all of the roots
     previous = -1
@@ -259,9 +256,9 @@ def cmd_congruence(args) -> int:
         if (x * x + x + 1) % args.n:
             raise InternalInconsistencyError(f"{x} does not solve x^2 + x + 1 = 0 (mod {args.n})")
         previous = x
-    if len(roots) != omega_count(f):
+    if len(roots) != omega_count(args.n):
         raise InternalInconsistencyError(
-            f"{len(roots)} roots for n={args.n}, the closed form says {omega_count(f)}"
+            f"{len(roots)} roots for n={args.n}, the closed form says {omega_count(args.n)}"
         )
     if args.format == "structured":
         _emit_json({"n": args.n, "roots": list(roots), "count": len(roots)}, args)

@@ -63,7 +63,7 @@ class CountReport(NamedTuple):
 
 def report(v: int) -> CountReport:
     """Compute every counting function for v from one factorization of v/4."""
-    return _fold(v, factorize(quarter(v)).factors)
+    return _fold(v, factorize(quarter(v)))
 
 
 def reports(start: int, end: int) -> Iterator[CountReport]:

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 
 from . import counting, graph
 from .errors import InternalInconsistencyError, VerificationFailureError
-from .numtheory import divisors, factorize, solve_fast
+from .numtheory import divisors, solve_fast
 from .signature import (
     Signature,
     canonical_rep,
@@ -36,7 +36,7 @@ MAX_SIGNATURES = 2_000_000
 def all_signatures(v: int) -> list[Signature]:
     """Every signature (s, b, f) with 4(s+1)(b+1) = v, lexicographically sorted."""
     n = counting.quarter(v)
-    ds = divisors(factorize(n))
+    ds = divisors(n)
     if sum(ds) > MAX_SIGNATURES:
         raise ValueError(f"V={v} has {sum(ds)} signatures; enumeration holds at most {MAX_SIGNATURES}")
     result = []
@@ -56,11 +56,11 @@ def coinciding_signatures(v: int) -> list[Signature]:
     n = counting.quarter(v)
     result = []
     # descending m gives ascending s = n/m - 1, so the list comes out sorted
-    for m in reversed(divisors(factorize(n))):
+    for m in reversed(divisors(n)):
         if n % (m * m):
             continue
         t = n // (m * m)
-        result.extend(Signature(t * m - 1, m - 1, g * m) for g in solve_fast(factorize(t)))
+        result.extend(Signature(t * m - 1, m - 1, g * m) for g in solve_fast(t))
     return result
 
 
@@ -68,7 +68,7 @@ def self_mirror_signatures(v: int) -> list[Signature]:
     """Signatures fixed by mirroring, sorted: solutions of 2f = -(b+1) (mod s+1) per divisor pair."""
     n = counting.quarter(v)
     result = []
-    for d in divisors(factorize(n)):
+    for d in divisors(n):
         s, b = d - 1, n // d - 1
         modulus = s + 1
         target = (-(b + 1)) % modulus

@@ -47,9 +47,9 @@ from .signature import Signature, vertex_count
 Rotation = tuple[tuple[int, int, int], ...]
 
 # Largest graph `build` constructs.  A million vertices, Signature(999, 249, 17),
-# take 0.5 s and 180 MiB to build, 3.6 s and 300 MiB with `validate`, and
-# 14 s and 640 MiB through `trihex build --format structured` (2-core Xeon
-# VM, Python 3.11).
+# take 0.7 s and 180 MiB to build, 3-4 s and 300 MiB with `validate`, 9-10 s
+# and 645 MiB through `trihex build --format structured`, and 3.5-4 s and
+# 370 MiB through `--format dot` (two runs each, 2-core Xeon VM, Python 3.11).
 MAX_VERTICES = 1_000_000
 
 
@@ -130,6 +130,8 @@ def validate(rot: Rotation) -> dict[int, int]:
     face census it checked, so a caller that also reports it need not trace
     the faces again.
     """
+    if not rot:
+        raise InternalInconsistencyError("graph has no vertices")
     try:
         for v, nbrs in enumerate(rot):
             if len(set(nbrs)) != 3 or v in nbrs:

@@ -17,7 +17,10 @@ power directly as primitive cube roots of unity and combines them by the
 Chinese remainder theorem, and returns them as a strictly increasing tuple.
 The naive residue scan it is checked against lives in the tests.
 
-`Factorization` is a plain named tuple with no checks of its own: the
+A factorization is its tuple of (prime, exponent) pairs, primes strictly
+increasing; `factor_range` gives each row as a list of the same pairs.
+`divisors`, `omega_count` and `solve_fast` take n and factor it with the
+cached `factorize`.  Nothing checks a factorization when it is built: the
 invariants that these routines establish by construction are asserted in
 the tests, and `trihex congruence`, whose output promises certified roots,
 checks every root it prints.
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
 
@@ -77,13 +79,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Factorization(NamedTuple):
-    """Prime factorization of n >= 1 as (prime, exponent) pairs, primes strictly increasing."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
 def check_factorable(start: int, stop: int) -> None:
     """Refuse range(start, stop) unless every n in it is in 1 <= n < 2^64, naming the first n outside.
 
@@ -98,7 +93,7 @@ def check_factorable(start: int, stop: int) -> None:
 
 
 def factor_range(start: int, stop: int) -> list[list[tuple[int, int]]]:
-    """The factorization of each n in range(start, stop), for 1 <= n < 2^64, as (prime, exponent) lists.
+    """The factorization of each n in range(start, stop), for 1 <= n < 2^64, as lists of (prime, exponent) pairs.
 
     One trial division serves the whole range: each prime below 1000 whose
     square is below stop steps over its multiples in the range and is
@@ -138,8 +133,8 @@ def factor_range(start: int, stop: int) -> list[list[tuple[int, int]]]:
 # Bounded: `verify` asks for one n in `counting.report` and again in each signature stream,
 # and a long range must not keep every n.
 @lru_cache(maxsize=1024)
-def factorize(n: int) -> Factorization:
-    """Factor 1 <= n < 2^64.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor 1 <= n < 2^64 into (prime, exponent) pairs, primes strictly increasing.
 
     Trial division by the primes below 1000 stops as soon as p^2 exceeds
     what is left, which is then 1 or prime.  A cofactor that outlasts the
@@ -162,7 +157,7 @@ def factorize(n: int) -> Factorization:
             factors.append((p, k))
     else:
         factors.extend(_large_factors(remaining))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 def _large_factors(n: int) -> list[tuple[int, int]]:
@@ -215,19 +210,19 @@ def _rho(n: int) -> int:
     raise InternalInconsistencyError(f"Pollard rho found no factor of {n}")
 
 
-def divisors(f: Factorization) -> list[int]:
-    """All divisors of f.n, ascending."""
+def divisors(n: int) -> list[int]:
+    """All divisors of n, ascending."""
     result = [1]
-    for prime, exponent in f.factors:
+    for prime, exponent in factorize(n):
         powers = [prime**i for i in range(exponent + 1)]
         result = [d * q for d in result for q in powers]
     return sorted(result)
 
 
-def omega_count(f: Factorization) -> int:
-    """Number of roots of x^2 + x + 1 (mod f.n), from the factorization alone."""
+def omega_count(n: int) -> int:
+    """Number of roots of x^2 + x + 1 (mod n), from the factorization alone."""
     r = 0
-    for prime, exponent in f.factors:
+    for prime, exponent in factorize(n):
         if prime % 3 == 2:
             return 0
         if prime == 3:
@@ -265,8 +260,8 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return x, m
 
 
-def solve_fast(f: Factorization) -> tuple[int, ...]:
-    """All x in [0, f.n) with x^2 + x + 1 = 0 (mod f.n), strictly increasing.
+def solve_fast(n: int) -> tuple[int, ...]:
+    """All x in [0, n) with x^2 + x + 1 = 0 (mod n), strictly increasing.
 
     Per prime power: no roots when p = 2 (mod 3) or when p = 3 with exponent
     above 1; the single root 1 when the factor is exactly 3; otherwise the
@@ -274,7 +269,7 @@ def solve_fast(f: Factorization) -> tuple[int, ...]:
     pieces are combined by the Chinese remainder theorem.
     """
     parts: list[tuple[list[int], int]] = []
-    for prime, exponent in f.factors:
+    for prime, exponent in factorize(n):
         modulus = prime**exponent
         if prime % 3 == 2:
             return ()

@@ -31,8 +31,10 @@ import numpy as np
 from trihex.counting import CountReport
 from trihex.errors import InternalInconsistencyError
 from trihex.graph import Rotation
-from trihex.numtheory import Factorization
 from trihex.signature import Signature
+
+# A factorization: (prime, exponent) pairs, primes strictly increasing.
+Pairs = tuple[tuple[int, int], ...]
 
 # Largest modulus for which x*x + x + 1 with x < n fits in int64; above it
 # the vectorized scans fall back to exact Python integers.
@@ -55,8 +57,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division."""
+def factorize(n: int) -> Pairs:
+    """Factor n >= 1 by trial division into (prime, exponent) pairs."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}; need n >= 1")
     remaining = n
@@ -72,7 +74,7 @@ def factorize(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if remaining > 1:
         factors.append((remaining, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 def solve_naive(n: int) -> tuple[int, ...]:
@@ -225,20 +227,20 @@ def exact_div(numerator: int, denominator: int, what: str) -> int:
     return numerator // denominator
 
 
-def exponent(f: Factorization, p: int) -> int:
-    """Exponent of the prime p in f.n (0 if p does not divide it)."""
-    return dict(f.factors).get(p, 0)
+def exponent(pairs: Pairs, p: int) -> int:
+    """Exponent of the prime p in the number that pairs factor (0 if p does not divide it)."""
+    return dict(pairs).get(p, 0)
 
 
-def sigma(f: Factorization) -> int:
-    """Number of signatures for V = 4 * f.n (divisor sum of f.n)."""
-    return math.prod((p ** (k + 1) - 1) // (p - 1) for p, k in f.factors)
+def sigma(pairs: Pairs) -> int:
+    """Number of signatures for V = 4n, n the product of pairs (divisor sum of n)."""
+    return math.prod((p ** (k + 1) - 1) // (p - 1) for p, k in pairs)
 
 
-def delta(f: Factorization) -> int:
-    """Number of trihexes with 3-fold rotational symmetry for V = 4 * f.n."""
+def delta(pairs: Pairs) -> int:
+    """Number of trihexes with 3-fold rotational symmetry for V = 4n, n the product of pairs."""
     result = 1
-    for p, k in f.factors:
+    for p, k in pairs:
         if p % 3 == 2 and k % 2:
             return 0
         if p % 3 == 1:
@@ -246,29 +248,29 @@ def delta(f: Factorization) -> int:
     return result
 
 
-def mu(f: Factorization) -> int:
-    """Number of trihexes with mirror symmetry for V = 4 * f.n."""
-    w = exponent(f, 2)
-    odd_part = math.prod(k + 1 for p, k in f.factors if p != 2)
+def mu(pairs: Pairs) -> int:
+    """Number of trihexes with mirror symmetry for V = 4n, n the product of pairs."""
+    w = exponent(pairs, 2)
+    odd_part = math.prod(k + 1 for p, k in pairs if p != 2)
     return odd_part if w == 0 else (2 * w - 1) * odd_part
 
 
-def nu(f: Factorization) -> int:
-    """1 when some trihex with V = 4 * f.n vertices has both symmetries, else 0."""
-    return 1 if all(k % 2 == 0 for p, k in f.factors if p != 3) else 0
+def nu(pairs: Pairs) -> int:
+    """1 when some trihex with V = 4n vertices, n the product of pairs, has both symmetries, else 0."""
+    return 1 if all(k % 2 == 0 for p, k in pairs if p != 3) else 0
 
 
-def report_by_parts(f: Factorization) -> CountReport:
-    """Every counting function for V = 4 * f.n, one formula at a time."""
-    v = 4 * f.n
-    s, d, m, n = sigma(f), delta(f), mu(f), nu(f)
+def report_by_parts(n: int, pairs: Pairs) -> CountReport:
+    """Every counting function for V = 4n from the factorization pairs of n, one formula at a time."""
+    v = 4 * n
+    s, d, m, both = sigma(pairs), delta(pairs), mu(pairs), nu(pairs)
     return CountReport(
         V=v,
         sigma=s,
         delta=d,
         mu=m,
-        nu=n,
+        nu=both,
         trihexes=exact_div(s + 2 * d, 3, f"trihex count for V={v}"),
         gamma=exact_div(s + 2 * d + 3 * m, 6, f"gamma for V={v}"),
-        rot_classes=exact_div(d + n, 2, f"rot_classes for V={v}"),
+        rot_classes=exact_div(d + both, 2, f"rot_classes for V={v}"),
     )

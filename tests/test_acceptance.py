@@ -61,11 +61,11 @@ def test_criterion_3_congruence_solver():
     violations = []
     for n in range(1, 50_001):
         naive = solve_naive(n)
-        fast = solve_fast(factorize(n))
+        fast = solve_fast(n)
         if naive != fast:
             violations.append(f"n={n}: fast {fast} != naive {naive}")
-        if len(naive) != omega_count(factorize(n)):
-            violations.append(f"n={n}: {len(naive)} roots vs formula {omega_count(factorize(n))}")
+        if len(naive) != omega_count(n):
+            violations.append(f"n={n}: {len(naive)} roots vs formula {omega_count(n)}")
     _finish(3, "congruence solver, n <= 50000", started, violations)
 
 
@@ -135,16 +135,16 @@ def test_criterion_6_property_suites():
     if hits != [1, 3]:
         violations.append(f"shared-root characterization: {hits[:10]}")
 
-    omegas = [0] + [omega_count(factorize(n)) for n in range(1, 1001)]
+    omegas = [0] + [omega_count(n) for n in range(1, 1001)]
     for a in range(1, 1001):
         for b in range(a, 1001):
-            if math.gcd(a, b) == 1 and omega_count(factorize(a * b)) != omegas[a] * omegas[b]:
+            if math.gcd(a, b) == 1 and omega_count(a * b) != omegas[a] * omegas[b]:
                 violations.append(f"multiplicativity fails at ({a}, {b})")
 
     for v in range(4, 4004, 4):
         try:
             r = counting.report(v)
-            if r.gamma != gamma_cases(factorize(v // 4)):
+            if r.gamma != gamma_cases(v // 4, factorize(v // 4)):
                 violations.append(f"gamma dual path V={v}: {r.gamma} vs cases")
             if r.rot_classes != rot_classes_direct(v):
                 violations.append(f"rot_classes dual path V={v}: {r.rot_classes} vs direct")

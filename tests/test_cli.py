@@ -455,7 +455,7 @@ def test_congruence_structured(capsys):
 
 
 def test_congruence_root_count_mismatch_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "omega_count", lambda f: 3)
+    monkeypatch.setattr(cli, "omega_count", lambda n: 3)
     code, out, err = run_cli(capsys, "congruence", "--n", "91")
     assert code == 3
     assert out == ""
@@ -470,15 +470,14 @@ def test_congruence_bad_root_set_exits_3(monkeypatch, capsys):
         (9, 16, 74, 172): "roots mod 91 are not increasing residues: 172 after 74",
     }
     for roots, message in cases.items():
-        monkeypatch.setattr(cli, "solve_fast", lambda f, roots=roots: roots)
+        monkeypatch.setattr(cli, "solve_fast", lambda n, roots=roots: roots)
         assert run_cli(capsys, "congruence", "--n", "91") == (
             3, "", f"trihex: internal error: {message}\n"
         ), roots
 
 
 def test_congruence_rejects_zero(capsys):
-    code, _, _ = run_cli(capsys, "congruence", "--n", "0")
-    assert code == 2
+    assert run_cli(capsys, "congruence", "--n", "0") == (2, "", "trihex: cannot factorize 0; need n >= 1\n")
 
 
 @pytest.mark.parametrize(

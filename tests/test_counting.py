@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +11,7 @@ from oracles import exact_div
 from trihex import counting
 from trihex.counting import quarter, report, reports
 from trihex.errors import InternalInconsistencyError
-from trihex.numtheory import Factorization, factorize
+from trihex.numtheory import factorize
 
 
 # The paper's direct case formulas for gamma and rot_classes: a second route,
@@ -20,16 +19,16 @@ from trihex.numtheory import Factorization, factorize
 # combinations that `counting.report` uses.
 
 
-def gamma_cases(f: Factorization) -> int:
-    """Graph-class count via the direct case formulas on the factorization.
+def gamma_cases(n: int, pairs: oracles.Pairs) -> int:
+    """Graph-class count for V = 4n via the direct case formulas on the factorization pairs of n.
 
-    Split v/4 = 2^a * 3^b * (primes = 1 mod 3) * (odd primes = 2 mod 3) and
+    Split n = 2^a * 3^b * (primes = 1 mod 3) * (odd primes = 2 mod 3) and
     combine the three symmetry contributions over the common denominator 12.
     """
-    a = oracles.exponent(f, 2)
-    b = oracles.exponent(f, 3)
-    ones = [(p, k) for p, k in f.factors if p % 3 == 1]
-    twos = [(p, k) for p, k in f.factors if p % 3 == 2 and p != 2]
+    a = oracles.exponent(pairs, 2)
+    b = oracles.exponent(pairs, 3)
+    ones = [(p, k) for p, k in pairs if p % 3 == 1]
+    twos = [(p, k) for p, k in pairs if p % 3 == 2 and p != 2]
 
     sig_rest = math.prod((p ** (k + 1) - 1) // (p - 1) for p, k in ones + twos)
     prod_ones = math.prod(k + 1 for _, k in ones)
@@ -42,14 +41,14 @@ def gamma_cases(f: Factorization) -> int:
     rotation_possible = a % 2 == 0 and all(k % 2 == 0 for _, k in twos)
     rotation_term = 4 * prod_ones if rotation_possible else 0
 
-    return exact_div(sigma_term + rotation_term + mirror_term, 12, f"gamma for n={f.n}")
+    return exact_div(sigma_term + rotation_term + mirror_term, 12, f"gamma for n={n}")
 
 
 def rot_classes_direct(v: int) -> int:
     """Rotationally symmetric graph classes via the direct case formula."""
-    f = factorize(quarter(v))
-    ones = [k for p, k in f.factors if p % 3 == 1]
-    twos = [k for p, k in f.factors if p % 3 == 2]
+    pairs = factorize(quarter(v))
+    ones = [k for p, k in pairs if p % 3 == 1]
+    twos = [k for p, k in pairs if p % 3 == 2]
     if any(k % 2 for k in twos):
         direct = 0
     elif any(k % 2 for k in ones):
@@ -147,7 +146,7 @@ def test_divisibility_identities():
 def test_gamma_and_rot_dual_paths_agree():
     for v in range(4, 4004, 4):
         r = report(v)
-        assert r.gamma == gamma_cases(factorize(v // 4)), v
+        assert r.gamma == gamma_cases(v // 4, factorize(v // 4)), v
         assert r.rot_classes == rot_classes_direct(v), v
 
 
@@ -167,7 +166,7 @@ def test_report_matches_four_formula_route():
     # the one-pass loop against the four per-function formulas, each on the
     # trial-division factorization
     for v in range(4, 40004, 4):
-        assert report(v) == oracles.report_by_parts(oracles.factorize(v // 4)), v
+        assert report(v) == oracles.report_by_parts(v // 4, oracles.factorize(v // 4)), v
 
 
 # V/4 up to 2^64: prime powers, squares (nu = 1), and products of two or three
@@ -188,7 +187,7 @@ LARGE_QUARTERS = (
 
 def test_report_matches_four_formula_route_at_64_bits():
     for n in LARGE_QUARTERS:
-        assert report(4 * n) == oracles.report_by_parts(factorize(n)), n
+        assert report(4 * n) == oracles.report_by_parts(n, factorize(n)), n
 
 
 def test_report_factorizes_once(monkeypatch):
@@ -207,7 +206,7 @@ def test_report_factorizes_once(monkeypatch):
 
 def test_report_raises_when_a_division_is_not_exact(monkeypatch):
     # a stand-in "prime" 4: sigma 5, delta 2, mu 2, so 6 * gamma would be 15
-    monkeypatch.setattr(counting, "factorize", lambda n: SimpleNamespace(factors=((4, 1),)))
+    monkeypatch.setattr(counting, "factorize", lambda n: ((4, 1),))
     with pytest.raises(InternalInconsistencyError) as excinfo:
         report(16)
     assert str(excinfo.value) == "gamma for V=16: 15 not divisible by 6"

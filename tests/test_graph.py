@@ -201,6 +201,7 @@ def test_validate_rejects_broken_rotation_systems():
     assert face_census(tetra_and_torus) == {3: 4, 6: 4}
     g = build(Signature(6, 2, 1))
     cases = [
+        ((), "graph has no vertices"),
         (_with_rotation(tetra, 0, (1, 1, 2)), "vertex 0 is not simple cubic"),
         (_with_rotation(tetra, 0, (1, 2, 4)), r"vertex 0 has a neighbor outside 0\.\.3"),
         (_with_rotation(g8, 0, (1, 4, 7)), "adjacency not symmetric"),

@@ -9,7 +9,6 @@ import oracles
 from oracles import lift_prime_power, solve_naive
 from test_counting import LARGE_QUARTERS
 from trihex.numtheory import (
-    Factorization,
     _root_mod_prime_power,
     check_factorable,
     divisors,
@@ -22,9 +21,9 @@ from trihex.numtheory import (
 
 
 def test_factorize_examples():
-    assert factorize(1).factors == ()
-    assert factorize(7).factors == ((7, 1),)
-    assert factorize(90).factors == ((2, 1), (3, 2), (5, 1))
+    assert factorize(1) == ()
+    assert factorize(7) == ((7, 1),)
+    assert factorize(90) == ((2, 1), (3, 2), (5, 1))
 
 
 def test_factorize_rejects_nonpositive():
@@ -35,7 +34,7 @@ def test_factorize_rejects_nonpositive():
 
 
 def test_factorize_refuses_64_bit_overflow():
-    assert factorize(2**64 - 1).n == 2**64 - 1
+    assert math.prod(p**k for p, k in factorize(2**64 - 1)) == 2**64 - 1
     with pytest.raises(ValueError, match=r"cannot factorize 18446744073709551616; need n < 2\^64"):
         factorize(2**64)
 
@@ -52,14 +51,14 @@ def test_factorize_refuses_64_bit_overflow():
     ],
 )
 def test_factor_range_matches_trial_division(start, stop):
-    assert factor_range(start, stop) == [list(oracles.factorize(n).factors) for n in range(start, stop)]
+    assert factor_range(start, stop) == [list(oracles.factorize(n)) for n in range(start, stop)]
 
 
 def test_factor_range_near_64_bits():
     start = 2**64 - 300
     for n, factors in zip(range(start, 2**64), factor_range(start, 2**64)):
-        assert tuple(factors) == factorize(n).factors, n
-        assert_valid_factorization(Factorization(n, tuple(factors)))
+        assert tuple(factors) == factorize(n), n
+        assert_valid_factorization(n, factors)
 
 
 @pytest.mark.parametrize(
@@ -99,7 +98,7 @@ STRONG_PSEUDOPRIMES = [
 @pytest.mark.parametrize("factors", LARGE_FACTORS)
 def test_factorize_large_examples(factors):
     n = math.prod(p**k for p, k in factors)
-    assert factorize(n).factors == factors
+    assert factorize(n) == factors
     # 2^61 - 1 is too large for trial division; every other prime is checked by it
     assert all(oracles.is_prime(p) for p, _ in factors if p < 2**32)
 
@@ -118,9 +117,9 @@ def test_is_prime_matches_sieve():
 @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
 def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)
-    f = factorize(n)
-    assert len(f.factors) > 1
-    assert all(oracles.is_prime(p) for p, _ in f.factors)
+    pairs = factorize(n)
+    assert len(pairs) > 1
+    assert all(oracles.is_prime(p) for p, _ in pairs)
 
 
 def test_is_prime_refuses_beyond_exact_bound():
@@ -146,36 +145,34 @@ def test_first_root_is_smallest_scanned_root():
             raise AssertionError(f"no root mod {p}")
 
 
-def assert_valid_factorization(f):
-    """What a Factorization promises, which nothing checks when one is built:
-    the primes multiply back to n, increase strictly, are prime, and have
-    exponents of at least 1."""
-    assert math.prod(p**k for p, k in f.factors) == f.n, f
-    primes = [p for p, _ in f.factors]
-    assert all(a < b for a, b in zip(primes, primes[1:])), f
-    assert all(is_prime(p) for p in primes), f
-    assert all(k >= 1 for _, k in f.factors), f
+def assert_valid_factorization(n, pairs):
+    """What the (prime, exponent) pairs of n promise, which nothing checks
+    when they are built: the primes multiply back to n, increase strictly,
+    are prime, and have exponents of at least 1."""
+    assert math.prod(p**k for p, k in pairs) == n, (n, pairs)
+    primes = [p for p, _ in pairs]
+    assert all(a < b for a, b in zip(primes, primes[1:])), (n, pairs)
+    assert all(is_prime(p) for p in primes), (n, pairs)
+    assert all(k >= 1 for _, k in pairs), (n, pairs)
 
 
 def test_factorize_roundtrip_sweep():
     # below 5 000 and up to 2^64
     large = [math.prod(p**k for p, k in factors) for factors in LARGE_FACTORS]
     for n in [*range(1, 5000), *large, 2**64 - 1, *STRONG_PSEUDOPRIMES, *LARGE_QUARTERS]:
-        f = factorize(n)
-        assert f.n == n
-        assert_valid_factorization(f)
+        assert_valid_factorization(n, factorize(n))
 
 
 def test_factorization_validates():
     # the checker above rejects each way a factorization can be wrong
-    for bad in [
-        Factorization(12, ((2, 1), (3, 1))),  # product is 6
-        Factorization(12, ((3, 1), (2, 2))),  # out of order
-        Factorization(8, ((8, 1),)),  # not prime
-        Factorization(8, ((2, 3), (3, 0))),  # zero exponent
+    for n, pairs in [
+        (12, ((2, 1), (3, 1))),  # product is 6
+        (12, ((3, 1), (2, 2))),  # out of order
+        (8, ((8, 1),)),  # not prime
+        (8, ((2, 3), (3, 0))),  # zero exponent
     ]:
         with pytest.raises(AssertionError):
-            assert_valid_factorization(bad)
+            assert_valid_factorization(n, pairs)
 
 
 @pytest.mark.parametrize(
@@ -183,12 +180,12 @@ def test_factorization_validates():
     [(1, [1]), (7, [1, 7]), (12, [1, 2, 3, 4, 6, 12])],
 )
 def test_divisors_examples(n, expected):
-    assert divisors(factorize(n)) == expected
+    assert divisors(n) == expected
 
 
 def test_divisors_sweep():
     for n in range(1, 400):
-        assert divisors(factorize(n)) == [d for d in range(1, n + 1) if n % d == 0]
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 @pytest.mark.parametrize(
@@ -202,7 +199,7 @@ def test_divisors_sweep():
     ],
 )
 def test_omega_count_examples(n, expected):
-    assert omega_count(factorize(n)) == expected
+    assert omega_count(n) == expected
 
 
 def test_solve_naive_examples():
@@ -253,9 +250,9 @@ def test_lift_prime_power_rejects_bad_input():
 
 
 def test_solve_fast_examples():
-    assert solve_fast(factorize(21)) == (4, 16)
-    assert solve_fast(factorize(1)) == (0,)
-    roots49 = solve_fast(factorize(49))
+    assert solve_fast(21) == (4, 16)
+    assert solve_fast(1) == (0,)
+    roots49 = solve_fast(49)
     assert len(roots49) == 2
     assert all(r % 7 in (2, 4) for r in roots49)
 
@@ -265,7 +262,7 @@ def assert_certified_roots(n, roots):
     assert all(0 <= x < n for x in roots), n
     assert all(a < b for a, b in zip(roots, roots[1:])), n
     assert all((x * x + x + 1) % n == 0 for x in roots), n
-    assert len(roots) == omega_count(factorize(n)), n
+    assert len(roots) == omega_count(n), n
 
 
 @pytest.mark.parametrize(
@@ -274,28 +271,28 @@ def assert_certified_roots(n, roots):
     [3_000_000_019, 2**61 - 1, 1048609 * 1048627 * 1048633],
 )
 def test_solve_fast_roots_certified_at_64_bits(n):
-    assert_certified_roots(n, solve_fast(factorize(n)))
+    assert_certified_roots(n, solve_fast(n))
 
 
 def test_fast_equals_naive_sweep():
     for n in range(1, 3000):
-        fast = solve_fast(factorize(n))
+        fast = solve_fast(n)
         assert fast == solve_naive(n), n
         assert_certified_roots(n, fast)
 
 
 def test_root_count_matches_formula_sweep():
     for n in range(1, 3000):
-        assert len(solve_naive(n)) == omega_count(factorize(n)), n
+        assert len(solve_naive(n)) == omega_count(n), n
 
 
 def test_omega_multiplicative():
     limit = 1000
-    omegas = [0] + [omega_count(factorize(n)) for n in range(1, limit + 1)]
+    omegas = [0] + [omega_count(n) for n in range(1, limit + 1)]
     for a in range(1, limit + 1):
         for b in range(a, limit + 1):
             if math.gcd(a, b) == 1:
-                assert omega_count(factorize(a * b)) == omegas[a] * omegas[b], (a, b)
+                assert omega_count(a * b) == omegas[a] * omegas[b], (a, b)
 
 
 def test_root_pairing():
@@ -304,7 +301,7 @@ def test_root_pairing():
         if not is_prime(p) or p % 3 != 1:
             continue
         for ell in (1, 2):
-            roots = solve_fast(factorize(p**ell))
+            roots = solve_fast(p**ell)
             assert len(roots) == 2
             assert sum(roots) == p**ell - 1
 

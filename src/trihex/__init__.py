@@ -28,7 +28,7 @@ from .graph import (
     mirror_image,
     validate,
 )
-from .numtheory import divisors, factor_range, factorize, omega_count, solve_fast
+from .numtheory import divisors, factorize, omega_count, solve_fast
 from .signature import (
     Signature,
     canonical_rep,
@@ -56,7 +56,6 @@ __all__ = [
     "export",
     "face_census",
     "faces",
-    "factor_range",
     "factorize",
     "graph_class_reps",
     "has_code",

@@ -15,9 +15,9 @@ file that cannot be written), 3 internal error (two computations that must
 agree did not).
 Range work fans out to a process pool (--jobs, default 1; 0 = all cores;
 never more workers than cores or vertex counts): `count` maps contiguous
-pieces of its range, each sieved by `counting.reports`, and `verify` one
-vertex count per task.  Results come back in order, so output is
-deterministic.
+pieces of its range, each sieved by `counting.reports` and formatted in its
+worker, and writes each piece as it comes back; `verify` maps one vertex
+count per task.  Results come back in order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import os
 import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import Iterable
 
 from . import counting, enumeration, graph
 from .errors import InternalInconsistencyError, VerificationFailureError
@@ -38,12 +39,16 @@ from .numtheory import check_factorable, omega_count, solve_fast
 from .signature import parse_signature, vertex_count
 
 SCHEMA_VERSION = 1
+# One `count` row as an item of the structured document's "reports" list, laid
+# out as json.dumps(..., indent=2) lays it out
+_JSON_ROW = "    {\n" + ",\n".join(f'      "{name}": %d' for name in counting.CountReport._fields) + "\n    }"
 
 # A range holds at most this many vertex counts, refused before it is listed.
 # On a 2-core Xeon VM with Python 3.11, the largest it admits, V = 4..2 000 000,
-# takes 2.8-3.4 s and 84 MiB through `count` as CSV at --jobs 1, and 8.4-12.9 s
-# and 1 015 MiB as structured, which holds one dict per row: about what
-# `enumerate` takes at enumeration.MAX_SIGNATURES.
+# takes 2.1-2.9 s and 18 MiB through `count --output` as CSV at --jobs 1
+# (1.2-1.5 s at --jobs 2), and 1.6-3.1 s and 21 MiB as structured (1.2-1.7 s
+# and 24 MiB at --jobs 2): `count` writes each piece as it comes, so the cap
+# bounds time, not memory.
 MAX_VERTEX_COUNTS = 500_000
 
 # `verify --with-graphs` refuses a range whose graph work, the sum of
@@ -83,14 +88,18 @@ def _workers(jobs: int, items: int) -> int:
     return min(jobs or cores, items, cores)
 
 
-def _map_ordered(fn, items, jobs: int):
-    """Yield fn(item) for each item in order, from _workers(jobs, len(items)) processes when that exceeds 1."""
+def _map_ordered(fn, items, jobs: int, chunksize: int = 0):
+    """Yield fn(item) for each item in order, from _workers(jobs, len(items)) processes when that exceeds 1.
+
+    Items go to the workers `chunksize` at a time, by default in about four
+    chunks per worker.
+    """
     workers = _workers(jobs, len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
+        yield from pool.map(fn, items, chunksize=chunksize or max(1, len(items) // (4 * workers)))
 
 
 @contextlib.contextmanager
@@ -120,28 +129,36 @@ def _output_file(path: str | None):
 
 
 def _emit(data: str | bytes, args) -> None:
-    """Write text or bytes to the --output file, or else to stdout.
+    """Write one whole output, text or bytes, to the --output file, or else to stdout."""
+    _emit_chunks((data,), args)
 
-    A file that cannot be written is a usage error (exit 2); a reader that
-    closes stdout early (`| head -1`) ends the output quietly.
+
+def _emit_chunks(chunks: Iterable[str | bytes], args) -> None:
+    """Write each chunk of text or bytes, in order and as it comes, to the --output file, or else to stdout.
+
+    The file is truncated when the first chunk has come.  A file that
+    cannot be written is a usage error (exit 2); a reader that closes
+    stdout early (`| head -1`) ends the output quietly.
     """
     if args.output:
         fh = args.output_file
-        try:
-            # a pipe or a device cannot be truncated, and needs no truncating
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate(0)
-            fh.write(data.encode() if isinstance(data, str) else data)
-            fh.flush()
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
+        for i, data in enumerate(chunks):
+            try:
+                # a pipe or a device cannot be truncated, and needs no truncating
+                if not i and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
+                fh.write(data.encode() if isinstance(data, str) else data)
+                fh.flush()
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
         return
     try:
-        if isinstance(data, str):
-            sys.stdout.write(data)
-        else:
-            sys.stdout.buffer.write(data)
-        sys.stdout.flush()
+        for data in chunks:
+            if isinstance(data, str):
+                sys.stdout.write(data)
+            else:
+                sys.stdout.buffer.write(data)
+            sys.stdout.flush()
     except BrokenPipeError:
         # stdout now points at devnull, so the flush at interpreter exit cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -153,8 +170,13 @@ def _emit_json(doc: dict, args) -> None:
     _emit(json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2) + "\n", args)
 
 
-def _count_rows(vs: range) -> list[counting.CountReport]:
-    return list(counting.reports(vs[0], vs[-1]))
+def _count_rows(piece: tuple[range, str]) -> str:
+    """The text of one piece of `count` output: CSV lines, or items of the structured "reports" list."""
+    vs, fmt = piece
+    rows = counting.reports(vs[0], vs[-1])
+    if fmt == "csv":
+        return "\n".join(map(counting.CountReport.csv_row, rows)) + "\n"
+    return ",\n".join(map(_JSON_ROW.__mod__, rows))
 
 
 def cmd_count(args) -> int:
@@ -164,14 +186,17 @@ def cmd_count(args) -> int:
     # contiguous pieces of at most one sieve segment each, and at least one per worker
     pieces = max(-(-len(vs) // counting.SEGMENT), _workers(args.jobs, len(vs)))
     size = -(-len(vs) // pieces)
-    rows = itertools.chain.from_iterable(
-        _map_ordered(_count_rows, [vs[i : i + size] for i in range(0, len(vs), size)], args.jobs)
+    # one piece per task: a chunk of pieces would hold that many pieces' text in a worker and in the queue
+    texts = _map_ordered(
+        _count_rows, [(vs[i : i + size], args.format) for i in range(0, len(vs), size)], args.jobs, chunksize=1
     )
     if args.format == "csv":
-        header = ",".join(counting.CountReport._fields)
-        _emit("\n".join(itertools.chain([header], map(counting.CountReport.csv_row, rows))) + "\n", args)
+        head, sep, tail = ",".join(counting.CountReport._fields) + "\n", "", ""
     else:
-        _emit_json({"reports": [r._asdict() for r in rows]}, args)
+        head, tail = json.dumps({"schema_version": SCHEMA_VERSION, "reports": []}, indent=2).split("[]")
+        head, sep, tail = head + "[\n", ",\n", "\n  ]" + tail + "\n"
+    # the first piece comes before anything is written: a command that fails on it writes nothing
+    _emit_chunks(itertools.chain([head + next(texts)], (sep + text for text in texts), [tail]), args)
     return 0
 
 

@@ -2,13 +2,11 @@
 
 Everything here is exact integer arithmetic, and no routine does work in
 proportion to n or its square root.  `is_prime` is deterministic
-Miller-Rabin; `factorize` trial-divides by the primes below 1000 and splits
-what is left with Brent's variant of Pollard rho, for n < 2^64.
-`factor_range` factors consecutive n with one trial division for the whole
-range, a sieve that steps each of the 168 small primes over its multiples,
-so its work is in proportion to the length of the range; the cofactors it
-leaves go to the same Miller-Rabin and rho.  `check_factorable` is the
-n < 2^64 refusal both share, and it refuses a range from its ends.  The number
+Miller-Rabin; `factorize` trial-divides by SMALL_PRIMES, the primes below
+1000, and `large_factors` splits what is left with Brent's variant of
+Pollard rho, for n < 2^64.  `counting.reports` sieves a range of n with
+the same table and the same split.  `check_factorable` is the n < 2^64
+refusal they share, and it refuses a range from its ends.  The number
 of roots of x^2 + x + 1 (mod n) is multiplicative in n and fully determined
 by the prime factorization: 0 as soon as a prime congruent to 2 (mod 3)
 divides n or 9 divides n, otherwise 2^r where r is the number of distinct
@@ -18,12 +16,11 @@ Chinese remainder theorem, and returns them as a strictly increasing tuple.
 The naive residue scan it is checked against lives in the tests.
 
 A factorization is its tuple of (prime, exponent) pairs, primes strictly
-increasing; `factor_range` gives each row as a list of the same pairs.
-`divisors`, `omega_count` and `solve_fast` take n and factor it with the
-cached `factorize`.  Nothing checks a factorization when it is built: the
-invariants that these routines establish by construction are asserted in
-the tests, and `trihex congruence`, whose output promises certified roots,
-checks every root it prints.
+increasing.  `divisors`, `omega_count` and `solve_fast` take n and factor
+it with the cached `factorize`.  Nothing checks a factorization when it is
+built: the invariants that these routines establish by construction are
+asserted in the tests, and `trihex congruence`, whose output promises
+certified roots, checks every root it prints.
 """
 
 from __future__ import annotations
@@ -34,10 +31,10 @@ from math import gcd
 from .errors import InternalInconsistencyError
 
 # The 168 primes below 1000, for trial division before Miller-Rabin and rho.
-_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, int(p**0.5) + 1)))
+SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, int(p**0.5) + 1)))
 # Miller-Rabin with the twelve primes 2..37 as bases is exact below their
 # smallest strong pseudoprime (Sorenson and Webster, 2015).
-_MR_BASES = _SMALL_PRIMES[:12]
+_MR_BASES = SMALL_PRIMES[:12]
 _MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
 
@@ -92,44 +89,6 @@ def check_factorable(start: int, stop: int) -> None:
         raise ValueError(f"cannot factorize {max(start, 2**64)}; need n < 2^64")
 
 
-def factor_range(start: int, stop: int) -> list[list[tuple[int, int]]]:
-    """The factorization of each n in range(start, stop), for 1 <= n < 2^64, as lists of (prime, exponent) pairs.
-
-    One trial division serves the whole range: each prime below 1000 whose
-    square is below stop steps over its multiples in the range and is
-    divided out of them.  A cofactor left once the primes pass
-    sqrt(stop - 1), or left below 997^2, has no smaller prime factor and is
-    prime; any other has no prime factor below 1000 and is split by
-    Miller-Rabin and Brent's variant of Pollard rho.  The work is the
-    length of the range times at most the 168 small primes, plus rho on
-    the cofactors that need it.
-    """
-    check_factorable(start, stop)
-    count = stop - start
-    rest = list(range(start, stop))
-    factors: list[list[tuple[int, int]]] = [[] for _ in rest]
-    for p in _SMALL_PRIMES:
-        if p * p >= stop:
-            break
-        for i in range(-start % p, count, p):
-            r = rest[i] // p
-            k = 1
-            while not r % p:
-                r //= p
-                k += 1
-            rest[i] = r
-            factors[i].append((p, k))
-    else:
-        for i, r in enumerate(rest):
-            if r >= 997 * 997:
-                factors[i].extend(_large_factors(r))
-                rest[i] = 1
-    for primes, r in zip(factors, rest):
-        if r > 1:
-            primes.append((r, 1))
-    return factors
-
-
 # Bounded: `verify` asks for one n in `counting.report` and again in each signature stream,
 # and a long range must not keep every n.
 @lru_cache(maxsize=1024)
@@ -144,7 +103,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     check_factorable(n, n + 1)
     remaining = n
     factors: list[tuple[int, int]] = []
-    for p in _SMALL_PRIMES:
+    for p in SMALL_PRIMES:
         if p * p > remaining:
             if remaining > 1:
                 factors.append((remaining, 1))
@@ -156,11 +115,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 k += 1
             factors.append((p, k))
     else:
-        factors.extend(_large_factors(remaining))
+        factors.extend(large_factors(remaining))
     return tuple(factors)
 
 
-def _large_factors(n: int) -> list[tuple[int, int]]:
+def large_factors(n: int) -> list[tuple[int, int]]:
     """(prime, exponent) pairs of n, primes increasing, for n with no prime factor below 1000."""
     primes = _prime_factors(n)
     return [(p, primes.count(p)) for p in sorted(set(primes))]

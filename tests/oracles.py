@@ -20,11 +20,16 @@ The paper's hexagon count 2sb + 2s + 2b (`hexagon_count`), where
 `graph.validate` takes n/2 - 2 from Euler's formula.
 
 The counting report as four separate passes over the factorization of V/4,
-one per formula (`report_by_parts`), where `counting.report` builds sigma,
-delta, mu and nu in one loop.
+one per formula (`report_by_parts`), where `counting.report` multiplies the
+local values of sigma, delta, mu and nu at each prime power.
+
+The column sums of a whole `count` table from no factorization at all
+(`count_sums`): Dirichlet's hyperbola method sums sigma, delta and mu over
+n <= N in O(sqrt N), and the squares and three times the squares count nu.
 """
 
 import math
+from math import isqrt
 
 import numpy as np
 
@@ -273,4 +278,36 @@ def report_by_parts(n: int, pairs: Pairs) -> CountReport:
         trihexes=exact_div(s + 2 * d, 3, f"trihex count for V={v}"),
         gamma=exact_div(s + 2 * d + 3 * m, 6, f"gamma for V={v}"),
         rot_classes=exact_div(d + both, 2, f"rot_classes for V={v}"),
+    )
+
+
+def count_sums(n: int) -> tuple[int, ...]:
+    """Sums over V = 4, 8, ..., 4n of every `count` column after V, in O(sqrt n) steps.
+
+    sigma = 1 * id, delta = 1 * chi (chi the character mod 3: 1, -1 or 0 at
+    n = 1, 2 or 0 mod 3) and mu = 1 * h (h = 1 at odd d, 0 at d = 2 mod 4
+    and 2 at d = 0 mod 4) are Dirichlet convolutions with 1, so each sums to
+    sum over d <= n of f(d) * (n // d).  The d with one value of n // d form
+    a block, and each block takes the prefix sums of f at its ends: there
+    are at most 2 sqrt(n) blocks.  nu is 1 exactly at the squares and three
+    times the squares.  The other three columns follow from these sums.
+    """
+    s = d = m = 0
+    lo = 1
+    while lo <= n:
+        q = n // lo
+        hi = n // q
+        s += q * (hi * (hi + 1) - (lo - 1) * lo) // 2
+        d += q * ((hi % 3 == 1) - ((lo - 1) % 3 == 1))
+        m += q * ((hi + 1) // 2 + 2 * (hi // 4) - lo // 2 - 2 * ((lo - 1) // 4))
+        lo = hi + 1
+    both = isqrt(n) + isqrt(n // 3)
+    return (
+        s,
+        d,
+        m,
+        both,
+        exact_div(s + 2 * d, 3, f"trihex sum to V={4 * n}"),
+        exact_div(s + 2 * d + 3 * m, 6, f"gamma sum to V={4 * n}"),
+        exact_div(d + both, 2, f"rot_classes sum to V={4 * n}"),
     )

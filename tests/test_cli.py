@@ -584,7 +584,8 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 
 
 def test_count_inexact_division_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(counting, "factor_range", lambda start, stop: [((4, 1),)])
+    # a stand-in local value at 2^2: sigma 5, delta 2, mu 2, so 6 * gamma would be 15
+    monkeypatch.setattr(counting, "_local", lambda p, k: (5, 2, 2, 0))
     assert run_cli(capsys, "count", "--v", "16") == (
         3, "", "trihex: internal error: gamma for V=16: 15 not divisible by 6\n"
     )
@@ -613,6 +614,11 @@ PINNED_SHA256 = {
     # V/4 = 997 000..1 023 000: past 997^2, over segment and pool-piece boundaries
     "count --from 3988000 --to 4092000": "37518ce9829157812b6f435c9931dbefa105deb87fe2dc641c84c5764e0f667c",
     "count --from 3988000 --to 4092000 --format structured": "6be7964deca24997da8e4478330077161b610536f81956e5774c5749777a760f",
+    # 1 024 rows at V/4 = 10^12, and the last 64 below 2^64: cofactors that rho splits
+    "count --from 4000000000000 --to 4000000004092": "3db074cbfc9b7e9b099ee09ac38017d373cd183884dfadaafbb35542a83d930a",
+    "count --from 4000000000000 --to 4000000004092 --format structured": "80f89da742d80c464e1e005f6ece12c800c9f6de5bb2a9290147fb2c0dd282f9",
+    "count --from 73786976294838206208 --to 73786976294838206460": "456c7a655ab5ba172666daa14666f6248047cffc8b6f9da7d276400c76709e5a",
+    "count --from 73786976294838206208 --to 73786976294838206460 --format structured": "dae8d9f29e48878452fbea6ec341554b593db7077784c411b78b38519ce7cf16",
     "enumerate --v 5040 --stream all": "c6d2893c0e40e7afc9721cc2cefc48fbc5076dc1a1c2b557f501fa90f7e0ac09",
     "enumerate --v 5040 --stream all --format csv": "9bc225066e4699160f3d4857220ca16bc2fdda1d8d0afeb70103411b46f79bcd",
     "enumerate --v 5040 --stream all --format structured": "f4417aab83f971f67a41cd717cb711222ccab1e1233939d20e39c30a68890b73",

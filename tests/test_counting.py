@@ -227,6 +227,31 @@ def test_reports_match_report(start, end):
     assert list(reports(start, end)) == [report(v) for v in range(start, end + 4, 4)]
 
 
+def column_sums(rows):
+    """Each column after V summed over the rows."""
+    return tuple(map(sum, zip(*rows)))[1:]
+
+
+def test_count_sums_match_small_tables():
+    for n in range(1, 300):
+        assert oracles.count_sums(n) == column_sums(map(report, range(4, 4 * n + 4, 4))), n
+
+
+@pytest.mark.parametrize(
+    "first, last",
+    [
+        (1_000_012_000, 1_000_017_000),  # the square 31623^2 = 1 000 014 129, over a segment boundary
+        (1_000_063_000, 1_000_064_000),  # three times a square, 3 * 18258^2 = 1 000 063 692
+        (2_000_683_000, 2_000_684_000),  # a prime square, 44729^2 = 2 000 683 441, that rho splits
+        (10_000_599_500, 10_000_600_500),  # and 100003^2 = 10 000 600 009
+    ],
+)
+def test_reports_match_hyperbola_sums(first, last):
+    # every column summed over V/4 in [first, last], against sums that factor nothing
+    below, through = oracles.count_sums(first - 1), oracles.count_sums(last)
+    assert column_sums(reports(4 * first, 4 * last)) == tuple(b - a for a, b in zip(below, through))
+
+
 def test_reports_refuse_like_report():
     with pytest.raises(ValueError, match="^vertex count must be a multiple of 4 and >= 4, got 6$"):
         next(reports(6, 40))

@@ -8,11 +8,11 @@ import pytest
 import oracles
 from oracles import lift_prime_power, solve_naive
 from test_counting import LARGE_QUARTERS
+from trihex.counting import report, reports
 from trihex.numtheory import (
     _root_mod_prime_power,
     check_factorable,
     divisors,
-    factor_range,
     factorize,
     is_prime,
     omega_count,
@@ -39,6 +39,8 @@ def test_factorize_refuses_64_bit_overflow():
         factorize(2**64)
 
 
+# The range sieve in `counting.reports` factors n = V/4 for a whole window
+# at once; these windows check it against trial division, n in range(start, stop).
 @pytest.mark.parametrize(
     "start, stop",
     [
@@ -51,14 +53,15 @@ def test_factorize_refuses_64_bit_overflow():
     ],
 )
 def test_factor_range_matches_trial_division(start, stop):
-    assert factor_range(start, stop) == [list(oracles.factorize(n)) for n in range(start, stop)]
+    expected = [oracles.report_by_parts(n, oracles.factorize(n)) for n in range(start, stop)]
+    assert list(reports(4 * start, 4 * (stop - 1))) == expected
 
 
 def test_factor_range_near_64_bits():
     start = 2**64 - 300
-    for n, factors in zip(range(start, 2**64), factor_range(start, 2**64)):
-        assert tuple(factors) == factorize(n), n
-        assert_valid_factorization(n, factors)
+    for n, row in zip(range(start, 2**64), reports(4 * start, 4 * (2**64 - 1)), strict=True):
+        assert row == report(4 * n), n
+        assert_valid_factorization(n, factorize(n))
 
 
 @pytest.mark.parametrize(
@@ -68,9 +71,15 @@ def test_factor_range_near_64_bits():
 )
 def test_factor_range_refuses_outside_64_bits(start, stop, refused):
     # the first n of the range that cannot be factorized, named before any is
-    for check in (check_factorable, factor_range):
-        with pytest.raises(ValueError, match=f"^cannot factorize {refused}$"):
-            check(start, stop)
+    with pytest.raises(ValueError, match=f"^cannot factorize {refused}$"):
+        check_factorable(start, stop)
+    # a vertex count below 4 is refused as one, before its quarter is factorized
+    if start < 1:
+        refused = f"vertex count must be a multiple of 4 and >= 4, got {4 * start}"
+    else:
+        refused = f"cannot factorize {refused}"
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        next(reports(4 * start, 4 * (stop - 1)))
     check_factorable(1, 2**64)
 
 

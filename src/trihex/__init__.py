@@ -31,6 +31,7 @@ from .graph import (
 from .numtheory import divisors, factorize, omega_count, solve_fast
 from .signature import (
     Signature,
+    canonical_offsets,
     canonical_rep,
     has_mirror_symmetry,
     is_canonical,
@@ -50,6 +51,7 @@ __all__ = [
     "all_signatures",
     "build",
     "canonical_code",
+    "canonical_offsets",
     "canonical_rep",
     "coinciding_signatures",
     "divisors",

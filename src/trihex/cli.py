@@ -235,10 +235,10 @@ def cmd_build(args) -> int:
 def _verify_one(task: tuple[int, bool]) -> tuple[int, list[str]]:
     v, with_graphs = task
     try:
-        reps = enumeration.verify(v)
+        enumeration.verify(v)
     except VerificationFailureError as exc:
         return v, [f"{exc.field}: expected {exc.expected}, got {exc.actual}"]
-    return v, enumeration.verify_graphs(v, reps) if with_graphs else []
+    return v, enumeration.verify_graphs(v, enumeration.trihex_reps(v)) if with_graphs else []
 
 
 def cmd_verify(args) -> int:

@@ -10,7 +10,8 @@ A trihex has one such triple per spine direction; `orbit` returns the
 three as a tuple, the triple itself first: the HNFs of L rotated by 0, 60
 and 120 degrees (Thurston, "Shapes of polyhedra", 1998).  `is_canonical`
 tells whether a triple is the least of its three from two gcds, without
-building the other two.
+building the other two, and `canonical_offsets` makes the same test for
+every offset of one (s, b) at once.
 The mirror image is the HNF of L reflected by (a, y) -> (a, a - y), which
 swaps the offset f for (s - b - f) mod (s+1); a signature is self-mirror
 when `mirror(sig) == sig`.
@@ -19,7 +20,10 @@ when `mirror(sig) == sig`.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import NamedTuple
+
+from .numtheory import divisors
 
 
 class Signature(NamedTuple):
@@ -105,6 +109,26 @@ def is_canonical(sig: Signature) -> bool:
     if g60 == m and m * ((-pow(q, -1, k) - 1) % k) < f:
         return False
     return not (g120 == m and m * (-pow(q + 1, -1, k) % k) < f)
+
+
+def canonical_offsets(n: int, m: int) -> bytearray:
+    """Mark the offsets f in 0..n-1 for which (n-1, m-1, f) is canonical: mask[f] is 1 or 0.
+
+    `is_canonical`'s gcd test for all f at once: gcd(n, f) or gcd(n, f+m)
+    is above m exactly when a divisor e > m of n divides f or f+m, so each
+    such e unmarks f = 0 and f = -m (mod e) with two slice assignments.  An
+    offset left marked ties only when m | n and m | f, and those offsets go
+    to `is_canonical`.
+    """
+    mask = bytearray(b"\x01") * n
+    for e in divisors(n):
+        if e > m:
+            for start in (0, -m % e):
+                mask[start::e] = bytes(len(range(start, n, e)))
+    if n % m == 0:
+        for f in compress(range(0, n, m), mask[::m]):
+            mask[f] = is_canonical(Signature(n - 1, m - 1, f))
+    return mask
 
 
 def canonical_rep(sig: Signature) -> Signature:

@@ -593,8 +593,9 @@ def test_count_inexact_division_exits_3(monkeypatch, capsys):
 
 # sha256 of the exact output bytes: the build and verify entries recorded
 # before canonical codes and the graph checks were restructured, the count,
-# enumerate and congruence entries before the CLI emitters were merged; any
-# change to an output format shows up here.
+# enumerate and congruence entries before the CLI emitters were merged, and
+# the `--stream reps` entries before representatives were sieved one divisor
+# pair at a time; any change to an output format shows up here.
 PINNED_SHA256 = {
     "build --sig 0,0,0 --format planar_code": "460f4ac94d3a84d4e9fe0a00a5be44eac05b93a7ef869573f055767c0c8f7264",
     "build --sig 0,0,0 --format dot": "c10490376eece2cbaaaa13c6c59a38d6819f7e33871bc5d9501d764a84f2771d",
@@ -625,6 +626,10 @@ PINNED_SHA256 = {
     "enumerate --v 5040 --stream classes": "dda48faeddce04557e0dfa9003b0029bcee1224d841abde0aedb30821fb197d5",
     "enumerate --v 5040 --stream classes --format csv": "49cdf8fb6aab23771a43b80f6990bc1f2eb0da18b874777c8958d766fd634f0e",
     "enumerate --v 5040 --stream classes --format structured": "0fb249a26a96ac4c2be68718b61be0d19897f36e75e6b674ceec62d5734e09bc",
+    "enumerate --v 5040 --stream reps": "2027916b41920da371a1a4ce002ad50b37c127ba22abd464c87a468d82c32078",
+    "enumerate --v 5040 --stream reps --format csv": "02853560ad4a1889d4b9460832f4bbc71fd35fccc0eb84127041559c314513d8",
+    "enumerate --v 5040 --stream reps --format structured": "be6fb114e9d2bb99fb1cf441610c813f8dd4bbc4fd15e8aa002273e98b565c7d",
+    "enumerate --v 20160 --stream reps": "37fc163fb3735de5547e4f1cfdfbcc30e7a0c7a4bfaf0afc1a243873392755df",
     "congruence --n 91": "253c41ae3211b61a03361166bffecedcc07f5d1510f6734825441ae19f165895",
     "congruence --n 91 --format structured": "4d27fae2b3ab03659d0e162f57916a22c40afda025a2748215226e1f55d10cfa",
 }

@@ -2,11 +2,12 @@
 
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
-from trihex import cli, counting, enumeration, graph
+from trihex import cli, counting, enumeration, graph, signature
 from trihex.enumeration import (
     all_signatures,
     coinciding_signatures,
@@ -18,8 +19,10 @@ from trihex.enumeration import (
 )
 from trihex.errors import InternalInconsistencyError, VerificationFailureError
 from trihex.graph import CanonicalCode
+from trihex.numtheory import factorize
 from trihex.signature import (
     Signature,
+    canonical_offsets,
     canonical_rep,
     has_mirror_symmetry,
     is_canonical,
@@ -73,9 +76,26 @@ def test_trihex_reps_examples():
     assert Signature(1, 3, 0) in reps32
 
 
-@pytest.mark.parametrize("v", [5040, 48384])
+def _orbit_minima(v):
+    return [sig for sig in all_signatures(v) if sig == min(orbit(sig))]
+
+
+# 4 * 5040 * k and 48384: V/4 with many square divisors m^2, so many
+# divisor pairs with m | n, where ties are settled by `is_canonical`
+@pytest.mark.parametrize("v", [5040, 48384, 20160, 60480])
 def test_trihex_reps_are_orbit_minima(v):
-    assert trihex_reps(v) == sorted({min(orbit(sig)) for sig in all_signatures(v)})
+    reps = trihex_reps(v)
+    assert reps == _orbit_minima(v)
+    assert reps == [sig for sig in all_signatures(v) if is_canonical(sig)]
+
+
+def test_trihex_reps_match_oracles_up_to_1200():
+    # the sieved offsets against the orbit minimum and the is_canonical filter
+    for v in range(4, 1204, 4):
+        sigs = all_signatures(v)
+        reps = trihex_reps(v)
+        assert reps == [sig for sig in sigs if sig == min(orbit(sig))], v
+        assert reps == [sig for sig in sigs if is_canonical(sig)], v
 
 
 def test_coinciding_examples():
@@ -110,11 +130,11 @@ def test_verify_sweep():
 
 
 def test_verify_streams_match_public_streams():
-    # verify returns the representatives that `enumerate --stream reps`
-    # prints, and the class stream keeps the smaller of each mirror pair
+    # the representatives that `enumerate --stream reps` prints are the
+    # orbit minima, and the class stream keeps the smaller of each mirror pair
     for v in range(4, 404, 4):
-        reps = verify(v)
-        assert reps == trihex_reps(v), v
+        reps = _orbit_minima(v)
+        assert trihex_reps(v) == reps, v
         classes = graph_class_reps(v)
         assert len(classes) == counting.report(v).gamma, v
         assert set(classes) == {min(r, canonical_rep(mirror(r))) for r in reps}, v
@@ -139,15 +159,59 @@ def test_verify_reports_self_mirror_not_fixed(monkeypatch):
 
 
 def test_verify_reports_wrong_canonical_filter(monkeypatch):
-    # a filter that also admits every b = 0 signature tied at 60 degrees
-    # keeps extra members of the (6,0,f) orbits
+    # a tie decision that also admits every b = 0 signature tied at 60
+    # degrees keeps extra members of the (6,0,f) orbits
     def admits_ties(sig):
         return is_canonical(sig) or (sig.b == 0 and math.gcd(sig.s + 1, sig.f) == 1)
 
-    monkeypatch.setattr(enumeration, "is_canonical", admits_ties)
+    monkeypatch.setattr(signature, "is_canonical", admits_ties)
     with pytest.raises(VerificationFailureError) as excinfo:
         verify(28)
     assert excinfo.value.field == "trihexes"
+
+
+def _swap_offsets(monkeypatch, pair, unmark, mark):
+    """Make `enumeration.canonical_offsets` mark offset `mark` of `pair` in place of `unmark`."""
+
+    def swapped(n, m):
+        mask = canonical_offsets(n, m)
+        if (n, m) == pair:
+            mask[unmark], mask[mark] = 0, 1
+        return mask
+
+    monkeypatch.setattr(enumeration, "canonical_offsets", swapped)
+
+
+def test_verify_reports_mirror_closure(monkeypatch):
+    # (6,0,5) in place of its orbit's least member (6,0,1) keeps every count;
+    # its mirror's representative (6,0,1) is not marked
+    _swap_offsets(monkeypatch, (7, 1), unmark=1, mark=5)
+    with pytest.raises(VerificationFailureError) as excinfo:
+        verify(28)
+    assert excinfo.value.field == "mirror closure"
+    assert excinfo.value.actual == Signature(6, 0, 1)
+
+
+def test_verify_reports_coinciding_not_canonical(monkeypatch):
+    # (6,0,3) in place of the coinciding (6,0,2) keeps every count
+    _swap_offsets(monkeypatch, (7, 1), unmark=2, mark=3)
+    with pytest.raises(VerificationFailureError) as excinfo:
+        verify(28)
+    assert excinfo.value.field == "coinciding not canonical"
+    assert excinfo.value.actual == Signature(6, 0, 2)
+
+
+def test_verify_memory_does_not_grow_with_sigma():
+    # sigma(249 480) = 1 045 440 signatures, 348 480 trihexes; verify holds
+    # one divisor pair's offsets at a time
+    factorize.cache_clear()
+    tracemalloc.start()
+    try:
+        verify(997_920)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from .errors import InternalInconsistencyError, VerificationFailureError
 from .numtheory import divisors, solve_fast
 from .signature import (
     Signature,
+    _tie_partners,
     canonical_offsets,
     has_mirror_symmetry,
     is_coinciding,
@@ -36,8 +37,8 @@ from .signature import (
 # with more signatures than this.  There are sigma(V/4) of them, which grows
 # with V: V = 4p for a prime p has p + 1.  On a 2-core Xeon VM with Python
 # 3.11, at V = 3 164 688 (sigma 1 999 998, just under the cap) `verify` takes
-# 0.9-1.2 s and 19 MiB, but `enumerate` still lists its stream whole: 2.0 s
-# and 182 MiB for reps, and 15.7 s and 1 120 MiB for all signatures as
+# 0.5-0.8 s and 19 MiB, but `enumerate` still lists its stream whole: 2.1 s
+# and 182 MiB for reps, and 13.2 s and 1 181 MiB for all signatures as
 # structured, so the cap stays where it is.
 MAX_SIGNATURES = 2_000_000
 
@@ -70,17 +71,18 @@ def trihex_reps(v: int) -> list[Signature]:
 def _mirror_offsets(n: int, m: int, mask: bytearray) -> Iterator[tuple[int, int]]:
     """Yield (f, g) for each offset f that `mask` marks, g the offset of canonical_rep(mirror((n-1, m-1, f))).
 
-    A mirror keeps s and b, and mirroring an orbit keeps the (s, b) of each
-    member, so a canonical signature's mirror has its least member in the
-    same divisor pair: the mirror itself when the mask marks it, and
-    otherwise, which needs a tie, the least of its orbit.  g is -1 when that
-    least member lies in another pair after all.
+    A mirror keeps s and b and swaps gcd(n, f) with gcd(n, f+m), so a
+    canonical signature's mirror passes `is_canonical`'s gcd test too: it is
+    its own representative when the mask marks it, and otherwise a tie
+    (both gcds equal m), whose least member m*min(q, phi(q), phi^2(q))
+    (`_tie_partners`, q = g/m) lies in the same divisor pair.  An unmarked
+    mirror that is no tie, which only a wrong mask gives, is yielded as it
+    is, for `verify` to report.
     """
     for f in compress(range(n), mask):
         g = (n - m - f) % n
-        if not mask[g]:
-            rep = min(orbit(Signature(n - 1, m - 1, g)))
-            g = rep.f if rep.s == n - 1 else -1
+        if not mask[g] and math.gcd(n, g) == math.gcd(n, g + m) == m:
+            g = m * min(g // m, *_tie_partners(g // m, n // m))
         yield f, g
 
 
@@ -146,10 +148,12 @@ def verify(v: int) -> None:
                 raise VerificationFailureError(v, "coinciding not canonical", "a representative", sig)
         images = bytearray(n)
         for f, g in _mirror_offsets(n, m, mask):
-            if g < 0 or not mask[g] or images[g]:
-                image = Signature(n - 1, m - 1, g) if g >= 0 else "another divisor pair"
+            if not mask[g] or images[g]:
                 raise VerificationFailureError(
-                    v, "mirror closure", f"a distinct representative for mirror{Signature(n - 1, m - 1, f)}", image
+                    v,
+                    "mirror closure",
+                    f"a distinct representative for mirror{Signature(n - 1, m - 1, f)}",
+                    Signature(n - 1, m - 1, g),
                 )
             images[g] = 1
             gamma += f <= g

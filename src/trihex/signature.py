@@ -11,7 +11,10 @@ three as a tuple, the triple itself first: the HNFs of L rotated by 0, 60
 and 120 degrees (Thurston, "Shapes of polyhedra", 1998).  `is_canonical`
 tells whether a triple is the least of its three from two gcds, without
 building the other two, and `canonical_offsets` makes the same test for
-every offset of one (s, b) at once.
+every offset of one (s, b) at once.  Both settle a tie, where all three
+triples share s and b, with the order-3 map q -> -1/q - 1 (mod (s+1)/(b+1))
+on f/(b+1) (`_tie_partners`): `canonical_offsets` walks each tied orbit
+once, in ascending order, and keeps its first member.
 The mirror image is the HNF of L reflected by (a, y) -> (a, a - y), which
 swaps the offset f for (s - b - f) mod (s+1); a signature is self-mirror
 when `mirror(sig) == sig`.
@@ -88,27 +91,35 @@ def has_mirror_symmetry(sig: Signature) -> bool:
     return mirror(sig) in orbit(sig)
 
 
+def _tie_partners(q: int, k: int) -> tuple[int, int]:
+    """phi(q) and phi^2(q) for the order-3 map phi(q) = (-q^-1 - 1) mod k; q and q+1 must be units mod k.
+
+    For a tie, (s, b, f) with m = b+1 dividing both n = s+1 and f, k = n/m
+    and q = f/m, the extended-Euclid step of `_hnf` gives the 60 and 120
+    degree members the same s and b and the offsets m*phi(q) and
+    m*phi^2(q), where phi^2(q) = -(q+1)^-1 mod k.  Their q and q+1 are units
+    again, and phi^3(q) = q, so the tie's orbit is {q, phi(q), phi^2(q)}.
+    """
+    return (-pow(q, -1, k) - 1) % k, -pow(q + 1, -1, k) % k
+
+
 def is_canonical(sig: Signature) -> bool:
     """True when sig is the least member of its orbit, i.e. sig == min(orbit(sig)).
 
     With n = s+1 and m = b+1, the 60 and 120 degree members have b'+1 =
     gcd(n, f) and gcd(n, f+m), and s'+1 = nm/(b'+1), by the determinant in
     `_hnf`.  A gcd above m gives a member with a smaller s, one below m a
-    larger s.  A tie (gcd == m, so m | f and m | n) leaves s and b equal, and
-    the member's offset is read off the extended-Euclid step with k = n/m:
-    m*((-(f/m)^-1 - 1) mod k) at 60 degrees and m*(-((f+m)/m)^-1 mod k) at
-    120; sig loses the tie when that offset is below f.
+    larger s.  One gcd equals m exactly when the other does (m | n and m | f
+    either way): a tie, where the three members share s and b and sig must
+    have the least offset, read off `_tie_partners`.
     """
     n, m, f = sig.s + 1, sig.b + 1, sig.f
     g60, g120 = math.gcd(n, f), math.gcd(n, f + m)
     if g60 > m or g120 > m:
         return False
-    if g60 < m and g120 < m:
+    if g60 < m:
         return True
-    k, q = n // m, f // m
-    if g60 == m and m * ((-pow(q, -1, k) - 1) % k) < f:
-        return False
-    return not (g120 == m and m * (-pow(q + 1, -1, k) % k) < f)
+    return f <= m * min(_tie_partners(f // m, n // m))
 
 
 def canonical_offsets(n: int, m: int) -> bytearray:
@@ -117,8 +128,11 @@ def canonical_offsets(n: int, m: int) -> bytearray:
     `is_canonical`'s gcd test for all f at once: gcd(n, f) or gcd(n, f+m)
     is above m exactly when a divisor e > m of n divides f or f+m, so each
     such e unmarks f = 0 and f = -m (mod e) with two slice assignments.  An
-    offset left marked ties only when m | n and m | f, and those offsets go
-    to `is_canonical`.
+    offset left marked ties only when m | n and m | f; its orbit is
+    {q, phi(q), phi^2(q)} times m, q = f/m (`_tie_partners`), all of them
+    offsets left marked.  The walk takes those offsets in ascending order,
+    so the first it meets of an orbit is the least: that one stays marked
+    and unmarks the other two, which the walk then skips.
     """
     mask = bytearray(b"\x01") * n
     for e in divisors(n):
@@ -126,8 +140,12 @@ def canonical_offsets(n: int, m: int) -> bytearray:
             for start in (0, -m % e):
                 mask[start::e] = bytes(len(range(start, n, e)))
     if n % m == 0:
+        k = n // m
         for f in compress(range(0, n, m), mask[::m]):
-            mask[f] = is_canonical(Signature(n - 1, m - 1, f))
+            if mask[f]:
+                p60, p120 = _tie_partners(f // m, k)
+                mask[m * p60] = mask[m * p120] = 0
+                mask[f] = 1  # a coinciding tie is its own partner
     return mask
 
 

@@ -630,6 +630,10 @@ PINNED_SHA256 = {
     "enumerate --v 5040 --stream reps --format csv": "02853560ad4a1889d4b9460832f4bbc71fd35fccc0eb84127041559c314513d8",
     "enumerate --v 5040 --stream reps --format structured": "be6fb114e9d2bb99fb1cf441610c813f8dd4bbc4fd15e8aa002273e98b565c7d",
     "enumerate --v 20160 --stream reps": "37fc163fb3735de5547e4f1cfdfbcc30e7a0c7a4bfaf0afc1a243873392755df",
+    # tie-rich V/4 = 5 040 * k: the class stream reads the mirror representatives of tied offsets
+    "enumerate --v 20160 --stream classes": "87d0a0f0a7bf9602511f9ce1c4b26917aacedc8c5c87703de5b272770249227b",
+    "enumerate --v 60480 --stream reps": "b9be21484ad04f9bfaefd5590c14a336d7b5ecd65577bd2df649bda84a0f3ef6",
+    "enumerate --v 60480 --stream classes": "0fcfbcb295368cd0b11630621a2a95f254ee4dd678ee95350c5521f26c863d20",
     "congruence --n 91": "253c41ae3211b61a03361166bffecedcc07f5d1510f6734825441ae19f165895",
     "congruence --n 91 --format structured": "4d27fae2b3ab03659d0e162f57916a22c40afda025a2748215226e1f55d10cfa",
 }

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from itertools import compress
 from types import SimpleNamespace
 
 import pytest
@@ -81,7 +82,8 @@ def _orbit_minima(v):
 
 
 # 4 * 5040 * k and 48384: V/4 with many square divisors m^2, so many
-# divisor pairs with m | n, where ties are settled by `is_canonical`
+# divisor pairs with m | n, where ties are settled by the orbit walk in
+# `canonical_offsets`
 @pytest.mark.parametrize("v", [5040, 48384, 20160, 60480])
 def test_trihex_reps_are_orbit_minima(v):
     reps = trihex_reps(v)
@@ -96,6 +98,24 @@ def test_trihex_reps_match_oracles_up_to_1200():
         reps = trihex_reps(v)
         assert reps == [sig for sig in sigs if sig == min(orbit(sig))], v
         assert reps == [sig for sig in sigs if is_canonical(sig)], v
+
+
+def test_tie_walk_matches_hnf_route():
+    # the ties of a pair (n, m) are the offsets f with gcd(n, f) = gcd(n, f+m)
+    # = m, whose orbits stay in the pair; every other multiple of m has a
+    # member with a smaller s.  So the orbit walk of `canonical_offsets` must
+    # mark, among the multiples of m, exactly the ties that are the least HNF
+    # of their orbit, and the tie step of `_mirror_offsets` must give each the
+    # least HNF of its mirror's orbit.  The pair (p, 1) of V = 4p is all ties
+    pairs = [(k * m, m) for m in (1, 2, 3, 6) for k in range(1, 601)] + [(1009, 1), (2003, 1), (4999, 1)]
+    for n, m in pairs:
+        mask = canonical_offsets(n, m)
+        ties = [f for f in range(0, n, m) if math.gcd(n, f) == math.gcd(n, f + m) == m]
+        least = {f: min(orbit(Signature(n - 1, m - 1, f))) for f in ties}
+        marked = list(compress(range(0, n, m), mask[::m]))
+        assert marked == [f for f in ties if least[f] == (n - 1, m - 1, f)], (n, m)
+        mirrors = {f: g for f, g in enumeration._mirror_offsets(n, m, mask) if f % m == 0}
+        assert mirrors == {f: least[(n - m - f) % n].f for f in marked}, (n, m)
 
 
 def test_coinciding_examples():
@@ -159,12 +179,9 @@ def test_verify_reports_self_mirror_not_fixed(monkeypatch):
 
 
 def test_verify_reports_wrong_canonical_filter(monkeypatch):
-    # a tie decision that also admits every b = 0 signature tied at 60
-    # degrees keeps extra members of the (6,0,f) orbits
-    def admits_ties(sig):
-        return is_canonical(sig) or (sig.b == 0 and math.gcd(sig.s + 1, sig.f) == 1)
-
-    monkeypatch.setattr(signature, "is_canonical", admits_ties)
+    # a tie map that fixes every q makes each tie its own orbit, so the walk
+    # keeps every tied offset: all of (6,0,1..5), not one per orbit
+    monkeypatch.setattr(signature, "_tie_partners", lambda q, k: (q, q))
     with pytest.raises(VerificationFailureError) as excinfo:
         verify(28)
     assert excinfo.value.field == "trihexes"
@@ -190,6 +207,16 @@ def test_verify_reports_mirror_closure(monkeypatch):
         verify(28)
     assert excinfo.value.field == "mirror closure"
     assert excinfo.value.actual == Signature(6, 0, 1)
+
+
+def test_verify_reports_mirror_that_is_no_tie(monkeypatch):
+    # (24,4,20) in place of the tie (24,4,5) keeps every count, but fails the
+    # gcd test (gcd(25, 25) > 5): its mirror (24,4,0) is unmarked and no tie
+    _swap_offsets(monkeypatch, (25, 5), unmark=5, mark=20)
+    with pytest.raises(VerificationFailureError) as excinfo:
+        verify(500)
+    assert excinfo.value.field == "mirror closure"
+    assert excinfo.value.actual == Signature(24, 4, 0)
 
 
 def test_verify_reports_coinciding_not_canonical(monkeypatch):

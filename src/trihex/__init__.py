@@ -34,7 +34,6 @@ from .signature import (
     canonical_offsets,
     canonical_rep,
     has_mirror_symmetry,
-    is_canonical,
     is_coinciding,
     mirror,
     orbit,
@@ -62,7 +61,6 @@ __all__ = [
     "graph_class_reps",
     "has_code",
     "has_mirror_symmetry",
-    "is_canonical",
     "is_coinciding",
     "mirror",
     "mirror_image",

@@ -3,9 +3,10 @@
 These routines build the objects that the closed-form counts in `counting`
 merely count, so each stream's size certifies one formula (`verify`).
 Representatives and graph classes are found one divisor pair
-(s+1, b+1) of V/4 at a time, from that pair's `canonical_offsets` mask,
-and `verify` checks the pairs one at a time too, so it holds nothing as
-long as the list of signatures or of representatives.
+(s+1, b+1) of V/4 at a time, from that pair's `canonical_offsets`: a mask
+of the canonical offsets and each one's mirror representative, which a
+mirror keeps in the pair.  `verify` checks the pairs one at a time too, so
+it holds nothing as long as the list of signatures or of representatives.
 `verify_graphs` then realizes the representatives as embedded graphs and
 checks the symmetry claims and the graph-class count on the graphs
 themselves.  Every stream is built in lexicographic order, so output is
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from itertools import compress
 
 from . import counting, graph
@@ -24,7 +25,6 @@ from .errors import InternalInconsistencyError, VerificationFailureError
 from .numtheory import divisors, solve_fast
 from .signature import (
     Signature,
-    _tie_partners,
     canonical_offsets,
     has_mirror_symmetry,
     is_coinciding,
@@ -36,10 +36,12 @@ from .signature import (
 # `all_signatures`, `trihex_reps`, `graph_class_reps` and `verify` refuse a V
 # with more signatures than this.  There are sigma(V/4) of them, which grows
 # with V: V = 4p for a prime p has p + 1.  On a 2-core Xeon VM with Python
-# 3.11, at V = 3 164 688 (sigma 1 999 998, just under the cap) `verify` takes
-# 0.5-0.8 s and 19 MiB, but `enumerate` still lists its stream whole: 2.1 s
-# and 182 MiB for reps, and 13.2 s and 1 181 MiB for all signatures as
-# structured, so the cap stays where it is.
+# 3.11, `verify` takes 0.3-0.6 s and 21 MiB at V = 3 164 688 (sigma
+# 1 999 998, just under the cap), and 2.0-2.9 s and 28 MiB at V = 7 999 972
+# (sigma 1 999 994, with the all-tie pair (1 999 993, 1)).  But `enumerate`
+# still lists its stream whole: at V = 3 164 688, 1.3-2.3 s and 182 MiB for
+# reps, and 17.2 s and 1 181 MiB for all signatures as structured; at
+# V = 7 999 972, 4.9 s and 183 MiB for reps.  So the cap stays where it is.
 MAX_SIGNATURES = 2_000_000
 
 
@@ -64,26 +66,8 @@ def trihex_reps(v: int) -> list[Signature]:
     """One canonical signature per trihex with v vertices, sorted."""
     result = []
     for n, m in _divisor_pairs(v):
-        result.extend(Signature(n - 1, m - 1, f) for f in compress(range(n), canonical_offsets(n, m)))
+        result.extend(Signature(n - 1, m - 1, f) for f in compress(range(n), canonical_offsets(n, m)[0]))
     return result
-
-
-def _mirror_offsets(n: int, m: int, mask: bytearray) -> Iterator[tuple[int, int]]:
-    """Yield (f, g) for each offset f that `mask` marks, g the offset of canonical_rep(mirror((n-1, m-1, f))).
-
-    A mirror keeps s and b and swaps gcd(n, f) with gcd(n, f+m), so a
-    canonical signature's mirror passes `is_canonical`'s gcd test too: it is
-    its own representative when the mask marks it, and otherwise a tie
-    (both gcds equal m), whose least member m*min(q, phi(q), phi^2(q))
-    (`_tie_partners`, q = g/m) lies in the same divisor pair.  An unmarked
-    mirror that is no tie, which only a wrong mask gives, is yielded as it
-    is, for `verify` to report.
-    """
-    for f in compress(range(n), mask):
-        g = (n - m - f) % n
-        if not mask[g] and math.gcd(n, g) == math.gcd(n, g + m) == m:
-            g = m * min(g // m, *_tie_partners(g // m, n // m))
-        yield f, g
 
 
 def coinciding_signatures(v: int) -> list[Signature]:
@@ -117,10 +101,15 @@ def self_mirror_signatures(v: int) -> list[Signature]:
 
 
 def graph_class_reps(v: int) -> list[Signature]:
-    """One representative per graph isomorphism class, sorted: mirror pairs collapsed."""
+    """One representative per graph isomorphism class, sorted: mirror pairs collapsed.
+
+    A representative is kept when its offset is no greater than that of its
+    mirror's representative, read off `canonical_offsets`.
+    """
     result = []
     for n, m in _divisor_pairs(v):
-        offsets = _mirror_offsets(n, m, canonical_offsets(n, m))
+        mask, mirrors = canonical_offsets(n, m)
+        offsets = zip(compress(range(n), mask), compress(mirrors, mask))
         result.extend(Signature(n - 1, m - 1, f) for f, g in offsets if f <= g)
     return result
 
@@ -128,13 +117,14 @@ def graph_class_reps(v: int) -> list[Signature]:
 def verify(v: int) -> None:
     """Check each stream's size for v against its formula, one divisor pair at a time.
 
-    Each pair (n, m) = (s+1, b+1) gets its `canonical_offsets` mask and
-    nothing longer: the coinciding signatures of the pair must be marked,
-    the mirror representatives of the marked offsets must be distinct and
-    marked (so mirroring maps the pair's representatives onto themselves),
-    and gamma counts the offsets f no greater than their mirror's.  Nothing
-    of length sigma or trihexes is held, so memory grows with the largest
-    s, not with the number of signatures.
+    Each pair (n, m) = (s+1, b+1) gets its `canonical_offsets` and nothing
+    longer: the coinciding signatures of the pair must be marked, the
+    mirror representatives that the orbit walk records for the marked
+    offsets must be distinct and marked (so mirroring maps the pair's
+    representatives onto themselves), and gamma counts the offsets f no
+    greater than their mirror's.  Nothing of length sigma or trihexes is
+    held, so memory grows with the largest s (4 bytes per offset of a pair
+    with ties), not with the number of signatures.
     Raises VerificationFailureError naming the first check that disagrees.
     """
     pairs = _divisor_pairs(v)
@@ -142,12 +132,12 @@ def verify(v: int) -> None:
     self_mirror = self_mirror_signatures(v)
     trihexes = gamma = 0
     for n, m in pairs:
-        mask = canonical_offsets(n, m)
+        mask, mirrors = canonical_offsets(n, m)
         for sig in coinciding:
             if sig.s == n - 1 and not mask[sig.f]:
                 raise VerificationFailureError(v, "coinciding not canonical", "a representative", sig)
         images = bytearray(n)
-        for f, g in _mirror_offsets(n, m, mask):
+        for f, g in zip(compress(range(n), mask), compress(mirrors, mask)):
             if not mask[g] or images[g]:
                 raise VerificationFailureError(
                     v,

@@ -8,13 +8,13 @@ its (u, d) basis, and (s, b, f) is read off the Hermite normal form (HNF)
 of L: the unique basis (b+1, -f), (0, s+1) with b+1 >= 1 and 0 <= f <= s.
 A trihex has one such triple per spine direction; `orbit` returns the
 three as a tuple, the triple itself first: the HNFs of L rotated by 0, 60
-and 120 degrees (Thurston, "Shapes of polyhedra", 1998).  `is_canonical`
-tells whether a triple is the least of its three from two gcds, without
-building the other two, and `canonical_offsets` makes the same test for
-every offset of one (s, b) at once.  Both settle a tie, where all three
-triples share s and b, with the order-3 map q -> -1/q - 1 (mod (s+1)/(b+1))
-on f/(b+1) (`_tie_partners`): `canonical_offsets` walks each tied orbit
-once, in ascending order, and keeps its first member.
+and 120 degrees (Thurston, "Shapes of polyhedra", 1998).
+`canonical_offsets` tells, for every offset of one (s, b) at once, whether
+the triple is the least of its three, from two gcds and without building
+the other two.  It settles a tie, where all three triples share s and b,
+with the order-3 map q -> -1/q - 1 (mod (s+1)/(b+1)) on f/(b+1)
+(`_tie_partners`): it walks each tied orbit once, in ascending order, keeps
+its first member, and records the least member of the mirror orbit.
 The mirror image is the HNF of L reflected by (a, y) -> (a, a - y), which
 swaps the offset f for (s - b - f) mod (s+1); a signature is self-mirror
 when `mirror(sig) == sig`.
@@ -22,8 +22,9 @@ when `mirror(sig) == sig`.
 
 from __future__ import annotations
 
-import math
-from itertools import compress
+from array import array
+from collections.abc import Iterable
+from itertools import chain, compress
 from typing import NamedTuple
 
 from .numtheory import divisors
@@ -103,55 +104,63 @@ def _tie_partners(q: int, k: int) -> tuple[int, int]:
     return (-pow(q, -1, k) - 1) % k, -pow(q + 1, -1, k) % k
 
 
-def is_canonical(sig: Signature) -> bool:
-    """True when sig is the least member of its orbit, i.e. sig == min(orbit(sig)).
+def canonical_offsets(n: int, m: int) -> tuple[bytearray, Iterable[int]]:
+    """Mark the canonical offsets of (n-1, m-1, f), f in 0..n-1, and give each its mirror's offset.
 
-    With n = s+1 and m = b+1, the 60 and 120 degree members have b'+1 =
-    gcd(n, f) and gcd(n, f+m), and s'+1 = nm/(b'+1), by the determinant in
-    `_hnf`.  A gcd above m gives a member with a smaller s, one below m a
-    larger s.  One gcd equals m exactly when the other does (m | n and m | f
-    either way): a tie, where the three members share s and b and sig must
-    have the least offset, read off `_tie_partners`.
-    """
-    n, m, f = sig.s + 1, sig.b + 1, sig.f
-    g60, g120 = math.gcd(n, f), math.gcd(n, f + m)
-    if g60 > m or g120 > m:
-        return False
-    if g60 < m:
-        return True
-    return f <= m * min(_tie_partners(f // m, n // m))
+    Returns (mask, mirrors).  mask[f] is 1 when (n-1, m-1, f) is the least
+    member of its orbit, and 0 otherwise.  mirrors lists, for f = 0..n-1 in
+    order, the offset of canonical_rep(mirror((n-1, m-1, f))) where mask[f]
+    is 1, and the plain mirror (-m - f) mod n elsewhere: a mirror keeps s
+    and b, so a representative's mirror representative lies in the pair.
 
-
-def canonical_offsets(n: int, m: int) -> bytearray:
-    """Mark the offsets f in 0..n-1 for which (n-1, m-1, f) is canonical: mask[f] is 1 or 0.
-
-    `is_canonical`'s gcd test for all f at once: gcd(n, f) or gcd(n, f+m)
-    is above m exactly when a divisor e > m of n divides f or f+m, so each
-    such e unmarks f = 0 and f = -m (mod e) with two slice assignments.  An
-    offset left marked ties only when m | n and m | f; its orbit is
+    The 60 and 120 degree members of (n-1, m-1, f) have b'+1 = gcd(n, f) and
+    gcd(n, f+m), and s'+1 = nm/(b'+1), by the determinant in `_hnf`.  A gcd
+    above m gives a member with a smaller s, one below m a larger s.  That
+    happens exactly when a divisor e > m of n divides f or f+m, so each such
+    e unmarks f = 0 and f = -m (mod e) with two slice assignments.  One gcd
+    equals m exactly when the other does (m | n and m | f either way): a
+    tie, where the three members share s and b.  Its orbit is
     {q, phi(q), phi^2(q)} times m, q = f/m (`_tie_partners`), all of them
     offsets left marked.  The walk takes those offsets in ascending order,
     so the first it meets of an orbit is the least: that one stays marked
     and unmarks the other two, which the walk then skips.
+
+    Mirroring swaps the two gcds, so it maps an untied marked offset to a
+    marked one, its own representative.  It maps q to k-1-q, k = n/m, and
+    an orbit onto an orbit, so the walk records m*(k-1-max(q, phi(q),
+    phi^2(q))) as the mirror of each orbit's least member.  A tie needs q
+    and q+1 to be units mod k, so there is none unless m | n and k is odd.
+    Any other pair's mirrors is a one-pass iterator over two ranges; a pair
+    that can tie gets an array of 4 bytes per offset, which holds every n
+    that `enumeration.MAX_SIGNATURES` admits.
     """
     mask = bytearray(b"\x01") * n
     for e in divisors(n):
         if e > m:
             for start in (0, -m % e):
                 mask[start::e] = bytes(len(range(start, n, e)))
-    if n % m == 0:
-        k = n // m
+    c = -m % n
+    mirrors: Iterable[int] = chain(range(c, -1, -1), range(n - 1, c, -1))
+    k, r = divmod(n, m)
+    if r == 0 and k % 2:
+        mirrors = array("I", mirrors)
         for f in compress(range(0, n, m), mask[::m]):
             if mask[f]:
                 p60, p120 = _tie_partners(f // m, k)
                 mask[m * p60] = mask[m * p120] = 0
                 mask[f] = 1  # a coinciding tie is its own partner
-    return mask
+                # f/m is its orbit's least member, so the greatest is a partner; c = m*(k-1)
+                mirrors[f] = c - m * (p60 if p60 > p120 else p120)
+    return mask, mirrors
 
 
 def canonical_rep(sig: Signature) -> Signature:
-    """Lexicographically smallest member of the orbit; constant on orbits."""
-    return sig if is_canonical(sig) else min(orbit(sig))
+    """Lexicographically smallest member of the orbit; constant on orbits.
+
+    The HNF route: `canonical_offsets` tells the same for a whole (s, b)
+    without building an orbit.
+    """
+    return min(orbit(sig))
 
 
 def parse_signature(text: str) -> Signature:

@@ -634,6 +634,8 @@ PINNED_SHA256 = {
     "enumerate --v 20160 --stream classes": "87d0a0f0a7bf9602511f9ce1c4b26917aacedc8c5c87703de5b272770249227b",
     "enumerate --v 60480 --stream reps": "b9be21484ad04f9bfaefd5590c14a336d7b5ecd65577bd2df649bda84a0f3ef6",
     "enumerate --v 60480 --stream classes": "0fcfbcb295368cd0b11630621a2a95f254ee4dd678ee95350c5521f26c863d20",
+    # sigma(V/4) = 1 999 994, just under MAX_SIGNATURES; its largest pair (1 999 993, 1) is all ties
+    "enumerate --v 7999972 --stream classes": "e46b263cfbb7baa927a8c8743e72cea73a38f7837811823f4c883d2345693a7b",
     "congruence --n 91": "253c41ae3211b61a03361166bffecedcc07f5d1510f6734825441ae19f165895",
     "congruence --n 91 --format structured": "4d27fae2b3ab03659d0e162f57916a22c40afda025a2748215226e1f55d10cfa",
 }

@@ -26,7 +26,6 @@ from trihex.signature import (
     canonical_offsets,
     canonical_rep,
     has_mirror_symmetry,
-    is_canonical,
     is_coinciding,
     mirror,
     orbit,
@@ -86,18 +85,13 @@ def _orbit_minima(v):
 # `canonical_offsets`
 @pytest.mark.parametrize("v", [5040, 48384, 20160, 60480])
 def test_trihex_reps_are_orbit_minima(v):
-    reps = trihex_reps(v)
-    assert reps == _orbit_minima(v)
-    assert reps == [sig for sig in all_signatures(v) if is_canonical(sig)]
+    assert trihex_reps(v) == _orbit_minima(v)
 
 
 def test_trihex_reps_match_oracles_up_to_1200():
-    # the sieved offsets against the orbit minimum and the is_canonical filter
+    # the sieved offsets against the orbit minimum
     for v in range(4, 1204, 4):
-        sigs = all_signatures(v)
-        reps = trihex_reps(v)
-        assert reps == [sig for sig in sigs if sig == min(orbit(sig))], v
-        assert reps == [sig for sig in sigs if is_canonical(sig)], v
+        assert trihex_reps(v) == _orbit_minima(v), v
 
 
 def test_tie_walk_matches_hnf_route():
@@ -105,17 +99,17 @@ def test_tie_walk_matches_hnf_route():
     # = m, whose orbits stay in the pair; every other multiple of m has a
     # member with a smaller s.  So the orbit walk of `canonical_offsets` must
     # mark, among the multiples of m, exactly the ties that are the least HNF
-    # of their orbit, and the tie step of `_mirror_offsets` must give each the
-    # least HNF of its mirror's orbit.  The pair (p, 1) of V = 4p is all ties
+    # of their orbit, and record for each the least HNF of its mirror's orbit.
+    # The pair (p, 1) of V = 4p is all ties
     pairs = [(k * m, m) for m in (1, 2, 3, 6) for k in range(1, 601)] + [(1009, 1), (2003, 1), (4999, 1)]
     for n, m in pairs:
-        mask = canonical_offsets(n, m)
+        mask, mirrors = canonical_offsets(n, m)
+        mirrors = list(mirrors)
         ties = [f for f in range(0, n, m) if math.gcd(n, f) == math.gcd(n, f + m) == m]
         least = {f: min(orbit(Signature(n - 1, m - 1, f))) for f in ties}
         marked = list(compress(range(0, n, m), mask[::m]))
         assert marked == [f for f in ties if least[f] == (n - 1, m - 1, f)], (n, m)
-        mirrors = {f: g for f, g in enumeration._mirror_offsets(n, m, mask) if f % m == 0}
-        assert mirrors == {f: least[(n - m - f) % n].f for f in marked}, (n, m)
+        assert [mirrors[f] for f in marked] == [least[(n - m - f) % n].f for f in marked], (n, m)
 
 
 def test_coinciding_examples():
@@ -191,10 +185,10 @@ def _swap_offsets(monkeypatch, pair, unmark, mark):
     """Make `enumeration.canonical_offsets` mark offset `mark` of `pair` in place of `unmark`."""
 
     def swapped(n, m):
-        mask = canonical_offsets(n, m)
+        mask, mirrors = canonical_offsets(n, m)
         if (n, m) == pair:
             mask[unmark], mask[mark] = 0, 1
-        return mask
+        return mask, mirrors
 
     monkeypatch.setattr(enumeration, "canonical_offsets", swapped)
 
@@ -207,6 +201,24 @@ def test_verify_reports_mirror_closure(monkeypatch):
         verify(28)
     assert excinfo.value.field == "mirror closure"
     assert excinfo.value.actual == Signature(6, 0, 1)
+
+
+def test_verify_reports_unrecorded_tie_mirror(monkeypatch):
+    # the plain mirror in place of the walk's record: the mirror of (6,0,1) is
+    # the tie (6,0,5), whose orbit {1, 5, 3} is represented by (6,0,1) itself,
+    # so reading the unmarked (6,0,5) must fail the closure check
+    def plain(n, m):
+        mask, mirrors = canonical_offsets(n, m)
+        if (n, m) == (7, 1):
+            mirrors = [(-m - f) % n for f in range(n)]
+        return mask, mirrors
+
+    monkeypatch.setattr(enumeration, "canonical_offsets", plain)
+    with pytest.raises(VerificationFailureError) as excinfo:
+        verify(28)
+    assert excinfo.value.field == "mirror closure"
+    assert excinfo.value.expected == "a distinct representative for mirror(6,0,1)"
+    assert excinfo.value.actual == Signature(6, 0, 5)
 
 
 def test_verify_reports_mirror_that_is_no_tie(monkeypatch):
@@ -239,6 +251,19 @@ def test_verify_memory_does_not_grow_with_sigma():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20, peak
+
+
+def test_verify_memory_where_ties_exist():
+    # V/4 = 50 021 is prime, so its pair (50 021, 1) is all ties and verify
+    # holds that pair's mirror table: below 8 bytes per offset
+    factorize.cache_clear()
+    tracemalloc.start()
+    try:
+        verify(4 * 50_021)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 50_021, peak
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from trihex.signature import (
     Signature,
     canonical_rep,
     has_mirror_symmetry,
-    is_canonical,
     is_coinciding,
     mirror,
     orbit,
@@ -301,9 +300,3 @@ def test_canonical_rep_constant_on_orbits():
         for m in orbit(sig):
             assert canonical_rep(m) == rep
         assert canonical_rep(rep) == rep
-
-
-def test_is_canonical_matches_orbit_minimum():
-    # min(orbit(sig)) is the oracle for the gcd test, ties included
-    for sig in all_signatures_upto(2000):
-        assert is_canonical(sig) == (sig == min(orbit(sig))), sig

@@ -18,19 +18,20 @@ never more workers than cores or vertex counts): `count` maps contiguous
 pieces of its range, each sieved by `counting.reports` and formatted in its
 worker, and writes each piece as it comes back; `verify` maps one vertex
 count per task.  Results come back in order, so output is deterministic.
+The pool and its modules (`concurrent.futures`, `multiprocessing`) are
+imported only when more than one worker runs, so a --jobs 1 command does not
+load them.  The parser is built once, at import.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import itertools
 import json
 import os
 import stat
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable
 
 from . import counting, enumeration, graph
@@ -92,12 +93,15 @@ def _map_ordered(fn, items, jobs: int, chunksize: int = 0):
     """Yield fn(item) for each item in order, from _workers(jobs, len(items)) processes when that exceeds 1.
 
     Items go to the workers `chunksize` at a time, by default in about four
-    chunks per worker.
+    chunks per worker.  The pool, and with it `multiprocessing`, is imported
+    only here, once more than one worker runs.
     """
     workers = _workers(jobs, len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items, chunksize=chunksize or max(1, len(items) // (4 * workers)))
 
@@ -307,9 +311,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true", help="suppress diagnostics and per-item progress")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="trihex", description=__doc__.splitlines()[0])
+    # the first line of the module docstring, which -OO strips
+    parser = argparse.ArgumentParser(prog="trihex", description="Command-line front end.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="counting table for a range of vertex counts")
@@ -346,9 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built at import, with argparse's gettext lookups (and `locale`) in start-up;
+# parse_args writes only to the Namespace it returns
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         if args.jobs < 0:
             raise ValueError(f"--jobs must be nonnegative, got {args.jobs}")

@@ -66,11 +66,17 @@ def test_v_with_range_exits_2(capsys, argv):
     assert run_cli(capsys, *argv.split()) == (2, "", "trihex: give either --v or both --from and --to\n")
 
 
-def test_parses_share_no_state(capsys):
-    # the parser is built once per process; one command's options must not leak into the next
+def test_parses_share_no_state(tmp_path, capsys):
+    # the parser is built once, at import; one command's options must not leak into the next
     code, out, _ = run_cli(capsys, "count", "--v", "28", "--format", "structured")
     assert (code, json.loads(out)["reports"][0]["V"]) == (0, 28)
     csv = "V,sigma,delta,mu,nu,trihexes,gamma,rot_classes\n28,8,2,2,0,4,3,1\n"
+    assert run_cli(capsys, "count", "--v", "28") == (0, csv, "")
+    assert run_cli(capsys, "verify", "--v", "28", "--quiet") == (0, "checked 1 vertex counts, 0 failures\n", "")
+    assert run_cli(capsys, "verify", "--v", "28") == (0, "V=28: ok\nchecked 1 vertex counts, 0 failures\n", "")
+    path = tmp_path / "count.csv"
+    assert run_cli(capsys, "count", "--v", "28", "--output", str(path)) == (0, "", "")
+    assert path.read_text() == csv
     assert run_cli(capsys, "count", "--v", "28") == (0, csv, "")
 
 
@@ -143,7 +149,7 @@ def test_jobs_capped_at_cores_and_items(monkeypatch, capsys, argv, workers):
     # with the fork start method every worker starts on the first submit, so
     # the pool size is what --jobs can cost; output is the serial output
     serial = run_cli(capsys, *argv.split()[:-2])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert run_cli(capsys, *argv.split()) == serial
@@ -548,6 +554,64 @@ def test_import_leaves_numpy_out():
         timeout=60,
     )
     assert result.stdout == "set()\n"
+
+
+def fresh_stdout(*args: str) -> str:
+    """Stdout of a fresh interpreter that sees the standard library and trihex alone (-S: no site-packages)."""
+    src = pathlib.Path(trihex.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-S", *args],
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return result.stdout
+
+
+# run(argv) calls cli.main and returns its exit code and stdout bytes; pool() lists the pool's modules that are loaded
+POOL_PROBE = """
+import io, sys
+import trihex.cli
+def pool():
+    return sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules))
+def run(argv):
+    out, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())
+    try:
+        code = trihex.cli.main(argv)
+        sys.stdout.flush()
+        return code, sys.stdout.buffer.getvalue()
+    finally:
+        sys.stdout = out
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["count --from 4 --to 400", "enumerate --v 5040 --stream classes", "build --sig 6,2,1 --format dot --quiet",
+     "verify --from 4 --to 60 --with-graphs", "congruence --n 91"],
+)
+def test_one_job_loads_no_pool(command):
+    # the pool is imported only when more than one worker runs
+    probe = POOL_PROBE + f"print(pool())\nprint(run({command.split() + ['--jobs', '1']!r})[0], pool())\n"
+    assert fresh_stdout("-c", probe) == "[]\n0 []\n"
+
+
+def test_two_jobs_load_the_pool_for_the_same_bytes():
+    # two cores, so that --jobs 2 runs two workers on any machine
+    probe = POOL_PROBE + """
+trihex.cli.os.cpu_count = lambda: 2
+serial = run(["count", "--from", "4", "--to", "400", "--jobs", "1"])
+print(serial[0], pool())
+print(run(["count", "--from", "4", "--to", "400", "--jobs", "2"]) == serial, pool())
+"""
+    assert fresh_stdout("-c", probe) == "0 []\nTrue ['concurrent.futures', 'multiprocessing']\n"
+
+
+def test_runs_without_docstrings():
+    # -OO strips docstrings, and the parser is built at import
+    assert fresh_stdout("-OO", "-m", "trihex.cli", "count", "--v", "28").splitlines()[-1] == "28,8,2,2,0,4,3,1"
 
 
 def test_count_survives_early_pipe_close():

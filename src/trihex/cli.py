@@ -13,11 +13,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (including a number to factorize that is not below 2^64 and an --output
 file that cannot be written), 3 internal error (two computations that must
 agree did not).
+Every command writes through `_emit`, a chunk at a time as it comes:
+`enumerate` SEGMENT signatures of its lazy stream, `count` a piece of its range.
 Range work fans out to a process pool (--jobs, default 1; 0 = all cores;
 never more workers than cores or vertex counts): `count` maps contiguous
 pieces of its range, each sieved by `counting.reports` and formatted in its
-worker, and writes each piece as it comes back; `verify` maps one vertex
-count per task.  Results come back in order, so output is deterministic.
+worker; `verify` maps one vertex count per task.  Results come back in
+order, so output is deterministic.
 The pool and its modules (`concurrent.futures`, `multiprocessing`) are
 imported only when more than one worker runs, so a --jobs 1 command does not
 load them.  The parser is built once, at import.
@@ -32,7 +34,7 @@ import json
 import os
 import stat
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import counting, enumeration, graph
 from .errors import InternalInconsistencyError, VerificationFailureError
@@ -43,6 +45,8 @@ SCHEMA_VERSION = 1
 # One `count` row as an item of the structured document's "reports" list, laid
 # out as json.dumps(..., indent=2) lays it out
 _JSON_ROW = "    {\n" + ",\n".join(f'      "{name}": %d' for name in counting.CountReport._fields) + "\n    }"
+# One signature as a line of text or CSV, or as an item of the structured "signatures" list
+_SIGNATURE = {"text": "(%d,%d,%d)\n", "csv": "%d,%d,%d\n", "structured": "    [\n      %d,\n      %d,\n      %d\n    ]"}
 
 # A range holds at most this many vertex counts, refused before it is listed.
 # On a 2-core Xeon VM with Python 3.11, the largest it admits, V = 4..2 000 000,
@@ -111,9 +115,10 @@ def _output_file(path: str | None):
     """Open the --output file before any work, so that one that cannot be opened is refused first.
 
     A file that cannot be opened is a usage error (exit 2).  It is opened
-    for appending, so nothing is truncated until `_emit` writes, and a file
-    that the command created is removed again when the command raises: a
-    refused command leaves no new file and an existing one as it was.
+    for appending and truncated only when `_emit` writes the first chunk,
+    which every command makes before it calls `_emit`; a file that the
+    command created is removed again when the command raises: a refused
+    command leaves no new file and an existing one as it was.
     """
     if path is None:
         yield None
@@ -132,12 +137,7 @@ def _output_file(path: str | None):
             raise
 
 
-def _emit(data: str | bytes, args) -> None:
-    """Write one whole output, text or bytes, to the --output file, or else to stdout."""
-    _emit_chunks((data,), args)
-
-
-def _emit_chunks(chunks: Iterable[str | bytes], args) -> None:
+def _emit(chunks: Iterable[str | bytes], args) -> None:
     """Write each chunk of text or bytes, in order and as it comes, to the --output file, or else to stdout.
 
     The file is truncated when the first chunk has come.  A file that
@@ -170,8 +170,17 @@ def _emit_chunks(chunks: Iterable[str | bytes], args) -> None:
         os.close(devnull)
 
 
-def _emit_json(doc: dict, args) -> None:
-    _emit(json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2) + "\n", args)
+def _json_list(doc: dict, key: str, items: Iterator[str]) -> Iterable[str]:
+    """Chunks of {"schema_version": 1, **doc, key: [...]} as json.dumps(..., indent=2) lays it out.
+
+    Each item is the text of one or more entries of the list, indented to their depth.  The first
+    item is made before this returns, so a command that fails on it writes nothing; none gives "[]".
+    """
+    head, tail = json.dumps({"schema_version": SCHEMA_VERSION, **doc, key: []}, indent=2).split("[]")
+    first = next(items, None)
+    if first is None:
+        return [f"{head}[]{tail}\n"]
+    return itertools.chain([f"{head}[\n{first}"], (",\n" + item for item in items), [f"\n  ]{tail}\n"])
 
 
 def _count_rows(piece: tuple[range, str]) -> str:
@@ -194,29 +203,23 @@ def cmd_count(args) -> int:
     texts = _map_ordered(
         _count_rows, [(vs[i : i + size], args.format) for i in range(0, len(vs), size)], args.jobs, chunksize=1
     )
-    if args.format == "csv":
-        head, sep, tail = ",".join(counting.CountReport._fields) + "\n", "", ""
-    else:
-        head, tail = json.dumps({"schema_version": SCHEMA_VERSION, "reports": []}, indent=2).split("[]")
-        head, sep, tail = head + "[\n", ",\n", "\n  ]" + tail + "\n"
     # the first piece comes before anything is written: a command that fails on it writes nothing
-    _emit_chunks(itertools.chain([head + next(texts)], (sep + text for text in texts), [tail]), args)
+    if args.format == "csv":
+        _emit(itertools.chain([",".join(counting.CountReport._fields) + "\n" + next(texts)], texts), args)
+    else:
+        _emit(_json_list({}, "reports", texts), args)
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    if args.v is None:
-        raise ValueError("enumerate requires --v")
-    vs = _parse_range(args)
-    signatures = _STREAMS[args.stream](vs[0])
-    if args.format == "text":
-        _emit("".join(f"{sig}\n" for sig in signatures), args)
-    elif args.format == "csv":
-        lines = ["s,b,f"]
-        lines.extend(f"{sig.s},{sig.b},{sig.f}" for sig in signatures)
-        _emit("\n".join(lines) + "\n", args)
+    signatures = iter(_STREAMS[args.stream](args.v))
+    template, sep = _SIGNATURE[args.format], ",\n" if args.format == "structured" else ""
+    # pieces of at most SEGMENT signatures each, until the stream runs out; the first is made before any is written
+    pieces = iter(lambda: sep.join(map(template.__mod__, itertools.islice(signatures, counting.SEGMENT))), "")
+    if args.format == "structured":
+        _emit(_json_list({"V": args.v, "stream": args.stream}, "signatures", pieces), args)
     else:
-        _emit_json({"V": vs[0], "stream": args.stream, "signatures": [list(sig) for sig in signatures]}, args)
+        _emit(itertools.chain([("s,b,f\n" if args.format == "csv" else "") + next(pieces, "")], pieces), args)
     return 0
 
 
@@ -225,7 +228,7 @@ def cmd_build(args) -> int:
     graph.check_export(vertex_count(sig), args.format)
     rot = graph.build(sig)
     census = graph.validate(rot)
-    _emit(graph.export(rot, sig, args.format, census), args)
+    _emit([graph.export(rot, sig, args.format, census)], args)
     # after the output, so that an --output file that cannot be written leaves one stderr line
     if not args.quiet:
         print(
@@ -268,7 +271,7 @@ def cmd_verify(args) -> int:
         elif not args.quiet:
             lines.append(f"V={v}: ok")
     lines.append(f"checked {len(vs)} vertex counts, {failures} failures")
-    _emit("\n".join(lines) + "\n", args)
+    _emit(["\n".join(lines) + "\n"], args)
     return 1 if failures else 0
 
 
@@ -290,9 +293,10 @@ def cmd_congruence(args) -> int:
             f"{len(roots)} roots for n={args.n}, the closed form says {omega_count(args.n)}"
         )
     if args.format == "structured":
-        _emit_json({"n": args.n, "roots": list(roots), "count": len(roots)}, args)
+        doc = {"schema_version": SCHEMA_VERSION, "n": args.n, "roots": list(roots), "count": len(roots)}
+        _emit([json.dumps(doc, indent=2) + "\n"], args)
     else:
-        _emit(" ".join(map(str, roots)) + f"\ncount {len(roots)}\n", args)
+        _emit([" ".join(map(str, roots)) + f"\ncount {len(roots)}\n"], args)
     return 0
 
 
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="signature streams for one vertex count")
-    _add_range_flags(p)
+    p.add_argument("--v", type=int, required=True, help="the vertex count")
     p.add_argument("--stream", choices=sorted(_STREAMS), default="all")
     p.add_argument("--format", choices=("text", "csv", "structured"), default="text")
     _add_common_flags(p)

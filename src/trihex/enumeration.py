@@ -2,11 +2,13 @@
 
 These routines build the objects that the closed-form counts in `counting`
 merely count, so each stream's size certifies one formula (`verify`).
-Representatives and graph classes are found one divisor pair
-(s+1, b+1) of V/4 at a time, from that pair's `canonical_offsets`: a mask
-of the canonical offsets and each one's mirror representative, which a
-mirror keeps in the pair.  `verify` checks the pairs one at a time too, so
-it holds nothing as long as the list of signatures or of representatives.
+All signatures, representatives and graph classes are lazy iterators over
+the divisor pairs (s+1, b+1) of V/4, listed (and a V past MAX_SIGNATURES
+refused) when the stream is made; representatives and graph classes come
+from each pair's `canonical_offsets`: a mask of the canonical offsets and
+each one's mirror representative, which a mirror keeps in the pair.  The
+coinciding and self-mirror streams are short lists.  `verify` checks the
+pairs one at a time too, so it holds nothing as long as the signatures.
 `verify_graphs` then realizes the representatives as embedded graphs and
 checks the symmetry claims and the graph-class count on the graphs
 themselves.  Every stream is built in lexicographic order, so output is
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import compress
 
 from . import counting, graph
@@ -34,14 +36,12 @@ from .signature import (
 
 
 # `all_signatures`, `trihex_reps`, `graph_class_reps` and `verify` refuse a V
-# with more signatures than this.  There are sigma(V/4) of them, which grows
-# with V: V = 4p for a prime p has p + 1.  On a 2-core Xeon VM with Python
-# 3.11, `verify` takes 0.3-0.6 s and 21 MiB at V = 3 164 688 (sigma
-# 1 999 998, just under the cap), and 2.0-2.9 s and 28 MiB at V = 7 999 972
-# (sigma 1 999 994, with the all-tie pair (1 999 993, 1)).  But `enumerate`
-# still lists its stream whole: at V = 3 164 688, 1.3-2.3 s and 182 MiB for
-# reps, and 17.2 s and 1 181 MiB for all signatures as structured; at
-# V = 7 999 972, 4.9 s and 183 MiB for reps.  So the cap stays where it is.
+# with more signatures, sigma(V/4), than this (V = 4p for a prime p has p + 1).
+# No stream is held whole, so the cap bounds time and the largest pair's mask.
+# On a 2-core Xeon VM with Python 3.11, at V = 3 164 688 (sigma 1 999 998)
+# `verify` takes 0.3 s and 16 MiB and structured `enumerate` 1.6-2.4 s and
+# 14 MiB; at V = 7 999 972 (sigma 1 999 994, its pair (1 999 993, 1) all ties)
+# 1.6-1.7 s and 24 MiB, and 1.8-2.2 s and 24 MiB for `enumerate --stream classes`.
 MAX_SIGNATURES = 2_000_000
 
 
@@ -54,20 +54,15 @@ def _divisor_pairs(v: int) -> list[tuple[int, int]]:
     return [(n, quarter // n) for n in ds]
 
 
-def all_signatures(v: int) -> list[Signature]:
+def all_signatures(v: int) -> Iterator[Signature]:
     """Every signature (s, b, f) with 4(s+1)(b+1) = v, lexicographically sorted."""
-    result = []
-    for n, m in _divisor_pairs(v):
-        result.extend(Signature(n - 1, m - 1, f) for f in range(n))
-    return result
+    return (Signature(n - 1, m - 1, f) for n, m in _divisor_pairs(v) for f in range(n))
 
 
-def trihex_reps(v: int) -> list[Signature]:
+def trihex_reps(v: int) -> Iterator[Signature]:
     """One canonical signature per trihex with v vertices, sorted."""
-    result = []
-    for n, m in _divisor_pairs(v):
-        result.extend(Signature(n - 1, m - 1, f) for f in compress(range(n), canonical_offsets(n, m)[0]))
-    return result
+    pairs = _divisor_pairs(v)
+    return (Signature(n - 1, m - 1, f) for n, m in pairs for f in compress(range(n), canonical_offsets(n, m)[0]))
 
 
 def coinciding_signatures(v: int) -> list[Signature]:
@@ -100,18 +95,19 @@ def self_mirror_signatures(v: int) -> list[Signature]:
     return result
 
 
-def graph_class_reps(v: int) -> list[Signature]:
+def graph_class_reps(v: int) -> Iterator[Signature]:
     """One representative per graph isomorphism class, sorted: mirror pairs collapsed.
 
     A representative is kept when its offset is no greater than that of its
     mirror's representative, read off `canonical_offsets`.
     """
-    result = []
-    for n, m in _divisor_pairs(v):
-        mask, mirrors = canonical_offsets(n, m)
-        offsets = zip(compress(range(n), mask), compress(mirrors, mask))
-        result.extend(Signature(n - 1, m - 1, f) for f, g in offsets if f <= g)
-    return result
+    return (
+        Signature(n - 1, m - 1, f)
+        for n, m in _divisor_pairs(v)
+        for mask, mirrors in [canonical_offsets(n, m)]
+        for f, g in zip(compress(range(n), mask), compress(mirrors, mask))
+        if f <= g
+    )
 
 
 def verify(v: int) -> None:

@@ -63,7 +63,14 @@ def test_count_rejects_reversed_range(capsys):
      "enumerate --v 28 --from 4 --to 40"],
 )
 def test_v_with_range_exits_2(capsys, argv):
-    assert run_cli(capsys, *argv.split()) == (2, "", "trihex: give either --v or both --from and --to\n")
+    if argv.startswith("enumerate"):
+        # enumerate has no --from or --to, so argparse refuses them
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --from 4 --to 40" in capsys.readouterr().err
+    else:
+        assert run_cli(capsys, *argv.split()) == (2, "", "trihex: give either --v or both --from and --to\n")
 
 
 def test_parses_share_no_state(tmp_path, capsys):
@@ -199,8 +206,10 @@ def test_enumerate_formats(capsys):
 
 
 def test_enumerate_requires_v(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "--from", "4", "--to", "8")
-    assert code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["enumerate", "--stream", "reps"])
+    assert excinfo.value.code == 2
+    assert "the following arguments are required: --v" in capsys.readouterr().err
 
 
 def test_build_dot(capsys):
@@ -630,6 +639,39 @@ def test_count_survives_early_pipe_close():
         assert proc.stderr.read() == b""
 
 
+def test_enumerate_survives_early_pipe_close():
+    # 1 999 994 signatures: the reader stops after the first piece is written
+    src = pathlib.Path(trihex.__file__).parent.parent
+    with subprocess.Popen(
+        [sys.executable, "-m", "trihex.cli", "enumerate", "--v", "7999972", "--stream", "all"],
+        env={"PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"(0,1999992,0)\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+
+
+def test_enumerate_writes_its_stream_as_it_makes_it(tmp_path):
+    # sigma(V/4) = 1 999 998, just under MAX_SIGNATURES: the document is 97 MB,
+    # and building it whole took 1 179 MiB; the digest was recorded then.  The
+    # child reads its own peak from Linux's VmHWM: its ru_maxrss would carry
+    # the test runner's peak over exec
+    path = tmp_path / "all.json"
+    argv = ["enumerate", "--v", "3164688", "--stream", "all", "--format", "structured", "--output", str(path)]
+    probe = f"""import trihex.cli
+code = trihex.cli.main({argv!r})
+print(code, *[line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")])
+"""
+    code, peak_kib = map(int, fresh_stdout("-c", probe).split())
+    assert code == 0
+    assert peak_kib < 60 * 1024, peak_kib
+    digest = "a968f0227f31087af8ee5b0bcb7abebd75a9261b06b6cf51d4ab81d4c10df30a"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
@@ -700,6 +742,23 @@ PINNED_SHA256 = {
     "enumerate --v 60480 --stream classes": "0fcfbcb295368cd0b11630621a2a95f254ee4dd678ee95350c5521f26c863d20",
     # sigma(V/4) = 1 999 994, just under MAX_SIGNATURES; its largest pair (1 999 993, 1) is all ties
     "enumerate --v 7999972 --stream classes": "e46b263cfbb7baa927a8c8743e72cea73a38f7837811823f4c883d2345693a7b",
+    # recorded before the streams were made lazy: the self-mirror and
+    # coinciding streams, empty ones (V = 5040 and V = 8 have no coinciding
+    # signature), and a single signature
+    "enumerate --v 5040 --stream coinciding": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "enumerate --v 5040 --stream coinciding --format csv": "c4e666e9bde5bafc20fc93e10c52d93dc1227b623d773e03d5a217e10d2bd900",
+    "enumerate --v 5040 --stream coinciding --format structured": "df06bbb5c4e7c576be02105f040a85bb190fd519ad64745e10b8defed2b93c98",
+    "enumerate --v 5040 --stream self-mirror": "e6982deed602c8d421793eae646bf7da3324862041b1d952f42019d100941a4d",
+    "enumerate --v 5040 --stream self-mirror --format csv": "4dc98515bee781e044f0d23f93ead52daaf4bdd9a6ecc8c7dad6268d30a78160",
+    "enumerate --v 5040 --stream self-mirror --format structured": "ca56ce7b22bdb3b23c46ece4475019e307bf3058f0759dc6c1b1a1cae4a427ed",
+    "enumerate --v 8 --stream coinciding": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "enumerate --v 8 --stream coinciding --format csv": "c4e666e9bde5bafc20fc93e10c52d93dc1227b623d773e03d5a217e10d2bd900",
+    "enumerate --v 8 --stream coinciding --format structured": "9401c87a315c7123b89dfd3dfb7f3a16fc79197ad2f0bbdc5d292f44b282854f",
+    "enumerate --v 4 --stream all --format structured": "68ba01cd30a154e5c2ca7ab6a96f207891e7af1c0ba3d87c50ebb466e2aa44a8",
+    # V/4 = 3 * 7^2 * 13 * 19: twelve coinciding signatures over two divisor pairs
+    "enumerate --v 145236 --stream coinciding": "49e30540cf238248357a73a48995000936fabc15206b7b7bf712a0c8c21752f2",
+    "enumerate --v 145236 --stream coinciding --format csv": "a09b4f6bb0e88c138feccc49f5db8af45e8968bd48599bad8fedc2b7161e915d",
+    "enumerate --v 145236 --stream coinciding --format structured": "4ad4ce240d83990b42ac6f061b2970810377245c6917d3aaf70e8fd41a6f3d20",
     "congruence --n 91": "253c41ae3211b61a03361166bffecedcc07f5d1510f6734825441ae19f165895",
     "congruence --n 91 --format structured": "4d27fae2b3ab03659d0e162f57916a22c40afda025a2748215226e1f55d10cfa",
 }

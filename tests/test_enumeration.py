@@ -34,8 +34,8 @@ from trihex.signature import (
 
 
 def test_all_signatures_examples():
-    assert all_signatures(4) == [Signature(0, 0, 0)]
-    assert all_signatures(28) == [Signature(0, 6, 0)] + [
+    assert list(all_signatures(4)) == [Signature(0, 0, 0)]
+    assert list(all_signatures(28)) == [Signature(0, 6, 0)] + [
         Signature(6, 0, f) for f in range(7)
     ]
     # frozen from a raw divisor-pair scan
@@ -48,7 +48,7 @@ def test_all_signatures_sorted_and_complete():
     # every stream is built in order and never sorted afterwards
     for stream in cli._STREAMS.values():
         for v in range(4, 404, 4):
-            sigs = stream(v)
+            sigs = list(stream(v))
             assert all(a < b for a, b in zip(sigs, sigs[1:])), (stream.__name__, v)
             assert all(vertex_count(s) == v for s in sigs), (stream.__name__, v)
 
@@ -63,15 +63,15 @@ def test_rejects_invalid_vertex_count():
 def test_all_signatures_refuses_more_than_max_signatures(monkeypatch):
     # the limit is inclusive: sigma(7) = 8 is built, sigma(8) = 15 is refused
     monkeypatch.setattr(enumeration, "MAX_SIGNATURES", 8)
-    assert len(all_signatures(28)) == 8
+    assert len(list(all_signatures(28))) == 8
     with pytest.raises(ValueError, match="V=32 has 15 signatures; enumeration holds at most 8"):
         all_signatures(32)
 
 
 def test_trihex_reps_examples():
-    assert trihex_reps(4) == [Signature(0, 0, 0)]
-    assert len(trihex_reps(28)) == 4
-    reps32 = trihex_reps(32)
+    assert list(trihex_reps(4)) == [Signature(0, 0, 0)]
+    assert len(list(trihex_reps(28))) == 4
+    reps32 = list(trihex_reps(32))
     assert len(reps32) == 5
     assert Signature(1, 3, 0) in reps32
 
@@ -85,13 +85,13 @@ def _orbit_minima(v):
 # `canonical_offsets`
 @pytest.mark.parametrize("v", [5040, 48384, 20160, 60480])
 def test_trihex_reps_are_orbit_minima(v):
-    assert trihex_reps(v) == _orbit_minima(v)
+    assert list(trihex_reps(v)) == _orbit_minima(v)
 
 
 def test_trihex_reps_match_oracles_up_to_1200():
     # the sieved offsets against the orbit minimum
     for v in range(4, 1204, 4):
-        assert trihex_reps(v) == _orbit_minima(v), v
+        assert list(trihex_reps(v)) == _orbit_minima(v), v
 
 
 def test_tie_walk_matches_hnf_route():
@@ -131,10 +131,10 @@ def test_self_mirror_examples():
 
 
 def test_graph_class_reps_examples():
-    assert graph_class_reps(4) == [Signature(0, 0, 0)]
-    assert len(graph_class_reps(28)) == 3
-    assert len(graph_class_reps(112)) == 13
-    assert len(trihex_reps(112)) == 20
+    assert list(graph_class_reps(4)) == [Signature(0, 0, 0)]
+    assert len(list(graph_class_reps(28))) == 3
+    assert len(list(graph_class_reps(112))) == 13
+    assert len(list(trihex_reps(112))) == 20
 
 
 def test_verify_sweep():
@@ -148,8 +148,8 @@ def test_verify_streams_match_public_streams():
     # orbit minima, and the class stream keeps the smaller of each mirror pair
     for v in range(4, 404, 4):
         reps = _orbit_minima(v)
-        assert trihex_reps(v) == reps, v
-        classes = graph_class_reps(v)
+        assert list(trihex_reps(v)) == reps, v
+        classes = list(graph_class_reps(v))
         assert len(classes) == counting.report(v).gamma, v
         assert set(classes) == {min(r, canonical_rep(mirror(r))) for r in reps}, v
 
@@ -274,7 +274,7 @@ def test_verify_memory_where_ties_exist():
     ],
 )
 def test_verify_graphs_reports_flipped_predicate(monkeypatch, predicate, problem):
-    reps = trihex_reps(28)
+    reps = list(trihex_reps(28))
     assert verify_graphs(28, reps) == []
     original = getattr(enumeration, predicate)
     monkeypatch.setattr(enumeration, predicate, lambda sig: not original(sig))
@@ -284,7 +284,7 @@ def test_verify_graphs_reports_flipped_predicate(monkeypatch, predicate, problem
 def test_verify_graphs_reports_wrong_automorphism_count(monkeypatch):
     # doubled counts (24 on a coinciding rep, 8 on the others) keep "divisible
     # by 3 exactly when coinciding", so only the exact count catches them
-    reps = trihex_reps(28)
+    reps = list(trihex_reps(28))
     real = graph.canonical_code
 
     def doubled(g):
@@ -304,7 +304,7 @@ def test_verify_graphs_reports_wrong_automorphism_count(monkeypatch):
 def test_verify_graphs_reports_census_off_by_one(monkeypatch, field, expected):
     # gamma is kept, so only the census by automorphism order can catch a
     # count that is one off; V = 28 has classes of orders 12, 8 and 8
-    reps = trihex_reps(28)
+    reps = list(trihex_reps(28))
     real = counting.report(28)
     fake = SimpleNamespace(**{**real._asdict(), field: getattr(real, field) + 1})
     monkeypatch.setattr(counting, "report", lambda v: fake)
@@ -329,14 +329,14 @@ def test_verify_graphs_reports_graphs_without_half_turns(monkeypatch):
         return tuple(rot)
 
     monkeypatch.setattr(graph, "build", shuffled)
-    reps = trihex_reps(28)
+    reps = list(trihex_reps(28))
     assert verify_graphs(28, reps) == [
         f"build {rep}: half-turn translations are not automorphisms" for rep in reps
     ] + ["graph classes 0 != gamma 3"]
 
 
 def test_verify_graphs_validates_each_representative_once(monkeypatch):
-    reps = trihex_reps(28)
+    reps = list(trihex_reps(28))
     validated = []
     monkeypatch.setattr(graph, "validate", validated.append)
     assert verify_graphs(28, reps) == []

@@ -118,7 +118,7 @@ def test_chirality_matches_mirror_symmetry():
 def test_distinct_reps_build_distinct_graphs():
     for v in (28, 32, 48, 60):
         codes = {_code(build(rep)) for rep in trihex_reps(v)}
-        assert len(codes) == len(trihex_reps(v))
+        assert len(codes) == len(list(trihex_reps(v)))
 
 
 def test_build_matches_coset_index_oracle():
@@ -449,7 +449,7 @@ def test_has_code_abandons_roots_below_the_target(monkeypatch):
 
 def test_has_code_finds_orbit_members_and_only_them():
     for v in range(4, 244, 4):
-        reps = trihex_reps(v)
+        reps = list(trihex_reps(v))
         graphs = [build(rep) for rep in reps]
         for rep, g in zip(reps, graphs):
             code = canonical_code(g).code

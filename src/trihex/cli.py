@@ -81,8 +81,8 @@ def _parse_range(args) -> range:
         start, end = args.start, args.end
     else:
         raise ValueError("give either --v or both --from and --to")
-    if start % 4 or end % 4 or start < 4:
-        raise ValueError(f"vertex counts must be multiples of 4 and >= 4: {start}..{end}")
+    counting.quarter(start)
+    counting.quarter(end)
     if start > end:
         raise ValueError(f"empty range: {start} > {end}")
     count = (end - start) // 4 + 1

@@ -38,10 +38,10 @@ from .signature import (
 # `all_signatures`, `trihex_reps`, `graph_class_reps` and `verify` refuse a V
 # with more signatures, sigma(V/4), than this (V = 4p for a prime p has p + 1).
 # No stream is held whole, so the cap bounds time and the largest pair's mask.
-# On a 2-core Xeon VM with Python 3.11, at V = 3 164 688 (sigma 1 999 998)
-# `verify` takes 0.3 s and 16 MiB and structured `enumerate` 1.6-2.4 s and
-# 14 MiB; at V = 7 999 972 (sigma 1 999 994, its pair (1 999 993, 1) all ties)
-# 1.6-1.7 s and 24 MiB, and 1.8-2.2 s and 24 MiB for `enumerate --stream classes`.
+# On a 2-core Xeon VM with Python 3.11 (peak RSS), at V = 3 164 688 (sigma
+# 1 999 998) `verify` takes 0.2-0.3 s and 18 MiB and structured `enumerate`
+# 1.6-1.9 s and 16 MiB; at V = 7 999 972 (sigma 1 999 994, its pair (1 999 993, 1)
+# all ties) 1.7-1.8 s and 26 MiB, and 1.8-1.9 s and 26 MiB for `--stream classes`.
 MAX_SIGNATURES = 2_000_000
 
 

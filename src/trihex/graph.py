@@ -21,12 +21,15 @@ W(-c), so vertex orbits are indexed by cosets of 2L: the orbit of coset g
 is {E(c): c = g} together with {W(c): c = -g}.  Reading every orbit through
 its east representative gives the rotation system
 
-    rot(g) = [-g - 2u - d, -g - u, -g - u - d]   (mod 2L),
+    rot(g) = [-g - 2u - d, -g - u, -g - u - d]   (mod 2L).
 
-which is what `build` constructs.  The sign of f in B is the handedness
-convention; it is pinned by the mirror-image and equivalent-signature
-tests, not by choice.  `build` only constructs, and `validate` checks from
-the table alone that it is a trihex.
+One coset map, `_cosets`, numbers the cosets of 2L as vertices and lists,
+for every vertex g, the vertex of the coset sign*g + t: `build` is three
+calls with sign -1, one per neighbor above, and the translations by A and
+B that `check_half_turns` checks are two calls with sign +1.  The sign of
+f in B is the handedness convention; it is pinned by the mirror-image and
+equivalent-signature tests, not by choice.  `build` only constructs, and
+`validate` checks from the table alone that it is a trihex.
 
 Every trihex has the half-turns D2 among its automorphisms (the argument
 is in `canonical_code`), and `check_half_turns` checks them on a table, so
@@ -37,6 +40,7 @@ three darts of one triangle and not at all 3n darts.
 from __future__ import annotations
 
 import json
+import struct
 from collections import Counter
 from itertools import chain
 from typing import NamedTuple
@@ -47,9 +51,9 @@ from .signature import Signature, vertex_count
 Rotation = tuple[tuple[int, int, int], ...]
 
 # Largest graph `build` constructs.  A million vertices, Signature(999, 249, 17),
-# take 0.7 s and 180 MiB to build, 3-4 s and 300 MiB with `validate`, 9-10 s
-# and 645 MiB through `trihex build --format structured`, and 3.5-4 s and
-# 370 MiB through `--format dot` (two runs each, 2-core Xeon VM, Python 3.11).
+# take 0.4 s and 200 MiB to build, 2.6 s and 290 MiB with `validate`, 5.8-6.4 s
+# and 645 MiB through `trihex build --format structured`, and 2.9-3.2 s and
+# 370 MiB through `--format dot` (two runs each, peak RSS, 2-core Xeon VM, Python 3.11).
 MAX_VERTICES = 1_000_000
 
 
@@ -60,58 +64,45 @@ class CanonicalCode(NamedTuple):
     oriented_aut_count: int
 
 
+def _cosets(sig: Signature, sign: int, da: int, dy: int) -> list[int]:
+    """Vertex ids of the cosets (sign*a + da, sign*y + dy) of 2L, for the vertices (a, y) in id order.
+
+    Coset (a, y) with 0 <= a < w and 0 <= y < h is vertex a*h + y.  2A = (0, h)
+    and 2B = (w, -shear), so any (a, y) is the coset of
+    (a mod w, (y + (a div w)*shear) mod h).
+    """
+    h, w, shear = 2 * (sig.s + 1), 2 * (sig.b + 1), 2 * sig.f
+    # a column, walked in the direction of sign: from first up to (not including) end
+    first, end = (0, h) if sign > 0 else (h - 1, -1)
+    ids: list[int] = []
+    for a in range(w):
+        # column a lands on column a' = sign*a + da, at y = 0 on row k of it
+        q, a = divmod(sign * a + da, w)
+        base, k = a * h, (dy + q * shear) % h
+        ids.extend(range(base + k, base + end, sign))
+        ids.extend(range(base + first, base + k, sign))
+    return ids
+
+
 def build(sig: Signature) -> Rotation:
     """Quotient the hexagonal tiling by the half-turn group of `sig`; `validate` checks the result."""
     n = vertex_count(sig)
     if n > MAX_VERTICES:
         raise ValueError(f"build holds at most {MAX_VERTICES} vertices, got {n}")
-    # 2A = (0, h) and 2B = (w, -shear), so (a, b) mod 2L is the coset of
-    # (a mod w, (b + q*shear) mod h) with q = a div w, and that is vertex a*h + b
-    h, w, shear = 2 * (sig.s + 1), 2 * (sig.b + 1), 2 * sig.f
-
-    def column(a: int, c: int) -> list[int]:
-        """Vertex ids of the cosets (a, c - b) for b = 0..h-1."""
-        q, a = divmod(a, w)
-        c += q * shear
-        base = a * h
-        return [base + (c - b) % h for b in range(h)]
-
-    rot: list[tuple[int, int, int]] = []
-    for a in range(w):
-        rot.extend(zip(column(-a - 2, -1), column(-a - 1, 0), column(-a - 1, -1)))
-    return tuple(rot)
-
-
-def _half_turn_translations(sig: Signature) -> tuple[list[int], list[int]]:
-    """The vertex permutations of `build(sig)` that translate by A and by B.
-
-    They are computed by `build`'s coset arithmetic, coset (a, y) being
-    vertex (a mod w)*h + (y + (a div w)*shear) mod h, and not read off the graph.
-    """
-    h, w, shear = 2 * (sig.s + 1), 2 * (sig.b + 1), 2 * sig.f
-
-    def translated(da: int, dy: int) -> list[int]:
-        perm: list[int] = []
-        for a in range(w):
-            # column a lands on column a + da, shifted down by dy + q*shear
-            q, a = divmod(a + da, w)
-            base, k = a * h, (dy + q * shear) % h
-            perm.extend(range(base + k, base + h))
-            perm.extend(range(base, base + k))
-        return perm
-
-    return translated(0, sig.s + 1), translated(sig.b + 1, -sig.f)
+    # rot(g) = [-g - 2u - d, -g - u, -g - u - d] with u = (1, 0) and d = (0, 1)
+    return tuple(zip(_cosets(sig, -1, -2, -1), _cosets(sig, -1, -1, 0), _cosets(sig, -1, -1, -1)))
 
 
 def check_half_turns(rot: Rotation, sig: Signature) -> None:
     """Raise unless `build(sig)`'s translations by A and B are distinct, nontrivial automorphisms of rot.
 
-    Each must carry every rotation onto the rotation of the image vertex,
-    neighbor for neighbor; with their product they are the half-turns D2
-    that `canonical_code` relies on.
+    They are the coset map `build` reads its neighbors from, with sign +1:
+    g -> g + A and g -> g + B.  Each must carry every rotation onto the
+    rotation of the image vertex, neighbor for neighbor; with their product
+    they are the half-turns D2 that `canonical_code` relies on.
     """
     n = len(rot)
-    tau_a, tau_b = _half_turn_translations(sig)
+    tau_a, tau_b = _cosets(sig, 1, 0, sig.s + 1), _cosets(sig, 1, sig.b + 1, -sig.f)
     identity = list(range(n))
     if len(tau_a) != n or tau_a == tau_b or not all(
         tau != identity
@@ -283,8 +274,9 @@ def canonical_code(rot: Rotation) -> CanonicalCode:
     because rot is a trihex and so has the half-turns D2 among its
     automorphisms:
 
-    - in `build`'s quotient, translating by a vector t of L sends the coset
-      c of 2L to c + t and rot(c) to rot(c) - t, which is rot(c) + t mod 2L;
+    - in `build`'s quotient each neighbor is a coset map g -> -g - o, and
+      translating by a vector t of L is g -> g + t; the neighbor of g + t is
+      -g - o - t, which is -g - o + t mod 2L, the neighbor of g moved by t;
       so the translations by A, B and A + B are orientation-preserving
       automorphisms, and involutions because 2t lies in 2L: with the
       identity they are D2 (`check_half_turns` checks them on a table);
@@ -339,20 +331,11 @@ def export(rot: Rotation, sig: Signature, format: str, census: dict[int, int] | 
     n = len(rot)
     check_export(n, format)
     if format == "planar_code":
-        out = bytearray(b">>planar_code<<")
-        if n <= 255:
-            out.append(n)
-            for nbrs in rot:
-                out.extend(w + 1 for w in nbrs)
-                out.append(0)
-        else:
-            out.append(0)
-            out.extend(n.to_bytes(2, "little"))
-            for nbrs in rot:
-                for w in nbrs:
-                    out.extend((w + 1).to_bytes(2, "little"))
-                out.extend((0).to_bytes(2, "little"))
-        return bytes(out)
+        # n, then each vertex's neighbors 1-based and a 0; all in 1 byte while n fits one,
+        # else a 0 byte and all in 2 little-endian bytes
+        entries = [x for a, b, c in rot for x in (a + 1, b + 1, c + 1, 0)]
+        head, width = (b"", "B") if n <= 255 else (b"\0", "H")
+        return b">>planar_code<<" + head + struct.pack(f"<{len(entries) + 1}{width}", n, *entries)
     if format == "dot":
         lines = ["graph trihex {"]
         lines.extend(f"  {v} -- {w};" for v in range(n) for w in rot[v] if v < w)

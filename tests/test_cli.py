@@ -52,6 +52,14 @@ def test_count_rejects_bad_vertex_count(capsys):
     assert "multiple" in err
 
 
+@pytest.mark.parametrize(
+    "argv", ["count --v 6", "verify --v 6", "enumerate --v 6", "count --from 6 --to 40", "verify --from 4 --to 6"]
+)
+def test_bad_vertex_count_has_one_message(capsys, argv):
+    # a range checks each end with the rule `enumerate` applies to its one V
+    assert run_cli(capsys, *argv.split()) == (2, "", "trihex: vertex count must be a multiple of 4 and >= 4, got 6\n")
+
+
 def test_count_rejects_reversed_range(capsys):
     code, _, err = run_cli(capsys, "count", "--from", "40", "--to", "4")
     assert code == 2

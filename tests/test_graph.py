@@ -12,7 +12,7 @@ from trihex.errors import InternalInconsistencyError
 from trihex.graph import (
     CanonicalCode,
     _code_from,
-    _half_turn_translations,
+    _cosets,
     _triangle_roots,
     build,
     canonical_code,
@@ -122,7 +122,7 @@ def test_distinct_reps_build_distinct_graphs():
 
 
 def test_build_matches_coset_index_oracle():
-    # one coset reduction per neighbor, against each neighbor column computed once
+    # one coset reduction per neighbor, against build's three calls of one column-wise coset map
     for v in range(4, 404, 4):
         for sig in all_signatures(v):
             assert build(sig) == oracles.build_rot(sig), sig
@@ -151,7 +151,7 @@ def test_half_turn_translations_are_automorphisms():
             for tau in (tau_a, tau_b):
                 assert tau != identity and [tau[t] for t in tau] == identity, sig
                 assert _is_automorphism(rot, tau), sig
-            assert _half_turn_translations(sig) == (tau_a, tau_b), sig
+            assert (_cosets(sig, 1, 0, sig.s + 1), _cosets(sig, 1, sig.b + 1, -sig.f)) == (tau_a, tau_b), sig
             check_half_turns(rot, sig)
 
 
@@ -240,6 +240,26 @@ def test_planar_code_wide_entries():
     assert body[0] == 0
     assert int.from_bytes(body[1:3], "little") == len(g)
     assert len(body) == 1 + 2 + 2 * 4 * len(g)
+
+
+@pytest.mark.parametrize(
+    "sig", [Signature(8, 6, 3), Signature(15, 3, 7), Signature(254, 63, 100)], ids=["V252", "V256", "V65280"]
+)
+def test_planar_code_round_trip(sig):
+    # decode the body with the entry width its header announces, and read
+    # back each vertex's rotation, 1-based, then a 0
+    g = build(sig)
+    data = export(g, sig, "planar_code")
+    header = b">>planar_code<<"
+    assert data.startswith(header)
+    body = data[len(header):]
+    width = 1 if body[0] else 2
+    assert width == (1 if len(g) <= 255 else 2)
+    body = body[width - 1 :]
+    entries = [int.from_bytes(body[i : i + width], "little") for i in range(0, len(body), width)]
+    assert entries[0] == len(g) and len(entries) == 1 + 4 * len(g)
+    for v, nbrs in enumerate(g):
+        assert entries[1 + 4 * v : 5 + 4 * v] == [w + 1 for w in nbrs] + [0], (sig, v)
 
 
 def test_planar_code_export_refuses_more_than_65535_vertices():

@@ -10,11 +10,12 @@ Subcommands:
               closed-form count
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
-(including a number to factorize that is not below 2^64 and an --output
-file that cannot be written), 3 internal error (two computations that must
-agree did not).
+(including a number to factorize that is not below 2^64, and an --output
+file or stdout that cannot be written), 3 internal error (two computations
+that must agree did not).
 Every command writes through `_emit`, a chunk at a time as it comes:
-`enumerate` SEGMENT signatures of its lazy stream, `count` a piece of its range.
+`enumerate` SEGMENT signatures of its lazy stream, `count` a piece of its
+range, `verify` the lines of one vertex count.
 Range work fans out to a process pool (--jobs, default 1; 0 = all cores;
 never more workers than cores or vertex counts): `count` maps contiguous
 pieces of its range, each sieved by `counting.columns` and formatted in its
@@ -119,9 +120,9 @@ def _output_file(path: str | None):
 
     A file that cannot be opened is a usage error (exit 2).  It is opened
     for appending and truncated only when `_emit` writes the first chunk,
-    which every command makes before it calls `_emit`; a file that the
-    command created is removed again when the command raises: a refused
-    command leaves no new file and an existing one as it was.
+    which every command makes before it calls `_emit`: a refused command
+    leaves an existing file as it was.  When the command raises, a file it
+    created is removed, and what a failed write left buffered is dropped.
     """
     if path is None:
         yield None
@@ -131,56 +132,60 @@ def _output_file(path: str | None):
         fh = open(path, "ab")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
-    with fh:
-        try:
-            yield fh
-        except BaseException:
-            if created:
-                os.unlink(path)
-            raise
+    try:
+        yield fh
+    except BaseException:
+        # close() would fail again on the bytes a failed write left in the buffer, and hide its error
+        with contextlib.suppress(OSError):
+            fh.close()
+        if created:
+            os.unlink(path)
+        raise
+    fh.close()
 
 
 def _emit(chunks: Iterable[str | bytes], args) -> None:
     """Write each chunk of text or bytes, in order and as it comes, to the --output file, or else to stdout.
 
-    The file is truncated when the first chunk has come.  A file that
-    cannot be written is a usage error (exit 2); a reader that closes
+    The file is truncated when the first chunk has come.  A write that fails,
+    to the file or to stdout, is a usage error (exit 2); a reader that closes
     stdout early (`| head -1`) ends the output quietly.
     """
-    if args.output:
-        fh = args.output_file
-        for i, data in enumerate(chunks):
-            try:
+    fh = args.output_file
+    for i, data in enumerate(chunks):
+        try:
+            if fh is None:
+                # text goes to sys.stdout itself, which may be a stand-in that takes text alone
+                (sys.stdout if isinstance(data, str) else sys.stdout.buffer).write(data)
+                sys.stdout.flush()
+            else:
                 # a pipe or a device cannot be truncated, and needs no truncating
                 if not i and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                     fh.truncate(0)
                 fh.write(data.encode() if isinstance(data, str) else data)
                 fh.flush()
-            except OSError as exc:
-                raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
-        return
-    try:
-        for data in chunks:
-            if isinstance(data, str):
-                sys.stdout.write(data)
-            else:
-                sys.stdout.buffer.write(data)
-            sys.stdout.flush()
-    except BrokenPipeError:
-        # stdout now points at devnull, so the flush at interpreter exit cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        except OSError as exc:
+            if fh is None:
+                # stdout now points at devnull, so the flush at interpreter exit cannot fail again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                if isinstance(exc, BrokenPipeError):
+                    return
+            raise ValueError(f"cannot write {args.output or 'stdout'}: {exc.strerror}") from exc
 
 
-def _json_list(doc: dict, key: str, items: Iterator[str]) -> Iterable[str]:
-    """Chunks of {"schema_version": 1, **doc, key: [...]} as json.dumps(..., indent=2) lays it out.
+def _document(args, header: str, doc: dict, key: str, items: Iterator[str]) -> Iterable[str]:
+    """Chunks of one command's output: as CSV or text, `header` and then the items.
 
-    Each item is the text of one or more entries of the list, indented to their depth.  The first
-    item is made before this returns, so a command that fails on it writes nothing; none gives "[]".
+    As structured output, {"schema_version": 1, **doc, key: [...]} as json.dumps(..., indent=2) lays
+    it out, each item the text of one or more entries of the list, indented to their depth; none gives
+    "[]".  The first item is made before this returns, so a command that fails on it writes nothing.
     """
-    head, tail = json.dumps({"schema_version": SCHEMA_VERSION, **doc, key: []}, indent=2).split("[]")
     first = next(items, None)
+    if args.format != "structured":
+        return itertools.chain([header + (first or "")], items)
+    head, tail = json.dumps({"schema_version": SCHEMA_VERSION, **doc, key: []}, indent=2).split("[]")
     if first is None:
         return [f"{head}[]{tail}\n"]
     return itertools.chain([f"{head}[\n{first}"], (",\n" + item for item in items), [f"\n  ]{tail}\n"])
@@ -204,23 +209,17 @@ def cmd_count(args) -> int:
     texts = _map_ordered(
         _count_rows, [(vs[i : i + size], args.format) for i in range(0, len(vs), size)], args.jobs, chunksize=1
     )
-    # the first piece comes before anything is written: a command that fails on it writes nothing
-    if args.format == "csv":
-        _emit(itertools.chain([",".join(counting.CountReport._fields) + "\n" + next(texts)], texts), args)
-    else:
-        _emit(_json_list({}, "reports", texts), args)
+    _emit(_document(args, ",".join(counting.CountReport._fields) + "\n", {}, "reports", texts), args)
     return 0
 
 
 def cmd_enumerate(args) -> int:
     signatures = iter(_STREAMS[args.stream](args.v))
     template, sep = _SIGNATURE[args.format], ",\n" if args.format == "structured" else ""
-    # pieces of at most SEGMENT signatures each, until the stream runs out; the first is made before any is written
+    # pieces of at most SEGMENT signatures each, until the stream runs out
     pieces = iter(lambda: sep.join(map(template.__mod__, itertools.islice(signatures, counting.SEGMENT))), "")
-    if args.format == "structured":
-        _emit(_json_list({"V": args.v, "stream": args.stream}, "signatures", pieces), args)
-    else:
-        _emit(itertools.chain([("s,b,f\n" if args.format == "csv" else "") + next(pieces, "")], pieces), args)
+    header = "s,b,f\n" if args.format == "csv" else ""
+    _emit(_document(args, header, {"V": args.v, "stream": args.stream}, "signatures", pieces), args)
     return 0
 
 
@@ -229,8 +228,8 @@ def cmd_build(args) -> int:
     graph.check_export(vertex_count(sig), args.format)
     rot = graph.build(sig)
     census = graph.validate(rot)
-    _emit([graph.export(rot, sig, args.format, census)], args)
-    # after the output, so that an --output file that cannot be written leaves one stderr line
+    _emit([graph.export(rot, sig, args.format)], args)
+    # after the output, so that a failed write leaves one stderr line
     if not args.quiet:
         print(
             f"signature {sig}: {len(rot)} vertices, faces "
@@ -260,20 +259,20 @@ def cmd_verify(args) -> int:
                     f"graph work, trihexes(V) * V summed, reaches {work} by V={v}; "
                     f"verify --with-graphs holds at most {MAX_GRAPH_WORK}"
                 )
-    tasks = [(v, args.with_graphs) for v in vs]
-    results = _map_ordered(_verify_one, tasks, args.jobs)
-    lines = []
-    failures = 0
-    for v, problems in results:
-        if problems:
-            failures += 1
-            lines.append(f"V={v}: FAIL")
-            lines.extend(f"  {p}" for p in problems)
-        elif not args.quiet:
-            lines.append(f"V={v}: ok")
-    lines.append(f"checked {len(vs)} vertex counts, {failures} failures")
-    _emit(["\n".join(lines) + "\n"], args)
-    return 1 if failures else 0
+    results = _map_ordered(_verify_one, [(v, args.with_graphs) for v in vs], args.jobs)
+    failed: list[int] = []
+
+    def report() -> Iterator[str]:
+        for v, problems in results:
+            if problems:
+                failed.append(v)
+                yield f"V={v}: FAIL\n" + "".join(f"  {p}\n" for p in problems)
+            elif not args.quiet:
+                yield f"V={v}: ok\n"
+        yield f"checked {len(vs)} vertex counts, {len(failed)} failures\n"
+
+    _emit(report(), args)
+    return 1 if failed else 0
 
 
 def cmd_congruence(args) -> int:

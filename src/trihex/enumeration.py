@@ -7,7 +7,8 @@ the divisor pairs (s+1, b+1) of V/4, listed (and a V past MAX_SIGNATURES
 refused) when the stream is made; representatives and graph classes come
 from each pair's `canonical_offsets`: a mask of the canonical offsets and
 each one's mirror representative, which a mirror keeps in the pair.  The
-coinciding and self-mirror streams are short lists.  `verify` checks the
+coinciding and self-mirror streams are short lists, each read off the
+divisors d = s+1 of V/4 in closed form.  `verify` checks the
 pairs one at a time too, so it holds nothing as long as the signatures.
 `verify_graphs` then realizes the representatives as embedded graphs and
 checks the symmetry claims and the graph-class count on the graphs
@@ -17,7 +18,6 @@ reproducible byte for byte and nothing is sorted afterwards.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import compress
@@ -66,33 +66,27 @@ def trihex_reps(v: int) -> Iterator[Signature]:
 
 
 def coinciding_signatures(v: int) -> list[Signature]:
-    """Signatures equal to both their equivalents, sorted: (tm-1, m-1, gm) over v/4 = t*m^2."""
+    """Signatures equal to both their equivalents, sorted: (d-1, n/d-1, g*n/d) over v/4 = n with n | d^2.
+
+    g runs over the roots of x^2 + x + 1 modulo d^2/n; ascending d is ascending s, so the list comes out sorted.
+    """
     n = counting.quarter(v)
-    result = []
-    # descending m gives ascending s = n/m - 1, so the list comes out sorted
-    for m in reversed(divisors(n)):
-        if n % (m * m):
-            continue
-        t = n // (m * m)
-        result.extend(Signature(t * m - 1, m - 1, g * m) for g in solve_fast(t))
-    return result
+    return [
+        Signature(d - 1, n // d - 1, g * (n // d))
+        for d in divisors(n) if d * d % n == 0 for g in solve_fast(d * d // n)
+    ]
 
 
 def self_mirror_signatures(v: int) -> list[Signature]:
-    """Signatures fixed by mirroring, sorted: solutions of 2f = -(b+1) (mod s+1) per divisor pair."""
+    """Signatures fixed by mirroring, sorted: solutions of 2f = -(b+1) (mod s+1) per divisor pair.
+
+    With d = s+1 and r = -(b+1) mod d, the solutions below d are x/2 for the even x among r and r + d.
+    """
     n = counting.quarter(v)
-    result = []
-    for d in divisors(n):
-        s, b = d - 1, n // d - 1
-        modulus = s + 1
-        target = (-(b + 1)) % modulus
-        g = math.gcd(2, modulus)
-        if target % g:
-            continue
-        step = modulus // g
-        f0 = (target // g) * pow(2 // g, -1, step) % step
-        result.extend(Signature(s, b, f) for f in range(f0, modulus, step))
-    return result
+    return [
+        Signature(d - 1, n // d - 1, x // 2)
+        for d in divisors(n) for r in [-(n // d) % d] for x in (r, r + d) if x % 2 == 0
+    ]
 
 
 def graph_class_reps(v: int) -> Iterator[Signature]:

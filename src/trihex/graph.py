@@ -144,11 +144,16 @@ def validate(rot: Rotation) -> dict[int, int]:
         raise InternalInconsistencyError("graph is not connected")
 
     census = face_census(rot)
-    h = len(rot) // 2 - 2
-    expected = {3: 4, 6: h} if h else {3: 4}
+    expected = _trihex_census(len(rot))
     if census != expected:
-        raise InternalInconsistencyError(f"face census {census}, wanted 4 triangles, {h} hexagons")
+        raise InternalInconsistencyError(f"face census {census}, wanted 4 triangles, {expected.get(6, 0)} hexagons")
     return census
+
+
+def _trihex_census(n: int) -> dict[int, int]:
+    """The face census of a trihex with n vertices: 4 triangles and the n/2 - 2 hexagons Euler's formula leaves."""
+    h = n // 2 - 2
+    return {3: 4, 6: h} if h else {3: 4}
 
 
 def faces(rot: Rotation) -> list[list[int]]:
@@ -322,11 +327,11 @@ def check_export(n: int, format: str) -> None:
         raise ValueError(f"planar_code holds at most 65535 vertices (2-byte entries), got {n}")
 
 
-def export(rot: Rotation, sig: Signature, format: str, census: dict[int, int] | None = None) -> bytes:
+def export(rot: Rotation, sig: Signature, format: str) -> bytes:
     """Serialize rot, the graph `build(sig)` returns, as planar_code, dot, or structured JSON text.
 
-    The structured format holds the signature and the face census; pass the
-    census `validate` returned to skip tracing the faces again.
+    The structured format holds the signature and the face census, which
+    for a trihex follows from n: it is the census `validate` requires.
     """
     n = len(rot)
     check_export(n, format)
@@ -342,12 +347,11 @@ def export(rot: Rotation, sig: Signature, format: str, census: dict[int, int] | 
         lines.append("}")
         return ("\n".join(lines) + "\n").encode()
     if format == "structured":
-        census = face_census(rot) if census is None else census
         doc = {
             "n": n,
             "signature": list(sig),
             "rot": [list(nbrs) for nbrs in rot],
-            "faces": {str(k): count for k, count in census.items()},
+            "faces": {str(k): count for k, count in _trihex_census(n).items()},
         }
         return (json.dumps(doc, indent=2) + "\n").encode()
     raise ValueError(f"unknown export format: {format!r}")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -384,7 +385,7 @@ def test_build_validates_before_export(monkeypatch, capsys):
 
 
 def test_build_structured_traces_faces_once(monkeypatch, capsys):
-    # validate's census serves the stderr summary and the structured export
+    # validate traces the faces for the stderr summary; the structured export reads its census off n
     expected = run_cli(capsys, "build", "--sig", "13,1,4", "--format", "structured")
     traces = []
     faces = graph.faces
@@ -399,7 +400,7 @@ def test_build_structured_traces_faces_once(monkeypatch, capsys):
     assert len(traces) == 1
     sig = parse_signature("13,1,4")
     assert graph.export(graph.build(sig), sig, "structured") == expected[1].encode()
-    assert len(traces) == 2
+    assert len(traces) == 1
 
 
 def test_build_rejects_malformed_signature(capsys):
@@ -631,35 +632,72 @@ def test_runs_without_docstrings():
     assert fresh_stdout("-OO", "-m", "trihex.cli", "count", "--v", "28").splitlines()[-1] == "28,8,2,2,0,4,3,1"
 
 
-def test_count_survives_early_pipe_close():
-    # a reader that stops after one line, as `trihex count ... | head -1` does;
+def first_line_then_close(*argv: str) -> tuple[bytes, int, bytes]:
+    """The first stdout line of `trihex argv` in a fresh interpreter whose reader then closes stdout; its exit code; its stderr."""
     # the bare environment keeps stdout buffered (PYTHONUNBUFFERED=1 hides a fault)
     src = pathlib.Path(trihex.__file__).parent.parent
     with subprocess.Popen(
-        [sys.executable, "-m", "trihex.cli", "count", "--from", "4", "--to", "40000"],
+        [sys.executable, "-m", "trihex.cli", *argv],
         env={"PYTHONPATH": str(src)},
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     ) as proc:
-        assert proc.stdout.readline() == b"V,sigma,delta,mu,nu,trihexes,gamma,rot_classes\n"
+        line = proc.stdout.readline()
         proc.stdout.close()
-        assert proc.wait(timeout=60) == 0
-        assert proc.stderr.read() == b""
+        return line, proc.wait(timeout=60), proc.stderr.read()
+
+
+def test_count_survives_early_pipe_close():
+    # a reader that stops after one line, as `trihex count ... | head -1` does
+    header = b"V,sigma,delta,mu,nu,trihexes,gamma,rot_classes\n"
+    assert first_line_then_close("count", "--from", "4", "--to", "40000") == (header, 0, b"")
 
 
 def test_enumerate_survives_early_pipe_close():
     # 1 999 994 signatures: the reader stops after the first piece is written
+    assert first_line_then_close("enumerate", "--v", "7999972", "--stream", "all") == (b"(0,1999992,0)\n", 0, b"")
+
+
+def test_verify_survives_early_pipe_close():
+    # verify writes each vertex count's line as it comes, so the later ones meet the closed pipe
+    assert first_line_then_close("verify", "--from", "4", "--to", "4000") == (b"V=4: ok\n", 0, b"")
+
+
+FIVE_COMMANDS = ["count --v 28", "verify --v 28", "enumerate --v 28", "build --sig 6,2,1", "congruence --n 91"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", FIVE_COMMANDS)
+@pytest.mark.parametrize("sink", ["stdout", "/dev/full"])
+def test_failed_write_exits_2(sink, command):
+    # a full device, as stdout or as --output: one stderr line and exit 2,
+    # not a traceback and exit 1 (the code for a failed verification)
     src = pathlib.Path(trihex.__file__).parent.parent
-    with subprocess.Popen(
-        [sys.executable, "-m", "trihex.cli", "enumerate", "--v", "7999972", "--stream", "all"],
-        env={"PYTHONPATH": str(src)},
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    ) as proc:
-        assert proc.stdout.readline() == b"(0,1999992,0)\n"
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == 0
-        assert proc.stderr.read() == b""
+    argv = [sys.executable, "-m", "trihex.cli", *command.split()]
+    if sink != "stdout":
+        argv += ["--output", sink]
+    with open("/dev/full", "wb") as full:
+        stdout = full if sink == "stdout" else subprocess.PIPE
+        result = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert (result.returncode, result.stdout) == (2, None if sink == "stdout" else b"")
+    assert result.stderr == f"trihex: cannot write {sink}: No space left on device\n".encode()
+
+
+def test_failed_write_removes_the_file_it_created(tmp_path):
+    # a file size limit of 1 KiB stands in for a full disk: the first piece, 2 KiB, does not
+    # fit, and stays in the buffer that closing the file would try to write again
+    pytest.importorskip("resource")
+    path = tmp_path / "new.csv"
+    argv = ["count", "--from", "4", "--to", "400", "--output", str(path)]
+    probe = f"""import resource, sys, trihex.cli
+resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+sys.exit(trihex.cli.main({argv!r}))
+"""
+    src = pathlib.Path(trihex.__file__).parent.parent
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == f"trihex: cannot write {path}: File too large\n".encode()
+    assert not path.exists()
 
 
 def test_enumerate_writes_its_stream_as_it_makes_it(tmp_path):
@@ -726,6 +764,22 @@ def test_count_error_in_a_later_segment_exits_3(monkeypatch, capsys):
     assert (code, err) == (3, f"trihex: internal error: {message}\n")
     # the first segment's rows were written before the second failed
     assert out.splitlines()[-1] == counting.report(4 * counting.SEGMENT).csv_row()
+
+
+def test_verify_error_at_a_later_vertex_count_exits_3(monkeypatch, capsys):
+    # verify writes each vertex count's line as its result comes, so the
+    # lines before the vertex count that fails are already written
+    check = enumeration.verify
+
+    def broken(v):
+        if v == 20:
+            raise InternalInconsistencyError("routes disagree at V=20")
+        check(v)
+
+    monkeypatch.setattr(enumeration, "verify", broken)
+    assert run_cli(capsys, "verify", "--from", "4", "--to", "40") == (
+        3, "V=4: ok\nV=8: ok\nV=12: ok\nV=16: ok\n", "trihex: internal error: routes disagree at V=20\n"
+    )
 
 
 # sha256 of the exact output bytes: the build and verify entries recorded

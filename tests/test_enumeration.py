@@ -130,6 +130,14 @@ def test_self_mirror_examples():
     assert self_mirror_signatures(4) == [Signature(0, 0, 0)]
 
 
+def test_symmetric_streams_are_complete():
+    # the closed forms list every coinciding and every self-mirror signature, in the order of all_signatures
+    for v in range(4, 2004, 4):
+        sigs = list(all_signatures(v))
+        assert coinciding_signatures(v) == [sig for sig in sigs if is_coinciding(sig)], v
+        assert self_mirror_signatures(v) == [sig for sig in sigs if mirror(sig) == sig], v
+
+
 def test_graph_class_reps_examples():
     assert list(graph_class_reps(4)) == [Signature(0, 0, 0)]
     assert len(list(graph_class_reps(28))) == 3

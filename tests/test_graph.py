@@ -285,6 +285,12 @@ def test_structured_export():
     assert doc["signature"] == [6, 2, 1]
     assert doc["faces"] == {"3": 4, "6": 40}
     assert len(doc["rot"]) == 84
+    # the census is read off n, without tracing the faces, and it is the census they trace to
+    for v in range(4, 124, 4):
+        for sig in all_signatures(v):
+            g = build(sig)
+            doc = json.loads(export(g, sig, "structured"))
+            assert doc["faces"] == {str(k): count for k, count in face_census(g).items()}, sig
 
 
 def test_export_rejects_unknown_format():

@@ -6,7 +6,7 @@ closed-form multiplicative formulas, enumerates them constructively, and
 realizes them as explicit embedded graphs for cross-verification.
 """
 
-from .counting import CountReport, report, reports
+from .counting import CountReport, report
 from .enumeration import (
     all_signatures,
     coinciding_signatures,
@@ -68,7 +68,6 @@ __all__ = [
     "orbit",
     "parse_signature",
     "report",
-    "reports",
     "self_mirror_signatures",
     "solve_fast",
     "trihex_reps",

@@ -14,8 +14,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error
 file or stdout that cannot be written), 3 internal error (two computations
 that must agree did not).
 Every command writes through `_emit`, a chunk at a time as it comes:
-`enumerate` SEGMENT signatures of its lazy stream, `count` a piece of its
-range, `verify` the lines of one vertex count.
+`enumerate` SEGMENT signatures of its lazy stream, `build --format
+structured` SEGMENT vertices of its rotation table, `count` a piece of its
+range, `verify` the lines of one vertex count.  This module lays out every
+CSV row and JSON document; `_document` frames those of `count`, `enumerate`
+and `build`, streaming the one list of each.  `verify` admits its whole
+range, V by V, before it writes a line.
 Range work fans out to a process pool (--jobs, default 1; 0 = all cores;
 never more workers than cores or vertex counts): `count` maps contiguous
 pieces of its range, each sieved by `counting.columns` and formatted in its
@@ -43,12 +47,14 @@ from .numtheory import check_factorable, omega_count, solve_fast
 from .signature import parse_signature, vertex_count
 
 SCHEMA_VERSION = 1
-# One `count` row as an item of the structured document's "reports" list, laid
-# out as json.dumps(..., indent=2) lays it out
-_JSON_ROW = "    {\n" + ",\n".join(f'      "{name}": %d' for name in counting.CountReport._fields) + "\n    }"
-# One `count` row and the separator between rows, by format
-_COUNT_ROW = {"csv": (counting.CSV_ROW + "\n", ""), "structured": (_JSON_ROW, ",\n")}
-# One signature as a line of text or CSV, or as an item of the structured "signatures" list
+# One `count` row as a CSV line, or as an item of the structured document's
+# "reports" list, laid out as json.dumps(..., indent=2) lays it out
+_COUNT_ROW = {
+    "csv": ",".join(["%d"] * len(counting.CountReport._fields)) + "\n",
+    "structured": "    {\n" + ",\n".join(f'      "{name}": %d' for name in counting.CountReport._fields) + "\n    }",
+}
+# One signature as a line of text or CSV, or as an item of the structured "signatures"
+# list; as structured, also one vertex's neighbors as an item of `build`'s "rot" list
 _SIGNATURE = {"text": "(%d,%d,%d)\n", "csv": "%d,%d,%d\n", "structured": "    [\n      %d,\n      %d,\n      %d\n    ]"}
 
 # A range holds at most this many vertex counts, refused before it is listed.
@@ -175,27 +181,39 @@ def _emit(chunks: Iterable[str | bytes], args) -> None:
             raise ValueError(f"cannot write {args.output or 'stdout'}: {exc.strerror}") from exc
 
 
-def _document(args, header: str, doc: dict, key: str, items: Iterator[str]) -> Iterable[str]:
+def _document(args, header: str, doc: dict, items: Iterator[str]) -> Iterable[str]:
     """Chunks of one command's output: as CSV or text, `header` and then the items.
 
-    As structured output, {"schema_version": 1, **doc, key: [...]} as json.dumps(..., indent=2) lays
-    it out, each item the text of one or more entries of the list, indented to their depth; none gives
-    "[]".  The first item is made before this returns, so a command that fails on it writes nothing.
+    As structured output, `doc` as json.dumps(..., indent=2) lays it out, with the items in its one
+    empty list, a top-level value: each item the text of one or more entries of the list, indented to
+    their depth; none leaves "[]".  The first item is made before this returns, so a command that
+    fails on it writes nothing.
     """
     first = next(items, None)
     if args.format != "structured":
         return itertools.chain([header + (first or "")], items)
-    head, tail = json.dumps({"schema_version": SCHEMA_VERSION, **doc, key: []}, indent=2).split("[]")
+    head, tail = json.dumps(doc, indent=2).split("[]")
     if first is None:
         return [f"{head}[]{tail}\n"]
     return itertools.chain([f"{head}[\n{first}"], (",\n" + item for item in items), [f"\n  ]{tail}\n"])
 
 
+def _join(fmt: str, template: str, rows: Iterable[tuple[int, ...]]) -> str:
+    """`template` % row for each row: as entries of a structured list, or as lines."""
+    return (",\n" if fmt == "structured" else "").join(map(template.__mod__, rows))
+
+
+def _segments(fmt: str, triples: Iterable[tuple[int, int, int]]) -> Iterator[str]:
+    """The triples laid out by `_SIGNATURE[fmt]`, SEGMENT at a time, until they run out."""
+    triples = iter(triples)
+    return iter(lambda: _join(fmt, _SIGNATURE[fmt], itertools.islice(triples, counting.SEGMENT)), "")
+
+
 def _count_rows(piece: tuple[range, str]) -> str:
     """The text of one piece of `count` output: CSV lines, or items of the structured "reports" list."""
     vs, fmt = piece
-    template, sep = _COUNT_ROW[fmt]
-    return sep.join(sep.join(map(template.__mod__, zip(*segment))) for segment in counting.columns(vs[0], vs[-1]))
+    segments = counting.columns(vs[0], vs[-1])
+    return _join(fmt, _COUNT_ROW[fmt], itertools.chain.from_iterable(zip(*segment) for segment in segments))
 
 
 def cmd_count(args) -> int:
@@ -209,17 +227,16 @@ def cmd_count(args) -> int:
     texts = _map_ordered(
         _count_rows, [(vs[i : i + size], args.format) for i in range(0, len(vs), size)], args.jobs, chunksize=1
     )
-    _emit(_document(args, ",".join(counting.CountReport._fields) + "\n", {}, "reports", texts), args)
+    header = ",".join(counting.CountReport._fields) + "\n"
+    _emit(_document(args, header, {"schema_version": SCHEMA_VERSION, "reports": []}, texts), args)
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    signatures = iter(_STREAMS[args.stream](args.v))
-    template, sep = _SIGNATURE[args.format], ",\n" if args.format == "structured" else ""
-    # pieces of at most SEGMENT signatures each, until the stream runs out
-    pieces = iter(lambda: sep.join(map(template.__mod__, itertools.islice(signatures, counting.SEGMENT))), "")
+    pieces = _segments(args.format, _STREAMS[args.stream](args.v))
     header = "s,b,f\n" if args.format == "csv" else ""
-    _emit(_document(args, header, {"V": args.v, "stream": args.stream}, "signatures", pieces), args)
+    doc = {"schema_version": SCHEMA_VERSION, "V": args.v, "stream": args.stream, "signatures": []}
+    _emit(_document(args, header, doc, pieces), args)
     return 0
 
 
@@ -228,7 +245,11 @@ def cmd_build(args) -> int:
     graph.check_export(vertex_count(sig), args.format)
     rot = graph.build(sig)
     census = graph.validate(rot)
-    _emit([graph.export(rot, sig, args.format)], args)
+    if args.format == "structured":
+        doc = {"n": len(rot), "signature": list(sig), "rot": [], "faces": census}
+        _emit(_document(args, "", doc, _segments("structured", rot)), args)
+    else:
+        _emit([graph.export(rot, args.format)], args)
     # after the output, so that a failed write leaves one stderr line
     if not args.quiet:
         print(
@@ -250,15 +271,17 @@ def _verify_one(task: tuple[int, bool]) -> tuple[int, list[str]]:
 
 def cmd_verify(args) -> int:
     vs = _parse_range(args)
-    if args.with_graphs:
-        work = 0
-        for v in vs:
-            work += counting.report(v).trihexes * v
-            if work > MAX_GRAPH_WORK:
-                raise ValueError(
-                    f"graph work, trihexes(V) * V summed, reaches {work} by V={v}; "
-                    f"verify --with-graphs holds at most {MAX_GRAPH_WORK}"
-                )
+    # the whole range is admitted, V by V, before any line is written
+    work = 0
+    for v in vs:
+        counts = counting.report(v)
+        enumeration.check_signatures(v, counts.sigma)
+        work += counts.trihexes * v
+        if args.with_graphs and work > MAX_GRAPH_WORK:
+            raise ValueError(
+                f"graph work, trihexes(V) * V summed, reaches {work} by V={v}; "
+                f"verify --with-graphs holds at most {MAX_GRAPH_WORK}"
+            )
     results = _map_ordered(_verify_one, [(v, args.with_graphs) for v in vs], args.jobs)
     failed: list[int] = []
 

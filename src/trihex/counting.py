@@ -19,9 +19,9 @@ divisions.  `columns(start, end)` multiplies them in as a sieve divides
 each prime power out of a segment of consecutive V/4, so a table lists no
 factorization and calls `factorize` for no row; it derives the last three
 counts a whole segment at a time, as columns, and falls back to `_row` only
-to name the first row whose division is not exact.  `reports(start, end)`
-yields its rows as `CountReport`s, and `count` formats its columns with
-`CSV_ROW`, the template `csv_row` uses.  There is no separate function per
+to name the first row whose division is not exact.  `columns` is the one
+route over a range and `report` the one for a single V; this module
+computes and `cli` lays out the rows.  There is no separate function per
 count: callers read the `CountReport` field they need.  Everything is
 exact integer arithmetic; the remaining relations between the counts (nu in
 {0, 1}, delta and mu at least nu) are test assertions.  The four per-count
@@ -64,13 +64,6 @@ class CountReport(NamedTuple):
     gamma: int
     rot_classes: int
 
-    def csv_row(self) -> str:
-        return CSV_ROW % self
-
-
-# One report as a CSV line, without its newline: `csv_row` and `count` format with it
-CSV_ROW = ",".join(["%d"] * len(CountReport._fields))
-
 
 def report(v: int) -> CountReport:
     """Compute every counting function for v from one factorization of v/4."""
@@ -79,16 +72,6 @@ def report(v: int) -> CountReport:
         a, b, c, e = _local(p, k)
         s, d, m, n = s * a, d * b, m * c, n * e
     return _row(v, s, d, m, n)
-
-
-def reports(start: int, end: int) -> Iterator[CountReport]:
-    """`report(v)` for v = start, start + 4, ..., end, in order: the rows of `columns(start, end)`.
-
-    Each row is built in C, by `tuple.__new__` over a `zip` of a segment's
-    eight columns.
-    """
-    for segment in columns(start, end):
-        yield from map(tuple.__new__, repeat(CountReport), zip(*segment))
 
 
 def columns(start: int, end: int) -> Iterator[tuple[Sequence[int], ...]]:

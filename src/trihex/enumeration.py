@@ -45,12 +45,17 @@ from .signature import (
 MAX_SIGNATURES = 2_000_000
 
 
+def check_signatures(v: int, sigma: int) -> None:
+    """Refuse v, which has sigma signatures, when they pass MAX_SIGNATURES."""
+    if sigma > MAX_SIGNATURES:
+        raise ValueError(f"V={v} has {sigma} signatures; enumeration holds at most {MAX_SIGNATURES}")
+
+
 def _divisor_pairs(v: int) -> list[tuple[int, int]]:
     """The pairs (n, m) = (s+1, b+1) with n*m = v/4, n ascending; refuses v past MAX_SIGNATURES."""
     quarter = counting.quarter(v)
     ds = divisors(quarter)
-    if sum(ds) > MAX_SIGNATURES:
-        raise ValueError(f"V={v} has {sum(ds)} signatures; enumeration holds at most {MAX_SIGNATURES}")
+    check_signatures(v, sum(ds))
     return [(n, quarter // n) for n in ds]
 
 

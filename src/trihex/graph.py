@@ -1,8 +1,9 @@
 """Realize a signature as an embedded cubic graph, which is its rotation table.
 
 A graph is its rotation table, a `Rotation`: rot[v] lists v's three
-neighbors counterclockwise, and nothing else is stored.  `export` takes the
-signature as well, for its structured format.
+neighbors counterclockwise, and nothing else is stored.  `export` writes the
+two graph file formats, planar_code and dot; the structured JSON document,
+with the face census `validate` returns, is laid out by `cli`.
 
 Construction
 ------------
@@ -39,7 +40,6 @@ three darts of one triangle and not at all 3n darts.
 
 from __future__ import annotations
 
-import json
 import struct
 from collections import Counter
 from itertools import chain
@@ -51,9 +51,10 @@ from .signature import Signature, vertex_count
 Rotation = tuple[tuple[int, int, int], ...]
 
 # Largest graph `build` constructs.  A million vertices, Signature(999, 249, 17),
-# take 0.4 s and 200 MiB to build, 2.6 s and 290 MiB with `validate`, 5.8-6.4 s
-# and 645 MiB through `trihex build --format structured`, and 2.9-3.2 s and
-# 370 MiB through `--format dot` (two runs each, peak RSS, 2-core Xeon VM, Python 3.11).
+# take 0.4 s and 200 MiB to build, 2.6 s and 290 MiB with `validate`, 3.1-4.5 s
+# and 291 MiB through `trihex build --format structured` (four runs; the peak is
+# `validate`'s), and 2.9-3.2 s and 370 MiB through `--format dot` (two runs; peak
+# RSS, 2-core Xeon VM, Python 3.11).
 MAX_VERTICES = 1_000_000
 
 
@@ -144,16 +145,11 @@ def validate(rot: Rotation) -> dict[int, int]:
         raise InternalInconsistencyError("graph is not connected")
 
     census = face_census(rot)
-    expected = _trihex_census(len(rot))
-    if census != expected:
-        raise InternalInconsistencyError(f"face census {census}, wanted 4 triangles, {expected.get(6, 0)} hexagons")
+    # 4 triangles and the n/2 - 2 hexagons Euler's formula leaves
+    h = len(rot) // 2 - 2
+    if census != ({3: 4, 6: h} if h else {3: 4}):
+        raise InternalInconsistencyError(f"face census {census}, wanted 4 triangles, {h} hexagons")
     return census
-
-
-def _trihex_census(n: int) -> dict[int, int]:
-    """The face census of a trihex with n vertices: 4 triangles and the n/2 - 2 hexagons Euler's formula leaves."""
-    h = n // 2 - 2
-    return {3: 4, 6: h} if h else {3: 4}
 
 
 def faces(rot: Rotation) -> list[list[int]]:
@@ -327,12 +323,8 @@ def check_export(n: int, format: str) -> None:
         raise ValueError(f"planar_code holds at most 65535 vertices (2-byte entries), got {n}")
 
 
-def export(rot: Rotation, sig: Signature, format: str) -> bytes:
-    """Serialize rot, the graph `build(sig)` returns, as planar_code, dot, or structured JSON text.
-
-    The structured format holds the signature and the face census, which
-    for a trihex follows from n: it is the census `validate` requires.
-    """
+def export(rot: Rotation, format: str) -> bytes:
+    """Serialize rot as planar_code or dot."""
     n = len(rot)
     check_export(n, format)
     if format == "planar_code":
@@ -346,12 +338,4 @@ def export(rot: Rotation, sig: Signature, format: str) -> bytes:
         lines.extend(f"  {v} -- {w};" for v in range(n) for w in rot[v] if v < w)
         lines.append("}")
         return ("\n".join(lines) + "\n").encode()
-    if format == "structured":
-        doc = {
-            "n": n,
-            "signature": list(sig),
-            "rot": [list(nbrs) for nbrs in rot],
-            "faces": {str(k): count for k, count in _trihex_census(n).items()},
-        }
-        return (json.dumps(doc, indent=2) + "\n").encode()
     raise ValueError(f"unknown export format: {format!r}")

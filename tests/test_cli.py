@@ -313,6 +313,18 @@ def test_verify_with_graphs_refuses_too_much_graph_work(monkeypatch, capsys, arg
     )
 
 
+def test_verify_refuses_its_range_before_writing(monkeypatch, capsys):
+    # V = 7 999 972 is admitted and V = 7 999 976, the next, is not: the
+    # range is refused before its first vertex count is verified or written
+    def no_work(*args):
+        raise AssertionError("worked before refusing")
+
+    monkeypatch.setattr(enumeration, "verify", no_work)
+    assert run_cli(capsys, "verify", "--from", "7999972", "--to", "8000004") == (
+        2, "", "trihex: V=7999976 has 3006228 signatures; enumeration holds at most 2000000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command",
     ["count --v 28", "verify --v 28", "enumerate --v 8", "build --sig 0,0,0 --format dot", "congruence --n 7"],
@@ -398,9 +410,23 @@ def test_build_structured_traces_faces_once(monkeypatch, capsys):
     assert run_cli(capsys, "build", "--sig", "13,1,4", "--format", "structured") == expected
     assert expected[2] == "signature (13,1,4): 112 vertices, faces 4 of length 3, 54 of length 6\n"
     assert len(traces) == 1
-    sig = parse_signature("13,1,4")
-    assert graph.export(graph.build(sig), sig, "structured") == expected[1].encode()
-    assert len(traces) == 1
+    assert json.loads(expected[1])["faces"] == {"3": 4, "6": 54}
+
+
+def test_structured_export(capsys):
+    code, out, _ = run_cli(capsys, "build", "--sig", "6,2,1", "--format", "structured")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["n"] == 84
+    assert doc["signature"] == [6, 2, 1]
+    assert doc["faces"] == {"3": 4, "6": 40}
+    assert len(doc["rot"]) == 84
+    assert doc["rot"] == [list(nbrs) for nbrs in graph.build(parse_signature("6,2,1"))]
+    # the census is the one validate traced, and it is the census the faces trace to
+    for v in range(4, 124, 4):
+        for sig in enumeration.all_signatures(v):
+            doc = json.loads(run_cli(capsys, "build", "--sig", ",".join(map(str, sig)), "--format", "structured")[1])
+            assert doc["faces"] == {str(k): count for k, count in graph.face_census(graph.build(sig)).items()}, sig
 
 
 def test_build_rejects_malformed_signature(capsys):
@@ -758,12 +784,12 @@ def test_count_error_in_a_later_segment_exits_3(monkeypatch, capsys):
     message = "gamma for V=26244: 9873 not divisible by 6"
     end = 4 * 3 * counting.SEGMENT
     with pytest.raises(InternalInconsistencyError) as excinfo:
-        list(counting.reports(4, end))
+        list(counting.columns(4, end))
     assert str(excinfo.value) == message
     code, out, err = run_cli(capsys, "count", "--from", "4", "--to", str(end))
     assert (code, err) == (3, f"trihex: internal error: {message}\n")
     # the first segment's rows were written before the second failed
-    assert out.splitlines()[-1] == counting.report(4 * counting.SEGMENT).csv_row()
+    assert out.splitlines()[-1] == ",".join(map(str, counting.report(4 * counting.SEGMENT)))
 
 
 def test_verify_error_at_a_later_vertex_count_exits_3(monkeypatch, capsys):
@@ -800,6 +826,8 @@ PINNED_SHA256 = {
     "build --sig 13,1,4 --format planar_code": "029598c6799e623594c95f233e87bf3e33ccacd92e9006c5294144690a483cdb",
     "build --sig 13,1,4 --format dot": "fc95a5f2584f68f441fb6394cdb75aa75c15c1d2e3aa7a77d7a81278c1d70a09",
     "build --sig 13,1,4 --format structured": "661c4cc8e645e3ddcd3f80879f35dee9edcc943ce35638a72e928a3230f8be1e",
+    # 6 400 vertices, more than one SEGMENT of the streamed "rot" list; recorded before it was streamed
+    "build --sig 99,15,7 --format structured": "628bbb0b825b076f8e7602d34bb2e14e671465fd5b2446e942cb5ad22d607254",
     "verify --with-graphs --from 4 --to 60": "994b0e5eb56ca9fabf5a9b72f623cbdf5df9cbccfb85be083864c173da6465c7",
     "count --from 4 --to 400": "cbf4c1249144ea631e88d3a17154e9d3a7b4abb63d963d6267141f0f0423fc43",
     "count --from 4 --to 400 --format structured": "e10760343873cb81f53d95c26f08b6642f0b088321741eea9fad10515d5a7cdd",

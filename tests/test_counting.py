@@ -8,10 +8,15 @@ import pytest
 import oracles
 from golden_counts import TABLE
 from oracles import exact_div
-from trihex import counting
-from trihex.counting import quarter, report, reports
+from trihex import cli, counting
+from trihex.counting import quarter, report
 from trihex.errors import InternalInconsistencyError
 from trihex.numtheory import factorize
+
+
+def rows(start: int, end: int):
+    """The rows of `counting.columns(start, end)`, one tuple per V, in order."""
+    return (row for segment in counting.columns(start, end) for row in zip(*segment))
 
 
 # The paper's direct case formulas for gamma and rot_classes: a second route,
@@ -130,7 +135,7 @@ def test_report_examples():
 
 def test_report_serialization():
     r = report(28)
-    assert r.csv_row() == "28,8,2,2,0,4,3,1"
+    assert cli._COUNT_ROW["csv"] % r == "28,8,2,2,0,4,3,1\n"
     assert r._asdict()["gamma"] == 3
 
 
@@ -232,7 +237,7 @@ def test_report_raises_when_a_division_is_not_exact(monkeypatch):
 )
 def test_reports_match_report(start, end):
     # each range spans several sieve segments, ends at the 64-bit limit, or is one row
-    assert list(reports(start, end)) == [report(v) for v in range(start, end + 4, 4)]
+    assert list(rows(start, end)) == [report(v) for v in range(start, end + 4, 4)]
 
 
 def column_sums(rows):
@@ -257,21 +262,21 @@ def test_count_sums_match_small_tables():
 def test_reports_match_hyperbola_sums(first, last):
     # every column summed over V/4 in [first, last], against sums that factor nothing
     below, through = oracles.count_sums(first - 1), oracles.count_sums(last)
-    assert column_sums(reports(4 * first, 4 * last)) == tuple(b - a for a, b in zip(below, through))
+    assert column_sums(rows(4 * first, 4 * last)) == tuple(b - a for a, b in zip(below, through))
 
 
 def test_reports_refuse_like_report():
     with pytest.raises(ValueError, match="^vertex count must be a multiple of 4 and >= 4, got 6$"):
-        next(reports(6, 40))
+        next(rows(6, 40))
     with pytest.raises(ValueError, match=r"^cannot factorize 18446744073709551616; need n < 2\^64$"):
-        next(reports(4 * 2**64, 4 * 2**64))
+        next(rows(4 * 2**64, 4 * 2**64))
 
 
 def test_reports_memory_does_not_grow_with_the_range():
     # one segment of factorizations at a time (about 1 MiB): all 50 000 at once take about 13 MiB
     tracemalloc.start()
     try:
-        assert sum(1 for _ in reports(4, 200_000)) == 50_000
+        assert sum(1 for _ in rows(4, 200_000)) == 50_000
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

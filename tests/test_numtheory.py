@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 from oracles import lift_prime_power, solve_naive
-from test_counting import LARGE_QUARTERS
-from trihex.counting import report, reports
+from test_counting import LARGE_QUARTERS, rows
+from trihex.counting import report
 from trihex.numtheory import (
     _root_mod_prime_power,
     check_factorable,
@@ -39,7 +39,7 @@ def test_factorize_refuses_64_bit_overflow():
         factorize(2**64)
 
 
-# The range sieve in `counting.reports` factors n = V/4 for a whole window
+# The range sieve in `counting.columns` factors n = V/4 for a whole window
 # at once; these windows check it against trial division, n in range(start, stop).
 @pytest.mark.parametrize(
     "start, stop",
@@ -54,12 +54,12 @@ def test_factorize_refuses_64_bit_overflow():
 )
 def test_factor_range_matches_trial_division(start, stop):
     expected = [oracles.report_by_parts(n, oracles.factorize(n)) for n in range(start, stop)]
-    assert list(reports(4 * start, 4 * (stop - 1))) == expected
+    assert list(rows(4 * start, 4 * (stop - 1))) == expected
 
 
 def test_factor_range_near_64_bits():
     start = 2**64 - 300
-    for n, row in zip(range(start, 2**64), reports(4 * start, 4 * (2**64 - 1)), strict=True):
+    for n, row in zip(range(start, 2**64), rows(4 * start, 4 * (2**64 - 1)), strict=True):
         assert row == report(4 * n), n
         assert_valid_factorization(n, factorize(n))
 
@@ -79,7 +79,7 @@ def test_factor_range_refuses_outside_64_bits(start, stop, refused):
     else:
         refused = f"cannot factorize {refused}"
     with pytest.raises(ValueError, match=f"^{refused}$"):
-        next(reports(4 * start, 4 * (stop - 1)))
+        next(rows(4 * start, 4 * (stop - 1)))
     check_factorable(1, 2**64)
 
 

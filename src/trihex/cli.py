@@ -17,9 +17,11 @@ Every command writes through `_emit`, a chunk at a time as it comes:
 `enumerate` SEGMENT signatures of its lazy stream, `build --format
 structured` SEGMENT vertices of its rotation table, `count` a piece of its
 range, `verify` the lines of one vertex count.  This module lays out every
-CSV row and JSON document; `_document` frames those of `count`, `enumerate`
-and `build`, streaming the one list of each.  `verify` admits its whole
-range, V by V, before it writes a line.
+CSV row and JSON document, each chunk of rows with one `%` (`_join`);
+`_document` frames those of `count`, `enumerate` and `build`, streaming the
+one list of each.  An --output regular file is replaced only when its
+command returns.  `verify` admits its whole range, V by V, before it writes
+a line.
 Range work fans out to a process pool (--jobs, default 1; 0 = all cores;
 never more workers than cores or vertex counts): `count` maps contiguous
 pieces of its range, each sieved by `counting.columns` and formatted in its
@@ -59,11 +61,11 @@ _SIGNATURE = {"text": "(%d,%d,%d)\n", "csv": "%d,%d,%d\n", "structured": "    [\
 
 # A range holds at most this many vertex counts, refused before it is listed.
 # On a 2-core Xeon VM with Python 3.11, the largest it admits, V = 4..2 000 000,
-# takes 1.0-1.6 s and 16 MiB through `count --output` as CSV at --jobs 1
-# (0.8-1.2 s and 18 MiB at --jobs 2), and 1.2-1.8 s and 20 MiB as structured
-# (1.0-1.3 s and 24 MiB at --jobs 2), five runs each, with the peak RSS of the
-# largest process: `count` writes each piece as it comes, so the cap bounds
-# time, not memory.
+# takes 0.9-1.4 s and 15 MiB through `count --output` as CSV at --jobs 1
+# (0.6-1.4 s and 17 MiB at --jobs 2), and 1.1-1.5 s and 18 MiB as structured
+# (0.9-1.1 s and 23 MiB at --jobs 2), five runs each on a shared host, with the
+# peak RSS of the largest process (VmHWM, and the workers' ru_maxrss): `count`
+# writes each piece as it comes, so the cap bounds time, not memory.
 MAX_VERTEX_COUNTS = 500_000
 
 # `verify --with-graphs` refuses a range whose graph work, the sum of
@@ -124,19 +126,45 @@ def _map_ordered(fn, items, jobs: int, chunksize: int = 0):
 def _output_file(path: str | None):
     """Open the --output file before any work, so that one that cannot be opened is refused first.
 
-    A file that cannot be opened is a usage error (exit 2).  It is opened
-    for appending and truncated only when `_emit` writes the first chunk,
-    which every command makes before it calls `_emit`: a refused command
-    leaves an existing file as it was.  When the command raises, a file it
-    created is removed, and what a failed write left buffered is dropped.
+    A file that cannot be opened is a usage error (exit 2).  A regular file,
+    or a new one, is written as a temporary file in its directory, which
+    replaces it, with its permission bits, only when the command returns: a
+    command that is refused or raises, or whose write fails, leaves an
+    existing file as it was and creates none.  A device or a FIFO is
+    written directly.
     """
     if path is None:
         yield None
         return
-    created = not os.path.lexists(path)
+    temp = None
     try:
-        fh = open(path, "ab")
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            fh = open(path, "wb")
+        else:
+            if mode is not None:
+                # a file that cannot itself be written is refused, as when it was written in place
+                open(path, "ab").close()
+            # beside the file that a symlink names, so that replacing it keeps the link
+            target = os.path.realpath(path)
+            for attempt in itertools.count():
+                name = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.{attempt}")
+                try:
+                    # 0o666 less the umask, the bits a new file gets
+                    fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                except FileExistsError:
+                    continue
+                break
+            temp = name
+            fh = open(fd, "wb")
+            if mode is not None:
+                os.chmod(fd, stat.S_IMODE(mode))
     except OSError as exc:
+        if temp is not None:
+            os.unlink(temp)
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         yield fh
@@ -144,30 +172,28 @@ def _output_file(path: str | None):
         # close() would fail again on the bytes a failed write left in the buffer, and hide its error
         with contextlib.suppress(OSError):
             fh.close()
-        if created:
-            os.unlink(path)
+        if temp is not None:
+            os.unlink(temp)
         raise
     fh.close()
+    if temp is not None:
+        os.replace(temp, target)
 
 
 def _emit(chunks: Iterable[str | bytes], args) -> None:
     """Write each chunk of text or bytes, in order and as it comes, to the --output file, or else to stdout.
 
-    The file is truncated when the first chunk has come.  A write that fails,
-    to the file or to stdout, is a usage error (exit 2); a reader that closes
-    stdout early (`| head -1`) ends the output quietly.
+    A write that fails, to the file or to stdout, is a usage error (exit 2);
+    a reader that closes stdout early (`| head -1`) ends the output quietly.
     """
     fh = args.output_file
-    for i, data in enumerate(chunks):
+    for data in chunks:
         try:
             if fh is None:
                 # text goes to sys.stdout itself, which may be a stand-in that takes text alone
                 (sys.stdout if isinstance(data, str) else sys.stdout.buffer).write(data)
                 sys.stdout.flush()
             else:
-                # a pipe or a device cannot be truncated, and needs no truncating
-                if not i and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    fh.truncate(0)
                 fh.write(data.encode() if isinstance(data, str) else data)
                 fh.flush()
         except OSError as exc:
@@ -198,22 +224,35 @@ def _document(args, header: str, doc: dict, items: Iterator[str]) -> Iterable[st
     return itertools.chain([f"{head}[\n{first}"], (",\n" + item for item in items), [f"\n  ]{tail}\n"])
 
 
-def _join(fmt: str, template: str, rows: Iterable[tuple[int, ...]]) -> str:
-    """`template` % row for each row: as entries of a structured list, or as lines."""
-    return (",\n" if fmt == "structured" else "").join(map(template.__mod__, rows))
+def _join(fmt: str, template: str, values: tuple[int, ...]) -> str:
+    """`template` filled row after row from `values`: as entries of a structured list, or as lines.
+
+    One `%` lays out the whole chunk: the template, repeated once per row and
+    joined, takes all the values at once.
+    """
+    rows = len(values) // template.count("%")
+    return (",\n" if fmt == "structured" else "").join([template] * rows) % values
 
 
 def _segments(fmt: str, triples: Iterable[tuple[int, int, int]]) -> Iterator[str]:
     """The triples laid out by `_SIGNATURE[fmt]`, SEGMENT at a time, until they run out."""
-    triples = iter(triples)
-    return iter(lambda: _join(fmt, _SIGNATURE[fmt], itertools.islice(triples, counting.SEGMENT)), "")
+    values = itertools.chain.from_iterable(triples)
+    return iter(lambda: _join(fmt, _SIGNATURE[fmt], tuple(itertools.islice(values, 3 * counting.SEGMENT))), "")
 
 
 def _count_rows(piece: tuple[range, str]) -> str:
-    """The text of one piece of `count` output: CSV lines, or items of the structured "reports" list."""
+    """The text of one piece of `count` output, one sieve segment: CSV lines, or items of the structured "reports" list."""
     vs, fmt = piece
-    segments = counting.columns(vs[0], vs[-1])
-    return _join(fmt, _COUNT_ROW[fmt], itertools.chain.from_iterable(zip(*segment) for segment in segments))
+    # `cmd_count` cuts pieces of at most SEGMENT rows, so each is one segment
+    (columns,) = counting.columns(vs[0], vs[-1])
+    # row after row, column j at j, j + 8, j + 16, ...: slices interleave faster than zip builds rows
+    values = [0] * (len(columns) * len(vs))
+    for j, column in enumerate(columns):
+        values[j :: len(columns)] = column
+    # the columns and the list are dropped before the text is made
+    del columns
+    values = tuple(values)
+    return _join(fmt, _COUNT_ROW[fmt], values)
 
 
 def cmd_count(args) -> int:

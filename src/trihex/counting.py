@@ -33,7 +33,7 @@ routes, are kept in the tests.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add, floordiv, mod, mul
+from operator import add, floordiv, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InternalInconsistencyError
@@ -43,6 +43,23 @@ from .numtheory import SMALL_PRIMES, check_factorable, factorize, large_factors
 SEGMENT = 4096
 # A cofactor below this that no table prime divides is 1 or prime.
 _PRIME_BELOW = SMALL_PRIMES[-1] ** 2
+
+
+class _Powers(dict):
+    """`_local(p, k)` by (p, k), each computed at its first lookup and then held."""
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, int, int, int]:
+        value = self[key] = _local(*key)
+        return value
+
+
+# The local values at the powers of the table primes that `columns` divides
+# out.  Each depends on (p, k) alone, so what one range fills in serves the
+# next unchanged.  Only table primes are looked up here, so it holds at most
+# 1 373 entries, those p^k < 2^64 with p < 1000; rho's factors and
+# `report`'s go to `_local` itself, since a range can meet a new large prime
+# in every row.
+_POWERS = _Powers()
 
 
 def quarter(v: int) -> int:
@@ -81,10 +98,11 @@ def columns(start: int, end: int) -> Iterator[tuple[Sequence[int], ...]]:
     and four columns, sigma, delta, mu and nu, all starting at 1.  Each
     prime below 1000 whose square is below the segment's end steps over
     its multiples, divides its power p^k out of the cofactor, and
-    multiplies the row's columns by `_local(p, k)`.  A cofactor left below
-    997^2 is 1 or prime, and a prime one above 3 multiplies the columns by
-    its local values at p^1 inline; one at or above 997^2 has no prime
-    factor below 1000 and is split by Miller-Rabin and Pollard rho.  The
+    multiplies the row's columns by `_local(p, k)`, looked up in `_POWERS`.
+    A cofactor left below 997^2 is 1 or prime, and a prime one above 3
+    multiplies the columns by its local values at p^1 inline; one at or
+    above 997^2 has no prime factor below 1000 and is split by Miller-Rabin
+    and Pollard rho, whose factors go to `_local` uncached.  The
     last three columns are derived from the four as whole columns; if any
     of their exact divisions leaves a remainder, `_row` runs over the
     segment's rows in order and raises the first row's message, the one
@@ -106,8 +124,8 @@ def columns(start: int, end: int) -> Iterator[tuple[Sequence[int], ...]]:
             offset = -first % p
             if offset >= count:
                 continue
-            # most multiples hold p once, so p^1's local values are looked up once
-            one = _local(p, 1)
+            # most multiples hold p once, so p^1's local values are looked up once per segment
+            one = _POWERS[p, 1]
             for i in range(offset, count, p):
                 r = rest[i] // p
                 if r % p:
@@ -118,7 +136,7 @@ def columns(start: int, end: int) -> Iterator[tuple[Sequence[int], ...]]:
                     while not r % p:
                         r //= p
                         k += 1
-                    a, b, c, e = _local(p, k)
+                    a, b, c, e = _POWERS[p, k]
                 rest[i] = r
                 s[i] *= a
                 d[i] *= b
@@ -140,13 +158,16 @@ def columns(start: int, end: int) -> Iterator[tuple[Sequence[int], ...]]:
         t = list(map(add, s, map(add, d, d)))
         g = list(map(add, t, map(mul, m, repeat(3))))
         h = list(map(add, d, n))
-        if any(map(mod, t, repeat(3))) or any(map(mod, g, repeat(6))) or any(map(mod, h, repeat(2))):
-            # _row raises at the first row with a remainder, with the message `report` gives
-            for row in zip(vs, s, d, m, n):
-                _row(*row)
+        # no remainder is negative, so a column's divisions are all exact
+        # when its quotients times the divisor sum to the column's sum
+        sums = sum(t), sum(g), sum(h)
         t = list(map(floordiv, t, repeat(3)))
         g = list(map(floordiv, g, repeat(6)))
         h = list(map(floordiv, h, repeat(2)))
+        if sums != (3 * sum(t), 6 * sum(g), 2 * sum(h)):
+            # _row raises at the first row with a remainder, with the message `report` gives
+            for row in zip(vs, s, d, m, n):
+                _row(*row)
         yield vs, s, d, m, n, t, g, h
 
 

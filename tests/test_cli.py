@@ -188,6 +188,40 @@ def test_count_output_file(tmp_path, capsys):
     assert path.read_text() == "V,sigma,delta,mu,nu,trihexes,gamma,rot_classes\n8,3,0,1,0,1,1,0\n"
 
 
+# every row template `_join` fills: a count row, and a signature or a vertex's neighbors
+LAYOUTS = {f"count-{fmt}": (fmt, cli._COUNT_ROW[fmt]) for fmt in cli._COUNT_ROW} | {
+    f"signature-{fmt}": (fmt, cli._SIGNATURE[fmt]) for fmt in cli._SIGNATURE
+}
+
+
+def layout_rows(width: int, count: int) -> list[tuple[int, ...]]:
+    """`count` rows of `width` values of growing length, 0 up to 20 digits."""
+    return [tuple((i * width + j) ** (1 + (i + j) % 4) for j in range(width)) for i in range(count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_join_matches_the_layout_row_by_row(layout, count):
+    # one % over the flattened values lays out the same text as one % per row
+    fmt, template = LAYOUTS[layout]
+    rows = layout_rows(template.count("%d"), count)
+    flat = tuple(value for row in rows for value in row)
+    sep = ",\n" if fmt == "structured" else ""
+    assert cli._join(fmt, template, flat) == sep.join(template % row for row in rows)
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])
+@pytest.mark.parametrize("fmt", sorted(cli._SIGNATURE))
+def test_segments_end_on_the_empty_chunk(fmt, count):
+    # SEGMENT triples per chunk, and no chunk after the last triple, not even an empty one
+    triples = layout_rows(3, count)
+    chunks = list(cli._segments(fmt, iter(triples)))
+    assert len(chunks) == -(-count // counting.SEGMENT)
+    assert all(chunks)
+    sep = ",\n" if fmt == "structured" else ""
+    assert sep.join(chunks) == sep.join(cli._SIGNATURE[fmt] % row for row in triples)
+
+
 def test_enumerate_streams(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--v", "28", "--stream", "coinciding")
     assert code == 0
@@ -726,6 +760,38 @@ sys.exit(trihex.cli.main({argv!r}))
     assert not path.exists()
 
 
+def test_failed_write_keeps_an_existing_file(tmp_path):
+    # under the same 1 KiB limit, an existing --output file keeps its old bytes:
+    # the table goes to a temporary file beside it, which is removed
+    pytest.importorskip("resource")
+    path = tmp_path / "existing.csv"
+    path.write_bytes(b"old bytes\n")
+    argv = ["count", "--from", "4", "--to", "400", "--output", str(path)]
+    probe = f"""import resource, sys, trihex.cli
+resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+sys.exit(trihex.cli.main({argv!r}))
+"""
+    src = pathlib.Path(trihex.__file__).parent.parent
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == f"trihex: cannot write {path}: File too large\n".encode()
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["existing.csv"]
+
+
+def test_output_replaces_a_file_and_keeps_its_bits(tmp_path, capsys):
+    # a command that succeeds replaces the file, with its permission bits, through a symlink that stays one
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"old bytes and more than the new table holds\n" * 10)
+    path.chmod(0o640)
+    (tmp_path / "link.csv").symlink_to("table.csv")
+    assert run_cli(capsys, "count", "--v", "8", "--output", str(tmp_path / "link.csv")) == (0, "", "")
+    assert path.read_text() == "V,sigma,delta,mu,nu,trihexes,gamma,rot_classes\n8,3,0,1,0,1,1,0\n"
+    assert path.stat().st_mode & 0o7777 == 0o640
+    assert (tmp_path / "link.csv").is_symlink()
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "table.csv"]
+
+
 def test_enumerate_writes_its_stream_as_it_makes_it(tmp_path):
     # sigma(V/4) = 1 999 998, just under MAX_SIGNATURES: the document is 97 MB,
     # and building it whole took 1 179 MiB; the digest was recorded then.  The
@@ -764,9 +830,26 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 def test_count_inexact_division_exits_3(monkeypatch, capsys):
     # a stand-in local value at 2^2: sigma 5, delta 2, mu 2, so 6 * gamma would be 15
     monkeypatch.setattr(counting, "_local", lambda p, k: (5, 2, 2, 0))
+    monkeypatch.setattr(counting, "_POWERS", counting._Powers())
     assert run_cli(capsys, "count", "--v", "16") == (
         3, "", "trihex: internal error: gamma for V=16: 15 not divisible by 6\n"
     )
+
+
+@pytest.mark.parametrize(
+    "local, message",
+    [
+        # sigma + 2 delta = 5: the trihex count, the first check, fails (and gamma with it)
+        ((5, 0, 1, 0), "trihex count for V=16: 5 not divisible by 3"),
+        # sigma + 2 delta = 9 and 6 gamma = 12 are exact, but delta + nu = 1 is odd
+        ((7, 1, 1, 0), "rot_classes for V=16: 1 not divisible by 2"),
+    ],
+)
+def test_count_each_inexact_division_exits_3(monkeypatch, capsys, local, message):
+    # stand-in local values at 2^2 that leave a remainder in one more of the three divisions
+    monkeypatch.setattr(counting, "_local", lambda p, k: local)
+    monkeypatch.setattr(counting, "_POWERS", counting._Powers())
+    assert run_cli(capsys, "count", "--v", "16") == (3, "", f"trihex: internal error: {message}\n")
 
 
 def test_count_error_in_a_later_segment_exits_3(monkeypatch, capsys):
@@ -781,6 +864,7 @@ def test_count_error_in_a_later_segment_exits_3(monkeypatch, capsys):
         return {(3, 8): (a, b, c + 1, 0), (2, 13): (a + 1, b, c, e)}.get((p, k), (a, b, c, e))
 
     monkeypatch.setattr(counting, "_local", broken)
+    monkeypatch.setattr(counting, "_POWERS", counting._Powers())
     message = "gamma for V=26244: 9873 not divisible by 6"
     end = 4 * 3 * counting.SEGMENT
     with pytest.raises(InternalInconsistencyError) as excinfo:

@@ -1,6 +1,7 @@
 """Tests for the closed-form counting functions."""
 
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -281,3 +282,17 @@ def test_reports_memory_does_not_grow_with_the_range():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20, peak
+
+
+def test_prime_power_lookup_stays_bounded(monkeypatch):
+    # the sieve looks up only the powers of its table primes; rho's factors,
+    # and those of report(v), are not held, or one table could hold a new
+    # large prime per row
+    monkeypatch.setattr(counting, "_POWERS", counting._Powers())
+    assert sum(1 for _ in rows(4 * 10**12, 4 * 10**12 + 4092)) == 1024
+    rng = random.Random(62)
+    for _ in range(1000):
+        report(2**62 + 4 * rng.randrange(2**40))
+    powers = counting._POWERS
+    assert powers and all(p < 1000 for p, k in powers), sorted(powers)[-1]
+    assert all(value == counting._local(p, k) for (p, k), value in powers.items())

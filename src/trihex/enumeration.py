@@ -27,6 +27,7 @@ from .errors import InternalInconsistencyError, VerificationFailureError
 from .numtheory import divisors, solve_fast
 from .signature import (
     Signature,
+    _can_tie,
     canonical_offsets,
     has_mirror_symmetry,
     is_coinciding,
@@ -38,10 +39,13 @@ from .signature import (
 # `all_signatures`, `trihex_reps`, `graph_class_reps` and `verify` refuse a V
 # with more signatures, sigma(V/4), than this (V = 4p for a prime p has p + 1).
 # No stream is held whole, so the cap bounds time and the largest pair's mask.
-# On a 2-core Xeon VM with Python 3.11 (peak RSS), at V = 3 164 688 (sigma
-# 1 999 998) `verify` takes 0.2-0.3 s and 18 MiB and structured `enumerate`
-# 1.6-1.9 s and 16 MiB; at V = 7 999 972 (sigma 1 999 994, its pair (1 999 993, 1)
-# all ties) 1.7-1.8 s and 26 MiB, and 1.8-1.9 s and 26 MiB for `--stream classes`.
+# On a 2-core Xeon VM with Python 3.11 (CLI wall time, peak RSS), at
+# V = 3 164 688 (sigma 1 999 998) `verify` takes 0.2 s and 18 MiB and structured
+# `enumerate` 1.7-2.0 s and 16 MiB; at V = 7 999 972 (sigma 1 999 994, its pair
+# (1 999 993, 1) all ties) `verify` 1.2-1.8 s and 26 MiB, and 1.4-2.4 s and
+# 26 MiB for `--stream classes`.  Memory, not time, keeps the cap: at 2*10^7 the
+# all-tie pair alone would hold about 100 MB (a byte of mask and 4 bytes of
+# mirror table per offset).
 MAX_SIGNATURES = 2_000_000
 
 
@@ -51,12 +55,15 @@ def check_signatures(v: int, sigma: int) -> None:
         raise ValueError(f"V={v} has {sigma} signatures; enumeration holds at most {MAX_SIGNATURES}")
 
 
-def _divisor_pairs(v: int) -> list[tuple[int, int]]:
-    """The pairs (n, m) = (s+1, b+1) with n*m = v/4, n ascending; refuses v past MAX_SIGNATURES."""
+def _divisor_pairs(v: int, sigma: int | None = None) -> list[tuple[int, int]]:
+    """The pairs (n, m) = (s+1, b+1) with n*m = v/4, n ascending.
+
+    A v past MAX_SIGNATURES is refused from sigma, read off the factorization
+    of v/4 unless the caller has it, before its divisors are listed.
+    """
     quarter = counting.quarter(v)
-    ds = divisors(quarter)
-    check_signatures(v, sum(ds))
-    return [(n, quarter // n) for n in ds]
+    check_signatures(v, counting.report(v).sigma if sigma is None else sigma)
+    return [(n, quarter // n) for n in divisors(quarter)]
 
 
 def all_signatures(v: int) -> Iterator[Signature]:
@@ -109,20 +116,41 @@ def graph_class_reps(v: int) -> Iterator[Signature]:
     )
 
 
+def _sliced_gamma(n: int, m: int, mask: bytearray) -> int | None:
+    """Gamma of a pair (n, m) that cannot tie, or None when mirroring does not keep its marked offsets.
+
+    The mirror is then the fixed permutation f -> (c - f) mod n, c = -m mod n,
+    an involution, so mirroring maps the marked offsets one to one onto
+    marked ones exactly when it leaves the mask unchanged: mask[c::-1] holds
+    the images of 0..c and mask[:c:-1] those of c+1..n-1.  An offset is no
+    greater than its mirror c - f when f <= c/2, and than n + c - f when
+    f <= (n+c)/2.
+    """
+    c = -m % n
+    if mask[c::-1] + mask[:c:-1] != mask:
+        return None
+    return mask[: c // 2 + 1].count(1) + mask[c + 1 : (n + c) // 2 + 1].count(1)
+
+
 def verify(v: int) -> None:
     """Check each stream's size for v against its formula, one divisor pair at a time.
 
     Each pair (n, m) = (s+1, b+1) gets its `canonical_offsets` and nothing
     longer: the coinciding signatures of the pair must be marked, the
-    mirror representatives that the orbit walk records for the marked
-    offsets must be distinct and marked (so mirroring maps the pair's
-    representatives onto themselves), and gamma counts the offsets f no
-    greater than their mirror's.  Nothing of length sigma or trihexes is
-    held, so memory grows with the largest s (4 bytes per offset of a pair
-    with ties), not with the number of signatures.
+    mirror representatives of the marked offsets must be distinct and
+    marked (so mirroring maps the pair's representatives onto themselves),
+    and gamma counts the offsets f no greater than their mirror's.  In a
+    pair that cannot tie (`signature._can_tie`) the mirror is a fixed
+    permutation, so closure is one slice comparison and gamma two slice
+    counts (`_sliced_gamma`); a pair with ties, or one whose comparison
+    fails, goes offset by offset through the mirrors that the orbit walk
+    records, and a failure names the first offender.  Nothing of length
+    sigma or trihexes is held, so memory grows with the largest s (4 bytes
+    per offset of a pair with ties), not with the number of signatures.
     Raises VerificationFailureError naming the first check that disagrees.
     """
-    pairs = _divisor_pairs(v)
+    counts = counting.report(v)
+    pairs = _divisor_pairs(v, counts.sigma)
     coinciding = coinciding_signatures(v)
     self_mirror = self_mirror_signatures(v)
     trihexes = gamma = 0
@@ -131,20 +159,24 @@ def verify(v: int) -> None:
         for sig in coinciding:
             if sig.s == n - 1 and not mask[sig.f]:
                 raise VerificationFailureError(v, "coinciding not canonical", "a representative", sig)
-        images = bytearray(n)
-        for f, g in zip(compress(range(n), mask), compress(mirrors, mask)):
-            if not mask[g] or images[g]:
-                raise VerificationFailureError(
-                    v,
-                    "mirror closure",
-                    f"a distinct representative for mirror{Signature(n - 1, m - 1, f)}",
-                    Signature(n - 1, m - 1, g),
-                )
-            images[g] = 1
-            gamma += f <= g
+        pair_gamma = None if _can_tie(n, m) else _sliced_gamma(n, m, mask)
+        if pair_gamma is None:
+            # a pair with ties, or a failed slice comparison: offset by offset, naming the first offender
+            pair_gamma = 0
+            images = bytearray(n)
+            for f, g in zip(compress(range(n), mask), compress(mirrors, mask)):
+                if not mask[g] or images[g]:
+                    raise VerificationFailureError(
+                        v,
+                        "mirror closure",
+                        f"a distinct representative for mirror{Signature(n - 1, m - 1, f)}",
+                        Signature(n - 1, m - 1, g),
+                    )
+                images[g] = 1
+                pair_gamma += f <= g
+        gamma += pair_gamma
         trihexes += mask.count(1)
 
-    counts = counting.report(v)
     checks = (
         ("sigma", counts.sigma, sum(n for n, _ in pairs)),
         ("trihexes", counts.trihexes, trihexes),

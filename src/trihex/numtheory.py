@@ -17,10 +17,11 @@ The naive residue scan it is checked against lives in the tests.
 
 A factorization is its tuple of (prime, exponent) pairs, primes strictly
 increasing.  `divisors`, `omega_count` and `solve_fast` take n and factor
-it with the cached `factorize`.  Nothing checks a factorization when it is
-built: the invariants that these routines establish by construction are
-asserted in the tests, and `trihex congruence`, whose output promises
-certified roots, checks every root it prints.
+it with the cached `factorize`; `divisors` keeps its own bounded cache of
+ascending tuples.  Nothing checks a factorization when it is built: the
+invariants that these routines establish by construction are asserted in
+the tests, and `trihex congruence`, whose output promises certified roots,
+checks every root it prints.
 """
 
 from __future__ import annotations
@@ -169,13 +170,16 @@ def _rho(n: int) -> int:
     raise InternalInconsistencyError(f"Pollard rho found no factor of {n}")
 
 
-def divisors(n: int) -> list[int]:
-    """All divisors of n, ascending."""
+# Bounded like `factorize`: `verify` lists the divisors of V/4 for three streams and
+# those of each pair's s+1, the same small n from one V to the next.
+@lru_cache(maxsize=1024)
+def divisors(n: int) -> tuple[int, ...]:
+    """All divisors of n, ascending, as a tuple, so that no caller can change a cached value."""
     result = [1]
     for prime, exponent in factorize(n):
         powers = [prime**i for i in range(exponent + 1)]
         result = [d * q for d in result for q in powers]
-    return sorted(result)
+    return tuple(sorted(result))
 
 
 def omega_count(n: int) -> int:

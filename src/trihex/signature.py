@@ -100,8 +100,20 @@ def _tie_partners(q: int, k: int) -> tuple[int, int]:
     degree members the same s and b and the offsets m*phi(q) and
     m*phi^2(q), where phi^2(q) = -(q+1)^-1 mod k.  Their q and q+1 are units
     again, and phi^3(q) = q, so the tie's orbit is {q, phi(q), phi^2(q)}.
+    One inverse serves both: with i = (q(q+1))^-1, q^-1 = (q+1)i and
+    (q+1)^-1 = qi.
     """
-    return (-pow(q, -1, k) - 1) % k, -pow(q + 1, -1, k) % k
+    inv = pow(q * (q + 1), -1, k)
+    return (-(q + 1) * inv - 1) % k, -q * inv % k
+
+
+def _can_tie(n: int, m: int) -> bool:
+    """True when the pair (n, m) = (s+1, b+1) may hold a tie: m | n and k = n/m odd.
+
+    A tie needs q and q+1 to be units mod k (`_tie_partners`), and one of
+    them is even, so an even k has none.
+    """
+    return n % m == 0 and n // m % 2 == 1
 
 
 def canonical_offsets(n: int, m: int) -> tuple[bytearray, Iterable[int]]:
@@ -129,10 +141,12 @@ def canonical_offsets(n: int, m: int) -> tuple[bytearray, Iterable[int]]:
     marked one, its own representative.  It maps q to k-1-q, k = n/m, and
     an orbit onto an orbit, so the walk records m*(k-1-max(q, phi(q),
     phi^2(q))) as the mirror of each orbit's least member.  A tie needs q
-    and q+1 to be units mod k, so there is none unless m | n and k is odd.
-    Any other pair's mirrors is a one-pass iterator over two ranges; a pair
-    that can tie gets an array of 4 bytes per offset, which holds every n
-    that `enumeration.MAX_SIGNATURES` admits.
+    and q+1 to be units mod k, so there is none unless m | n and k is odd
+    (`_can_tie`).  Any other pair's mirrors is a one-pass iterator over two
+    ranges, the fixed permutation f -> (c - f) mod n, c = -m mod n, which
+    `enumeration.verify` checks with one slice comparison of the mask; a
+    pair that can tie gets an array of 4 bytes per offset, which holds
+    every n that `enumeration.MAX_SIGNATURES` admits.
     """
     mask = bytearray(b"\x01") * n
     for e in divisors(n):
@@ -141,8 +155,8 @@ def canonical_offsets(n: int, m: int) -> tuple[bytearray, Iterable[int]]:
                 mask[start::e] = bytes(len(range(start, n, e)))
     c = -m % n
     mirrors: Iterable[int] = chain(range(c, -1, -1), range(n - 1, c, -1))
-    k, r = divmod(n, m)
-    if r == 0 and k % 2:
+    if _can_tie(n, m):
+        k = n // m
         mirrors = array("I", mirrors)
         for f in compress(range(0, n, m), mask[::m]):
             if mask[f]:

@@ -26,6 +26,13 @@ local values of sigma, delta, mu and nu at each prime power.
 The column sums of a whole `count` table from no factorization at all
 (`count_sums`): Dirichlet's hyperbola method sums sigma, delta and mu over
 n <= N in O(sqrt N), and the squares and three times the squares count nu.
+
+The mirror closure and gamma of one divisor pair offset by offset
+(`mirror_gamma`), where `enumeration.verify` compares slices of the mask
+in a pair that cannot tie.
+
+The tie map phi with two modular inverses (`tie_partners`), where
+`signature._tie_partners` takes one.
 """
 
 import math
@@ -311,3 +318,22 @@ def count_sums(n: int) -> tuple[int, ...]:
         exact_div(s + 2 * d + 3 * m, 6, f"gamma sum to V={4 * n}"),
         exact_div(d + both, 2, f"rot_classes sum to V={4 * n}"),
     )
+
+
+def mirror_gamma(mask: bytearray, mirrors: list[int]) -> int | None:
+    """How many marked offsets f have f <= mirrors[f]; None unless mirrors maps marked offsets one to one onto marked ones."""
+    images = set()
+    gamma = 0
+    for f, marked in enumerate(mask):
+        if marked:
+            g = mirrors[f]
+            if not mask[g] or g in images:
+                return None
+            images.add(g)
+            gamma += f <= g
+    return gamma
+
+
+def tie_partners(q: int, k: int) -> tuple[int, int]:
+    """phi(q) = (-q^-1 - 1) mod k and phi^2(q) = -(q+1)^-1 mod k, one inverse each."""
+    return (-pow(q, -1, k) - 1) % k, -pow(q + 1, -1, k) % k

@@ -14,7 +14,7 @@ import pytest
 import trihex
 from golden_counts import TABLE
 from trihex import cli, counting, enumeration, graph
-from trihex.numtheory import factorize
+from trihex.numtheory import divisors, factorize
 from trihex.cli import main
 from trihex.errors import InternalInconsistencyError
 from trihex.signature import has_mirror_symmetry, parse_signature
@@ -100,6 +100,7 @@ def test_count_range_keeps_factorize_cache_bounded(tmp_path):
     # rows come from the range sieve, not factorize, and nothing retains
     # every row's factorization
     factorize.cache_clear()
+    divisors.cache_clear()
     tracemalloc.start()
     try:
         assert main(["count", "--from", "4", "--to", "80000", "--output", str(tmp_path / "t.csv")]) == 0
@@ -312,6 +313,18 @@ def test_build_refuses_planar_code_before_building(monkeypatch, capsys):
 )
 def test_work_growing_with_v_is_refused(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (2, "", f"trihex: {message}\n")
+
+
+def test_signatures_are_refused_before_divisors_are_listed(monkeypatch, capsys):
+    # V/4 = 3 066 842 656 354 276 800 has 129 024 divisors: sigma comes from
+    # its factorization, so the refusal may not list them
+    def no_divisors(n):
+        raise AssertionError("listed the divisors before refusing")
+
+    monkeypatch.setattr(enumeration, "divisors", no_divisors)
+    assert run_cli(capsys, "enumerate", "--v", "12267370625417107200") == (
+        2, "", "trihex: V=12267370625417107200 has 19963073513521152000 signatures; enumeration holds at most 2000000\n"
+    )
 
 
 def test_range_is_refused_before_it_is_listed(monkeypatch, capsys):
@@ -599,6 +612,7 @@ def test_count_range_past_64_bits_is_refused_before_factoring(capsys):
 def test_congruence_64_bit_time_and_memory(capsys, n, roots):
     def run():
         factorize.cache_clear()
+        divisors.cache_clear()
         code, out, _ = run_cli(capsys, "congruence", "--n", str(n))
         assert code == 0
         assert out.endswith(f"\ncount {roots}\n")

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import oracles
 from trihex import cli, counting, enumeration, graph, signature
 from trihex.enumeration import (
     all_signatures,
@@ -20,7 +21,7 @@ from trihex.enumeration import (
 )
 from trihex.errors import InternalInconsistencyError, VerificationFailureError
 from trihex.graph import CanonicalCode
-from trihex.numtheory import factorize
+from trihex.numtheory import divisors, factorize
 from trihex.signature import (
     Signature,
     canonical_offsets,
@@ -239,6 +240,54 @@ def test_verify_reports_mirror_that_is_no_tie(monkeypatch):
     assert excinfo.value.actual == Signature(24, 4, 0)
 
 
+@pytest.mark.parametrize(
+    "v, pair, actual",
+    [
+        # m | n with k = n/m = 2 even: (3,1,0) in place of (3,1,1), whose mirror (3,1,2) is unmarked
+        (32, (4, 2), Signature(3, 1, 2)),
+        # m does not divide n: (9,2,0) in place of (9,2,1), whose mirror (9,2,7) is unmarked
+        (120, (10, 3), Signature(9, 2, 7)),
+    ],
+)
+def test_verify_reports_mirror_closure_where_no_tie(monkeypatch, v, pair, actual):
+    # a pair that cannot tie is checked by slices; the failed comparison must
+    # name the offender that the offset-by-offset loop names
+    _swap_offsets(monkeypatch, pair, unmark=1, mark=0)
+    with pytest.raises(VerificationFailureError) as sliced:
+        verify(v)
+    monkeypatch.setattr(enumeration, "_sliced_gamma", lambda n, m, mask: None)
+    with pytest.raises(VerificationFailureError) as looped:
+        verify(v)
+    assert sliced.value.field == "mirror closure"
+    assert sliced.value.actual == actual
+    assert (sliced.value.field, sliced.value.expected, sliced.value.actual) == (
+        looped.value.field, looped.value.expected, looped.value.actual
+    )
+
+
+def test_sliced_gamma_matches_offset_loop():
+    # every pair that cannot tie, of every V <= 4 000: the slice comparison
+    # and the two slice counts against the offset-by-offset oracle, on the
+    # pair's mask and on that mask with one offset flipped, which the mirror
+    # keeps only when the offset is its own mirror
+    rng = random.Random(0)
+    pairs = 0
+    for v in range(4, 4004, 4):
+        for n, m in enumeration._divisor_pairs(v):
+            if signature._can_tie(n, m):
+                continue
+            pairs += 1
+            mask, _ = canonical_offsets(n, m)
+            plain = [(-m - f) % n for f in range(n)]
+            gamma = oracles.mirror_gamma(mask, plain)
+            assert gamma is not None, (v, n, m)
+            assert enumeration._sliced_gamma(n, m, mask) == gamma, (v, n, m)
+            flip = rng.randrange(n)
+            mask[flip] ^= 1
+            assert enumeration._sliced_gamma(n, m, mask) == oracles.mirror_gamma(mask, plain), (v, n, m, flip)
+    assert pairs > 5000, pairs
+
+
 def test_verify_reports_coinciding_not_canonical(monkeypatch):
     # (6,0,3) in place of the coinciding (6,0,2) keeps every count
     _swap_offsets(monkeypatch, (7, 1), unmark=2, mark=3)
@@ -252,6 +301,7 @@ def test_verify_memory_does_not_grow_with_sigma():
     # sigma(249 480) = 1 045 440 signatures, 348 480 trihexes; verify holds
     # one divisor pair's offsets at a time
     factorize.cache_clear()
+    divisors.cache_clear()
     tracemalloc.start()
     try:
         verify(997_920)
@@ -265,6 +315,7 @@ def test_verify_memory_where_ties_exist():
     # V/4 = 50 021 is prime, so its pair (50 021, 1) is all ties and verify
     # holds that pair's mirror table: below 8 bytes per offset
     factorize.cache_clear()
+    divisors.cache_clear()
     tracemalloc.start()
     try:
         verify(4 * 50_021)

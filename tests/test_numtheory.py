@@ -186,7 +186,7 @@ def test_factorization_validates():
 
 @pytest.mark.parametrize(
     "n,expected",
-    [(1, [1]), (7, [1, 7]), (12, [1, 2, 3, 4, 6, 12])],
+    [(1, (1,)), (7, (1, 7)), (12, (1, 2, 3, 4, 6, 12))],
 )
 def test_divisors_examples(n, expected):
     assert divisors(n) == expected
@@ -194,7 +194,15 @@ def test_divisors_examples(n, expected):
 
 def test_divisors_sweep():
     for n in range(1, 400):
-        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+def test_divisors_cache_is_bounded_and_immutable():
+    # a cached value is shared by every caller, so it is a tuple; a long
+    # range must not keep the divisors of every n
+    assert type(divisors(360)) is tuple
+    assert divisors(360) is divisors(360)
+    assert divisors.cache_info().maxsize == 1024
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,12 @@ import math
 
 import pytest
 
-from oracles import hexagon_count
+from oracles import hexagon_count, tie_partners
 from trihex.enumeration import all_signatures, coinciding_signatures, self_mirror_signatures
 from trihex.errors import InternalInconsistencyError
 from trihex.signature import (
     Signature,
+    _tie_partners,
     canonical_rep,
     has_mirror_symmetry,
     is_coinciding,
@@ -300,3 +301,20 @@ def test_canonical_rep_constant_on_orbits():
         for m in orbit(sig):
             assert canonical_rep(m) == rep
         assert canonical_rep(rep) == rep
+
+
+def test_tie_partners_match_two_inverse_formula():
+    # one inverse of q(q+1) against one inverse each of q and q+1, for every
+    # odd k <= 601 (k = 1 included) and every q with q and q+1 units mod k;
+    # phi has order 3 and phi(phi(q)) is the second partner
+    checked = 0
+    for k in range(1, 602, 2):
+        for q in range(k):
+            if math.gcd(q, k) == 1 and math.gcd(q + 1, k) == 1:
+                p60, p120 = _tie_partners(q, k)
+                assert (p60, p120) == tie_partners(q, k), (q, k)
+                assert _tie_partners(p60, k)[0] == p120, (q, k)
+                assert _tie_partners(p120, k)[0] == q, (q, k)
+                checked += 1
+    assert _tie_partners(0, 1) == (0, 0)
+    assert checked > 50_000, checked

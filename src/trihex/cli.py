@@ -299,10 +299,11 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _verify_one(task: tuple[int, bool]) -> tuple[int, list[str]]:
-    v, with_graphs = task
+def _verify_one(task: tuple[counting.CountReport, bool]) -> tuple[int, list[str]]:
+    counts, with_graphs = task
+    v = counts.V
     try:
-        enumeration.verify(v)
+        enumeration._verify(counts)
     except VerificationFailureError as exc:
         return v, [f"{exc.field}: expected {exc.expected}, got {exc.actual}"]
     return v, enumeration.verify_graphs(v, enumeration.trihex_reps(v)) if with_graphs else []
@@ -310,7 +311,9 @@ def _verify_one(task: tuple[int, bool]) -> tuple[int, list[str]]:
 
 def cmd_verify(args) -> int:
     vs = _parse_range(args)
-    # the whole range is admitted, V by V, before any line is written
+    # the whole range is admitted, V by V, before any line is written, and
+    # each V's row goes on to `verify`
+    tasks = []
     work = 0
     for v in vs:
         counts = counting.report(v)
@@ -321,7 +324,8 @@ def cmd_verify(args) -> int:
                 f"graph work, trihexes(V) * V summed, reaches {work} by V={v}; "
                 f"verify --with-graphs holds at most {MAX_GRAPH_WORK}"
             )
-    results = _map_ordered(_verify_one, [(v, args.with_graphs) for v in vs], args.jobs)
+        tasks.append((counts, args.with_graphs))
+    results = _map_ordered(_verify_one, tasks, args.jobs)
     failed: list[int] = []
 
     def report() -> Iterator[str]:

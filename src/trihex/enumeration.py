@@ -5,8 +5,9 @@ merely count, so each stream's size certifies one formula (`verify`).
 All signatures, representatives and graph classes are lazy iterators over
 the divisor pairs (s+1, b+1) of V/4, listed (and a V past MAX_SIGNATURES
 refused) when the stream is made; representatives and graph classes come
-from each pair's `canonical_offsets`: a mask of the canonical offsets and
-each one's mirror representative, which a mirror keeps in the pair.  The
+from each pair's `canonical_offsets`: byte masks of the canonical offsets,
+of those no greater than their mirror's representative, and of the mirror
+representatives, which a mirror keeps in the pair.  The
 coinciding and self-mirror streams are short lists, each read off the
 divisors d = s+1 of V/4 in closed form.  `verify` checks the
 pairs one at a time too, so it holds nothing as long as the signatures.
@@ -21,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import compress
+from math import gcd
 
 from . import counting, graph
 from .errors import InternalInconsistencyError, VerificationFailureError
@@ -28,6 +30,7 @@ from .numtheory import divisors, solve_fast
 from .signature import (
     Signature,
     _can_tie,
+    _tie_orbit,
     canonical_offsets,
     has_mirror_symmetry,
     is_coinciding,
@@ -38,15 +41,15 @@ from .signature import (
 
 # `all_signatures`, `trihex_reps`, `graph_class_reps` and `verify` refuse a V
 # with more signatures, sigma(V/4), than this (V = 4p for a prime p has p + 1).
-# No stream is held whole, so the cap bounds time and the largest pair's mask.
-# On a 2-core Xeon VM with Python 3.11 (CLI wall time, peak RSS), at
-# V = 3 164 688 (sigma 1 999 998) `verify` takes 0.2 s and 18 MiB and structured
-# `enumerate` 1.7-2.0 s and 16 MiB; at V = 7 999 972 (sigma 1 999 994, its pair
-# (1 999 993, 1) all ties) `verify` 1.2-1.8 s and 26 MiB, and 1.4-2.4 s and
-# 26 MiB for `--stream classes`.  Memory, not time, keeps the cap: at 2*10^7 the
-# all-tie pair alone would hold about 100 MB (a byte of mask and 4 bytes of
-# mirror table per offset).
-MAX_SIGNATURES = 2_000_000
+# No stream is held whole, so the cap bounds time and the largest pair's three
+# byte masks.  The worst case is V = 4p for the largest prime p it admits,
+# p = 19 999 999, whose one pair (p, 1) is all ties, so its orbit walk visits
+# p/3 orbits.  On a 2-core Xeon VM with Python 3.11 (CLI wall time, peak RSS as
+# VmHWM, six runs each on a shared host), there `verify` takes 12-16 s and
+# 72 MiB, and `enumerate --format structured` 14-17 s and 17 MiB for
+# `--stream all`, 15-19 s and 72 MiB for `reps` and 15-20 s and 72 MiB for
+# `classes`.  Time, not memory, keeps the cap.
+MAX_SIGNATURES = 20_000_000
 
 
 def check_signatures(v: int, sigma: int) -> None:
@@ -107,29 +110,35 @@ def graph_class_reps(v: int) -> Iterator[Signature]:
     A representative is kept when its offset is no greater than that of its
     mirror's representative, read off `canonical_offsets`.
     """
-    return (
-        Signature(n - 1, m - 1, f)
-        for n, m in _divisor_pairs(v)
-        for mask, mirrors in [canonical_offsets(n, m)]
-        for f, g in zip(compress(range(n), mask), compress(mirrors, mask))
-        if f <= g
-    )
+    pairs = _divisor_pairs(v)
+    return (Signature(n - 1, m - 1, f) for n, m in pairs for f in compress(range(n), canonical_offsets(n, m)[1]))
 
 
-def _sliced_gamma(n: int, m: int, mask: bytearray) -> int | None:
-    """Gamma of a pair (n, m) that cannot tie, or None when mirroring does not keep its marked offsets.
+def _closure_failure(v: int, n: int, m: int, mask: bytearray) -> VerificationFailureError:
+    """The failure naming the first marked offset of the pair (n, m) whose mirror representative is unmarked or taken.
 
-    The mirror is then the fixed permutation f -> (c - f) mod n, c = -m mod n,
-    an involution, so mirroring maps the marked offsets one to one onto
-    marked ones exactly when it leaves the mask unchanged: mask[c::-1] holds
-    the images of 0..c and mask[:c:-1] those of c+1..n-1.  An offset is no
-    greater than its mirror c - f when f <= c/2, and than n + c - f when
-    f <= (n+c)/2.
+    The slow path of `verify`, offset by offset: a tie's mirror is
+    `_tie_orbit`'s, any other offset's the plain mirror (c - f) mod n,
+    c = -m mod n, as in `canonical_offsets`.  Raises
+    InternalInconsistencyError when no offset fails, since `verify` calls
+    it only after the pair's mirror images differed from its mask.
     """
     c = -m % n
-    if mask[c::-1] + mask[:c:-1] != mask:
-        return None
-    return mask[: c // 2 + 1].count(1) + mask[c + 1 : (n + c) // 2 + 1].count(1)
+    k = n // m if _can_tie(n, m) else 0
+    taken = bytearray(n)
+    for f in compress(range(n), mask):
+        q = f // m
+        tie = k and f % m == 0 and gcd(q * (q + 1), k) == 1
+        g = m * _tie_orbit(q, k)[2] if tie else (c - f) % n
+        if not mask[g] or taken[g]:
+            return VerificationFailureError(
+                v,
+                "mirror closure",
+                f"a distinct representative for mirror{Signature(n - 1, m - 1, f)}",
+                Signature(n - 1, m - 1, g),
+            )
+        taken[g] = 1
+    raise InternalInconsistencyError(f"V={v}: the mirror images of the pair ({n}, {m}) disagree with its offsets")
 
 
 def verify(v: int) -> None:
@@ -138,43 +147,33 @@ def verify(v: int) -> None:
     Each pair (n, m) = (s+1, b+1) gets its `canonical_offsets` and nothing
     longer: the coinciding signatures of the pair must be marked, the
     mirror representatives of the marked offsets must be distinct and
-    marked (so mirroring maps the pair's representatives onto themselves),
-    and gamma counts the offsets f no greater than their mirror's.  In a
-    pair that cannot tie (`signature._can_tie`) the mirror is a fixed
-    permutation, so closure is one slice comparison and gamma two slice
-    counts (`_sliced_gamma`); a pair with ties, or one whose comparison
-    fails, goes offset by offset through the mirrors that the orbit walk
-    records, and a failure names the first offender.  Nothing of length
-    sigma or trihexes is held, so memory grows with the largest s (4 bytes
-    per offset of a pair with ties), not with the number of signatures.
-    Raises VerificationFailureError naming the first check that disagrees.
+    marked, which is one comparison of two byte masks (so mirroring maps
+    the pair's representatives onto themselves), and gamma counts the
+    offsets no greater than their mirror's, one count of a third.  A pair
+    whose comparison fails goes offset by offset (`_closure_failure`), and
+    the failure names the first offender.  Nothing of length sigma or
+    trihexes is held, so memory grows with the largest s (3 bytes per
+    offset), not with the number of signatures.  Raises
+    VerificationFailureError naming the first check that disagrees.
     """
-    counts = counting.report(v)
+    _verify(counting.report(v))
+
+
+def _verify(counts: counting.CountReport) -> None:
+    """`verify` for the vertex count of `counts`, which must be its `counting.report`."""
+    v = counts.V
     pairs = _divisor_pairs(v, counts.sigma)
     coinciding = coinciding_signatures(v)
     self_mirror = self_mirror_signatures(v)
     trihexes = gamma = 0
     for n, m in pairs:
-        mask, mirrors = canonical_offsets(n, m)
+        mask, keep, images = canonical_offsets(n, m)
         for sig in coinciding:
             if sig.s == n - 1 and not mask[sig.f]:
                 raise VerificationFailureError(v, "coinciding not canonical", "a representative", sig)
-        pair_gamma = None if _can_tie(n, m) else _sliced_gamma(n, m, mask)
-        if pair_gamma is None:
-            # a pair with ties, or a failed slice comparison: offset by offset, naming the first offender
-            pair_gamma = 0
-            images = bytearray(n)
-            for f, g in zip(compress(range(n), mask), compress(mirrors, mask)):
-                if not mask[g] or images[g]:
-                    raise VerificationFailureError(
-                        v,
-                        "mirror closure",
-                        f"a distinct representative for mirror{Signature(n - 1, m - 1, f)}",
-                        Signature(n - 1, m - 1, g),
-                    )
-                images[g] = 1
-                pair_gamma += f <= g
-        gamma += pair_gamma
+        if images != mask:
+            raise _closure_failure(v, n, m, mask)
+        gamma += keep.count(1)
         trihexes += mask.count(1)
 
     checks = (

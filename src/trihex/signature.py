@@ -13,8 +13,9 @@ and 120 degrees (Thurston, "Shapes of polyhedra", 1998).
 the triple is the least of its three, from two gcds and without building
 the other two.  It settles a tie, where all three triples share s and b,
 with the order-3 map q -> -1/q - 1 (mod (s+1)/(b+1)) on f/(b+1)
-(`_tie_partners`): it walks each tied orbit once, in ascending order, keeps
-its first member, and records the least member of the mirror orbit.
+(`_tie_orbit`): it walks each tied orbit once, in ascending order, keeps
+its first member, and marks the least member of the mirror orbit in a
+second byte mask, the mirror images.
 The mirror image is the HNF of L reflected by (a, y) -> (a, a - y), which
 swaps the offset f for (s - b - f) mod (s+1); a signature is self-mirror
 when `mirror(sig) == sig`.
@@ -22,9 +23,7 @@ when `mirror(sig) == sig`.
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Iterable
-from itertools import chain, compress
+from itertools import compress
 from typing import NamedTuple
 
 from .numtheory import divisors
@@ -92,38 +91,46 @@ def has_mirror_symmetry(sig: Signature) -> bool:
     return mirror(sig) in orbit(sig)
 
 
-def _tie_partners(q: int, k: int) -> tuple[int, int]:
-    """phi(q) and phi^2(q) for the order-3 map phi(q) = (-q^-1 - 1) mod k; q and q+1 must be units mod k.
+def _tie_orbit(q: int, k: int) -> tuple[int, int, int]:
+    """phi(q), phi^2(q) for the order-3 map phi(q) = (-q^-1 - 1) mod k, and the mirror orbit's least member.
 
-    For a tie, (s, b, f) with m = b+1 dividing both n = s+1 and f, k = n/m
-    and q = f/m, the extended-Euclid step of `_hnf` gives the 60 and 120
-    degree members the same s and b and the offsets m*phi(q) and
-    m*phi^2(q), where phi^2(q) = -(q+1)^-1 mod k.  Their q and q+1 are units
-    again, and phi^3(q) = q, so the tie's orbit is {q, phi(q), phi^2(q)}.
-    One inverse serves both: with i = (q(q+1))^-1, q^-1 = (q+1)i and
-    (q+1)^-1 = qi.
+    q and q+1 must be units mod k.  For a tie, (s, b, f) with m = b+1
+    dividing both n = s+1 and f, k = n/m and q = f/m, the extended-Euclid
+    step of `_hnf` gives the 60 and 120 degree members the same s and b and
+    the offsets m*phi(q) and m*phi^2(q), where phi^2(q) = -(q+1)^-1 mod k.
+    Their q and q+1 are units again, and phi^3(q) = q, so the tie's orbit is
+    {q, phi(q), phi^2(q)}.  One inverse serves both: with i = (q(q+1))^-1,
+    q^-1 = (q+1)i and (q+1)^-1 = qi.  Mirroring maps q to k-1-q, and the
+    orbit onto a tie's orbit, so its greatest member goes to the least of
+    the mirror orbit, k-1-max(q, phi(q), phi^2(q)), the third value.  The
+    orbit walk in `canonical_offsets` and the slow path of
+    `enumeration.verify` both take a tie's partners and mirror from here.
     """
     inv = pow(q * (q + 1), -1, k)
-    return (-(q + 1) * inv - 1) % k, -q * inv % k
+    p60, p120 = (-(q + 1) * inv - 1) % k, -q * inv % k
+    top = p60 if p60 > p120 else p120
+    return p60, p120, k - 1 - (q if q > top else top)
 
 
 def _can_tie(n: int, m: int) -> bool:
     """True when the pair (n, m) = (s+1, b+1) may hold a tie: m | n and k = n/m odd.
 
-    A tie needs q and q+1 to be units mod k (`_tie_partners`), and one of
+    A tie needs q and q+1 to be units mod k (`_tie_orbit`), and one of
     them is even, so an even k has none.
     """
     return n % m == 0 and n // m % 2 == 1
 
 
-def canonical_offsets(n: int, m: int) -> tuple[bytearray, Iterable[int]]:
-    """Mark the canonical offsets of (n-1, m-1, f), f in 0..n-1, and give each its mirror's offset.
+def canonical_offsets(n: int, m: int) -> tuple[bytearray, bytearray, bytearray]:
+    """Mark the canonical offsets of (n-1, m-1, f), f in 0..n-1, and their mirror representatives.
 
-    Returns (mask, mirrors).  mask[f] is 1 when (n-1, m-1, f) is the least
-    member of its orbit, and 0 otherwise.  mirrors lists, for f = 0..n-1 in
-    order, the offset of canonical_rep(mirror((n-1, m-1, f))) where mask[f]
-    is 1, and the plain mirror (-m - f) mod n elsewhere: a mirror keeps s
-    and b, so a representative's mirror representative lies in the pair.
+    Returns three byte masks over f = 0..n-1, (mask, keep, images).
+    mask[f] is 1 when (n-1, m-1, f) is the least member of its orbit.  A
+    mirror keeps s and b, so the offset g of canonical_rep(mirror((n-1,
+    m-1, f))) lies in the pair: keep[f] is 1 when mask[f] is and f <= g,
+    and images[g] is 1 when g is that offset for some marked f.  So keep
+    marks the graph classes, and mirroring maps the marked offsets one to
+    one onto marked ones exactly when images == mask.
 
     The 60 and 120 degree members of (n-1, m-1, f) have b'+1 = gcd(n, f) and
     gcd(n, f+m), and s'+1 = nm/(b'+1), by the determinant in `_hnf`.  A gcd
@@ -131,41 +138,54 @@ def canonical_offsets(n: int, m: int) -> tuple[bytearray, Iterable[int]]:
     happens exactly when a divisor e > m of n divides f or f+m, so each such
     e unmarks f = 0 and f = -m (mod e) with two slice assignments.  One gcd
     equals m exactly when the other does (m | n and m | f either way): a
-    tie, where the three members share s and b.  Its orbit is
-    {q, phi(q), phi^2(q)} times m, q = f/m (`_tie_partners`), all of them
-    offsets left marked.  The walk takes those offsets in ascending order,
-    so the first it meets of an orbit is the least: that one stays marked
-    and unmarks the other two, which the walk then skips.
+    tie, where the three members share s and b.  A tie needs q = f/m and
+    q+1 to be units mod k = n/m, so there is none unless m | n and k is odd
+    (`_can_tie`).
 
     Mirroring swaps the two gcds, so it maps an untied marked offset to a
-    marked one, its own representative.  It maps q to k-1-q, k = n/m, and
-    an orbit onto an orbit, so the walk records m*(k-1-max(q, phi(q),
-    phi^2(q))) as the mirror of each orbit's least member.  A tie needs q
-    and q+1 to be units mod k, so there is none unless m | n and k is odd
-    (`_can_tie`).  Any other pair's mirrors is a one-pass iterator over two
-    ranges, the fixed permutation f -> (c - f) mod n, c = -m mod n, which
-    `enumeration.verify` checks with one slice comparison of the mask; a
-    pair that can tie gets an array of 4 bytes per offset, which holds
-    every n that `enumeration.MAX_SIGNATURES` admits.
+    marked one, its own representative: the fixed permutation f -> (c - f)
+    mod n, c = -m mod n, which takes 0..c to c..0 and c+1..n-1 to n-1..c+1.
+    So images is the mask reversed in those two slices, and keep is the
+    mask with f > c/2 cleared in the first and f > (n+c)/2 in the second.
+    In a pair that can tie, the walk sets keep and images at the multiples
+    of m, which mirroring maps to multiples of m.  Its orbits are
+    {q, phi(q), phi^2(q)} times m (`_tie_orbit`), all of them offsets
+    left marked.  It takes those offsets in ascending order from a live
+    view of the mask, so the first it meets of an orbit is the least: that
+    one stays marked and unmarks the other two, which the walk then skips.
+    Each orbit it keeps writes one byte of keep and one of images, at m
+    times its mirror orbit's least member.  The pair holds the three masks,
+    3 bytes per offset, and no more when m = 1: every offset is then the
+    walk's, so keep and images start blank, and the all-tie pair (p, 1) of
+    V = 4p, the largest pair a cap on sigma admits, copies no slice.
     """
     mask = bytearray(b"\x01") * n
     for e in divisors(n):
         if e > m:
             for start in (0, -m % e):
-                mask[start::e] = bytes(len(range(start, n, e)))
-    c = -m % n
-    mirrors: Iterable[int] = chain(range(c, -1, -1), range(n - 1, c, -1))
-    if _can_tie(n, m):
-        k = n // m
-        mirrors = array("I", mirrors)
-        for f in compress(range(0, n, m), mask[::m]):
-            if mask[f]:
-                p60, p120 = _tie_partners(f // m, k)
-                mask[m * p60] = mask[m * p120] = 0
-                mask[f] = 1  # a coinciding tie is its own partner
-                # f/m is its orbit's least member, so the greatest is a partner; c = m*(k-1)
-                mirrors[f] = c - m * (p60 if p60 > p120 else p120)
-    return mask, mirrors
+                mask[start::e] = bytearray(len(range(start, n, e)))
+    # the walk's offsets, the k multiples of m; when m = 1 that is every offset
+    k = n // m if _can_tie(n, m) else 0
+    if k == n:
+        keep, images = bytearray(n), bytearray(n)
+    else:
+        c = -m % n
+        keep = mask[:]
+        keep[c // 2 + 1 : c + 1] = bytearray(c - c // 2)
+        keep[(n + c) // 2 + 1 :] = bytearray(n - 1 - (n + c) // 2)
+        images = mask[c::-1]
+        images += mask[:c:-1]
+        if k:
+            keep[::m] = images[::m] = bytearray(k)
+    if k:
+        for f in compress(range(0, n, m), memoryview(mask)[::m]):
+            q = f // m
+            p60, p120, r = _tie_orbit(q, k)
+            mask[m * p60] = mask[m * p120] = 0
+            mask[f] = 1  # a coinciding tie is its own partner
+            images[m * r] = 1
+            keep[f] = q <= r
+    return mask, keep, images
 
 
 def canonical_rep(sig: Signature) -> Signature:

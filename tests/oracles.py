@@ -28,11 +28,11 @@ The column sums of a whole `count` table from no factorization at all
 n <= N in O(sqrt N), and the squares and three times the squares count nu.
 
 The mirror closure and gamma of one divisor pair offset by offset
-(`mirror_gamma`), where `enumeration.verify` compares slices of the mask
-in a pair that cannot tie.
+(`mirror_offender`, `mirror_gamma`), where `enumeration.verify` compares
+the pair's mask with its mirror images and counts a third byte mask.
 
 The tie map phi with two modular inverses (`tie_partners`), where
-`signature._tie_partners` takes one.
+`signature._tie_orbit` takes one.
 """
 
 import math
@@ -320,18 +320,23 @@ def count_sums(n: int) -> tuple[int, ...]:
     )
 
 
-def mirror_gamma(mask: bytearray, mirrors: list[int]) -> int | None:
-    """How many marked offsets f have f <= mirrors[f]; None unless mirrors maps marked offsets one to one onto marked ones."""
+def mirror_offender(mask: bytearray, mirrors: list[int]) -> tuple[int, int] | None:
+    """The first marked offset f whose mirror g = mirrors[f] is unmarked or an earlier one's, as (f, g); None if none is."""
     images = set()
-    gamma = 0
     for f, marked in enumerate(mask):
         if marked:
             g = mirrors[f]
             if not mask[g] or g in images:
-                return None
+                return f, g
             images.add(g)
-            gamma += f <= g
-    return gamma
+    return None
+
+
+def mirror_gamma(mask: bytearray, mirrors: list[int]) -> int | None:
+    """How many marked offsets f have f <= mirrors[f]; None unless mirrors maps marked offsets one to one onto marked ones."""
+    if mirror_offender(mask, mirrors) is not None:
+        return None
+    return sum(f <= mirrors[f] for f, marked in enumerate(mask) if marked)
 
 
 def tie_partners(q: int, k: int) -> tuple[int, int]:

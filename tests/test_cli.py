@@ -304,9 +304,9 @@ def test_build_refuses_planar_code_before_building(monkeypatch, capsys):
     "argv, message",
     [
         (f"enumerate --v {4 * (2**61 - 1)}",
-         f"V={4 * (2**61 - 1)} has {2**61} signatures; enumeration holds at most 2000000"),
+         f"V={4 * (2**61 - 1)} has {2**61} signatures; enumeration holds at most 20000000"),
         (f"verify --v {4 * (2**61 - 1)}",
-         f"V={4 * (2**61 - 1)} has {2**61} signatures; enumeration holds at most 2000000"),
+         f"V={4 * (2**61 - 1)} has {2**61} signatures; enumeration holds at most 20000000"),
         ("build --sig 250000,0,0 --format dot", "build holds at most 1000000 vertices, got 1000004"),
         ("count --from 4 --to 2000004", "4..2000004 has 500001 vertex counts; a range holds at most 500000"),
     ],
@@ -323,7 +323,7 @@ def test_signatures_are_refused_before_divisors_are_listed(monkeypatch, capsys):
 
     monkeypatch.setattr(enumeration, "divisors", no_divisors)
     assert run_cli(capsys, "enumerate", "--v", "12267370625417107200") == (
-        2, "", "trihex: V=12267370625417107200 has 19963073513521152000 signatures; enumeration holds at most 2000000\n"
+        2, "", "trihex: V=12267370625417107200 has 19963073513521152000 signatures; enumeration holds at most 20000000\n"
     )
 
 
@@ -352,7 +352,7 @@ def test_verify_with_graphs_refuses_too_much_graph_work(monkeypatch, capsys, arg
     def no_work(*args):
         raise AssertionError("worked before refusing")
 
-    for module, name in ((enumeration, "verify"), (graph, "build")):
+    for module, name in ((enumeration, "_verify"), (graph, "build")):
         monkeypatch.setattr(module, name, no_work)
     assert run_cli(capsys, "verify", "--with-graphs", *argv.split()) == (
         2, "", f"trihex: graph work, trihexes(V) * V summed, reaches {work} by V={v}; "
@@ -361,14 +361,15 @@ def test_verify_with_graphs_refuses_too_much_graph_work(monkeypatch, capsys, arg
 
 
 def test_verify_refuses_its_range_before_writing(monkeypatch, capsys):
-    # V = 7 999 972 is admitted and V = 7 999 976, the next, is not: the
-    # range is refused before its first vertex count is verified or written
+    # V = 79 999 996 (sigma 20 000 000, the cap) is admitted and V = 80 000 000,
+    # the next, is not: the range is refused before its first vertex count
+    # is verified or written
     def no_work(*args):
         raise AssertionError("worked before refusing")
 
-    monkeypatch.setattr(enumeration, "verify", no_work)
-    assert run_cli(capsys, "verify", "--from", "7999972", "--to", "8000004") == (
-        2, "", "trihex: V=7999976 has 3006228 signatures; enumeration holds at most 2000000\n"
+    monkeypatch.setattr(enumeration, "_verify", no_work)
+    assert run_cli(capsys, "verify", "--from", "79999996", "--to", "80000028") == (
+        2, "", "trihex: V=80000000 has 49902216 signatures; enumeration holds at most 20000000\n"
     )
 
 
@@ -389,7 +390,7 @@ def test_unwritable_output_is_refused(tmp_path, monkeypatch, capsys, command):
     def no_work(*args):
         raise AssertionError("worked before opening --output")
 
-    for module, name in ((counting, "columns"), (enumeration, "verify"), (graph, "build")):
+    for module, name in ((counting, "columns"), (enumeration, "_verify"), (graph, "build")):
         monkeypatch.setattr(module, name, no_work)
     for path, reason in ((tmp_path / "missing" / "out", "No such file or directory"), (tmp_path, "Is a directory")):
         assert run_cli(capsys, *command.split(), "--output", str(path)) == (
@@ -807,7 +808,7 @@ def test_output_replaces_a_file_and_keeps_its_bits(tmp_path, capsys):
 
 
 def test_enumerate_writes_its_stream_as_it_makes_it(tmp_path):
-    # sigma(V/4) = 1 999 998, just under MAX_SIGNATURES: the document is 97 MB,
+    # sigma(V/4) = 1 999 998: the document is 97 MB,
     # and building it whole took 1 179 MiB; the digest was recorded then.  The
     # child reads its own peak from Linux's VmHWM: its ru_maxrss would carry
     # the test runner's peak over exec
@@ -893,14 +894,14 @@ def test_count_error_in_a_later_segment_exits_3(monkeypatch, capsys):
 def test_verify_error_at_a_later_vertex_count_exits_3(monkeypatch, capsys):
     # verify writes each vertex count's line as its result comes, so the
     # lines before the vertex count that fails are already written
-    check = enumeration.verify
+    check = enumeration._verify
 
-    def broken(v):
-        if v == 20:
+    def broken(counts):
+        if counts.V == 20:
             raise InternalInconsistencyError("routes disagree at V=20")
-        check(v)
+        check(counts)
 
-    monkeypatch.setattr(enumeration, "verify", broken)
+    monkeypatch.setattr(enumeration, "_verify", broken)
     assert run_cli(capsys, "verify", "--from", "4", "--to", "40") == (
         3, "V=4: ok\nV=8: ok\nV=12: ok\nV=16: ok\n", "trihex: internal error: routes disagree at V=20\n"
     )
@@ -951,7 +952,7 @@ PINNED_SHA256 = {
     "enumerate --v 20160 --stream classes": "87d0a0f0a7bf9602511f9ce1c4b26917aacedc8c5c87703de5b272770249227b",
     "enumerate --v 60480 --stream reps": "b9be21484ad04f9bfaefd5590c14a336d7b5ecd65577bd2df649bda84a0f3ef6",
     "enumerate --v 60480 --stream classes": "0fcfbcb295368cd0b11630621a2a95f254ee4dd678ee95350c5521f26c863d20",
-    # sigma(V/4) = 1 999 994, just under MAX_SIGNATURES; its largest pair (1 999 993, 1) is all ties
+    # sigma(V/4) = 1 999 994; its largest pair (1 999 993, 1) is all ties
     "enumerate --v 7999972 --stream classes": "e46b263cfbb7baa927a8c8743e72cea73a38f7837811823f4c883d2345693a7b",
     # recorded before the streams were made lazy: the self-mirror and
     # coinciding streams, empty ones (V = 5040 and V = 8 have no coinciding

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from collections import deque
 from itertools import compress
 from types import SimpleNamespace
 
@@ -100,17 +101,19 @@ def test_tie_walk_matches_hnf_route():
     # = m, whose orbits stay in the pair; every other multiple of m has a
     # member with a smaller s.  So the orbit walk of `canonical_offsets` must
     # mark, among the multiples of m, exactly the ties that are the least HNF
-    # of their orbit, and record for each the least HNF of its mirror's orbit.
+    # of their orbit; among the multiples of m, images must mark the least HNF
+    # of each one's mirror orbit, and keep each one no greater than that.
     # The pair (p, 1) of V = 4p is all ties
     pairs = [(k * m, m) for m in (1, 2, 3, 6) for k in range(1, 601)] + [(1009, 1), (2003, 1), (4999, 1)]
     for n, m in pairs:
-        mask, mirrors = canonical_offsets(n, m)
-        mirrors = list(mirrors)
+        mask, keep, images = canonical_offsets(n, m)
         ties = [f for f in range(0, n, m) if math.gcd(n, f) == math.gcd(n, f + m) == m]
         least = {f: min(orbit(Signature(n - 1, m - 1, f))) for f in ties}
         marked = list(compress(range(0, n, m), mask[::m]))
         assert marked == [f for f in ties if least[f] == (n - 1, m - 1, f)], (n, m)
-        assert [mirrors[f] for f in marked] == [least[(n - m - f) % n].f for f in marked], (n, m)
+        mirrors = {f: least[(n - m - f) % n].f for f in marked}
+        assert list(compress(range(0, n, m), images[::m])) == sorted(mirrors.values()), (n, m)
+        assert list(compress(range(0, n, m), keep[::m])) == [f for f in marked if f <= mirrors[f]], (n, m)
 
 
 def test_coinciding_examples():
@@ -184,20 +187,20 @@ def test_verify_reports_self_mirror_not_fixed(monkeypatch):
 def test_verify_reports_wrong_canonical_filter(monkeypatch):
     # a tie map that fixes every q makes each tie its own orbit, so the walk
     # keeps every tied offset: all of (6,0,1..5), not one per orbit
-    monkeypatch.setattr(signature, "_tie_partners", lambda q, k: (q, q))
+    monkeypatch.setattr(signature, "_tie_orbit", lambda q, k: (q, q, k - 1 - q))
     with pytest.raises(VerificationFailureError) as excinfo:
         verify(28)
     assert excinfo.value.field == "trihexes"
 
 
 def _swap_offsets(monkeypatch, pair, unmark, mark):
-    """Make `enumeration.canonical_offsets` mark offset `mark` of `pair` in place of `unmark`."""
+    """Make `enumeration.canonical_offsets` mark offset `mark` of `pair` in place of `unmark`, and keep its other masks."""
 
     def swapped(n, m):
-        mask, mirrors = canonical_offsets(n, m)
+        mask, keep, images = canonical_offsets(n, m)
         if (n, m) == pair:
             mask[unmark], mask[mark] = 0, 1
-        return mask, mirrors
+        return mask, keep, images
 
     monkeypatch.setattr(enumeration, "canonical_offsets", swapped)
 
@@ -213,21 +216,38 @@ def test_verify_reports_mirror_closure(monkeypatch):
 
 
 def test_verify_reports_unrecorded_tie_mirror(monkeypatch):
-    # the plain mirror in place of the walk's record: the mirror of (6,0,1) is
-    # the tie (6,0,5), whose orbit {1, 5, 3} is represented by (6,0,1) itself,
-    # so reading the unmarked (6,0,5) must fail the closure check
-    def plain(n, m):
-        mask, mirrors = canonical_offsets(n, m)
-        if (n, m) == (7, 1):
-            mirrors = [(-m - f) % n for f in range(n)]
-        return mask, mirrors
+    # the plain mirror in place of the walk's record, where both the walk and
+    # the slow path read it: the mirror of (6,0,1) is the tie (6,0,5), whose
+    # orbit {1, 5, 3} is represented by (6,0,1) itself, so reading the
+    # unmarked (6,0,5) must fail the closure check
+    tie_orbit = signature._tie_orbit
 
-    monkeypatch.setattr(enumeration, "canonical_offsets", plain)
+    def plain(q, k):
+        p60, p120, _ = tie_orbit(q, k)
+        return p60, p120, k - 1 - q
+
+    monkeypatch.setattr(signature, "_tie_orbit", plain)
+    monkeypatch.setattr(enumeration, "_tie_orbit", plain)
     with pytest.raises(VerificationFailureError) as excinfo:
         verify(28)
     assert excinfo.value.field == "mirror closure"
     assert excinfo.value.expected == "a distinct representative for mirror(6,0,1)"
     assert excinfo.value.actual == Signature(6, 0, 5)
+
+
+def test_verify_flags_mirror_images_that_disagree_with_their_offsets(monkeypatch):
+    # mirror images read off the plain mirror of the whole pair (7, 1), with
+    # the walk's records left out: the mask is right, so no offset fails the
+    # slow path, and the two routes disagree
+    def plain(n, m):
+        mask, keep, images = canonical_offsets(n, m)
+        if (n, m) == (7, 1):
+            images = mask[6::-1]
+        return mask, keep, images
+
+    monkeypatch.setattr(enumeration, "canonical_offsets", plain)
+    with pytest.raises(InternalInconsistencyError, match=r"^V=28: the mirror images of the pair \(7, 1\)"):
+        verify(28)
 
 
 def test_verify_reports_mirror_that_is_no_tie(monkeypatch):
@@ -250,42 +270,53 @@ def test_verify_reports_mirror_that_is_no_tie(monkeypatch):
     ],
 )
 def test_verify_reports_mirror_closure_where_no_tie(monkeypatch, v, pair, actual):
-    # a pair that cannot tie is checked by slices; the failed comparison must
-    # name the offender that the offset-by-offset loop names
+    # a pair that cannot tie fails its comparison of masks; the slow path must
+    # name the offender that the offset-by-offset oracle names
     _swap_offsets(monkeypatch, pair, unmark=1, mark=0)
-    with pytest.raises(VerificationFailureError) as sliced:
+    with pytest.raises(VerificationFailureError) as excinfo:
         verify(v)
-    monkeypatch.setattr(enumeration, "_sliced_gamma", lambda n, m, mask: None)
-    with pytest.raises(VerificationFailureError) as looped:
-        verify(v)
-    assert sliced.value.field == "mirror closure"
-    assert sliced.value.actual == actual
-    assert (sliced.value.field, sliced.value.expected, sliced.value.actual) == (
-        looped.value.field, looped.value.expected, looped.value.actual
+    n, m = pair
+    mask = enumeration.canonical_offsets(n, m)[0]
+    f, g = oracles.mirror_offender(mask, [(-m - f) % n for f in range(n)])
+    assert (excinfo.value.field, excinfo.value.expected, excinfo.value.actual) == (
+        "mirror closure", f"a distinct representative for mirror{Signature(n - 1, m - 1, f)}", actual
     )
+    assert actual == Signature(n - 1, m - 1, g)
 
 
-def test_sliced_gamma_matches_offset_loop():
-    # every pair that cannot tie, of every V <= 4 000: the slice comparison
-    # and the two slice counts against the offset-by-offset oracle, on the
-    # pair's mask and on that mask with one offset flipped, which the mirror
-    # keeps only when the offset is its own mirror
+def test_mirror_masks_match_offset_loop():
+    # every divisor pair of every V <= 4 000, tie pairs included: gamma from
+    # keep, and closure from images == mask, against the offset-by-offset
+    # oracle with each offset's mirror representative by the HNF route.  Then
+    # the slow path of verify, on the mask with one seeded offset flipped,
+    # must name the oracle's first offender, or find none when the oracle
+    # finds none.  A flip may mark an offset whose mirror representative
+    # lies in another pair; the slow path reads its plain mirror, and so does
+    # the oracle
     rng = random.Random(0)
-    pairs = 0
+    pairs = tie_pairs = 0
     for v in range(4, 4004, 4):
         for n, m in enumeration._divisor_pairs(v):
-            if signature._can_tie(n, m):
-                continue
             pairs += 1
-            mask, _ = canonical_offsets(n, m)
-            plain = [(-m - f) % n for f in range(n)]
-            gamma = oracles.mirror_gamma(mask, plain)
-            assert gamma is not None, (v, n, m)
-            assert enumeration._sliced_gamma(n, m, mask) == gamma, (v, n, m)
+            tie_pairs += signature._can_tie(n, m)
+            mask, keep, images = canonical_offsets(n, m)
+            reps = (canonical_rep(mirror(Signature(n - 1, m - 1, f))) for f in range(n))
+            mirrors = [rep.f if rep.s == n - 1 else (-m - f) % n for f, rep in enumerate(reps)]
+            assert oracles.mirror_gamma(mask, mirrors) == keep.count(1), (v, n, m)
+            assert images == mask, (v, n, m)
             flip = rng.randrange(n)
             mask[flip] ^= 1
-            assert enumeration._sliced_gamma(n, m, mask) == oracles.mirror_gamma(mask, plain), (v, n, m, flip)
-    assert pairs > 5000, pairs
+            offender = oracles.mirror_offender(mask, mirrors)
+            if offender is None:
+                with pytest.raises(InternalInconsistencyError):
+                    enumeration._closure_failure(v, n, m, mask)
+                continue
+            f, g = offender
+            failure = enumeration._closure_failure(v, n, m, mask)
+            assert (failure.expected, failure.actual) == (
+                f"a distinct representative for mirror{Signature(n - 1, m - 1, f)}", Signature(n - 1, m - 1, g)
+            ), (v, n, m, flip)
+    assert (pairs, tie_pairs) > (7000, 2000), (pairs, tie_pairs)
 
 
 def test_verify_reports_coinciding_not_canonical(monkeypatch):
@@ -311,18 +342,29 @@ def test_verify_memory_does_not_grow_with_sigma():
     assert peak < 10 * 2**20, peak
 
 
-def test_verify_memory_where_ties_exist():
-    # V/4 = 50 021 is prime, so its pair (50 021, 1) is all ties and verify
-    # holds that pair's mirror table: below 8 bytes per offset
+def _peak_where_ties_exist(run) -> int:
+    """tracemalloc's peak while run(V) runs from cold caches, V/4 = 50 021 prime: its pair (50 021, 1) is all ties."""
     factorize.cache_clear()
     divisors.cache_clear()
     tracemalloc.start()
     try:
-        verify(4 * 50_021)
-        peak = tracemalloc.get_traced_memory()[1]
+        run(4 * 50_021)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 50_021, peak
+
+
+def test_verify_memory_where_ties_exist():
+    # verify holds the all-tie pair's three byte masks: 3.05 bytes per offset
+    # measured, below 3.5
+    peak = _peak_where_ties_exist(verify)
+    assert peak < 3.5 * 50_021, peak
+
+
+def test_graph_class_reps_memory_where_ties_exist():
+    # the class stream, consumed, holds the same three masks
+    peak = _peak_where_ties_exist(lambda v: deque(graph_class_reps(v), maxlen=0))
+    assert peak < 3.5 * 50_021, peak
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from trihex.enumeration import all_signatures, coinciding_signatures, self_mirro
 from trihex.errors import InternalInconsistencyError
 from trihex.signature import (
     Signature,
-    _tie_partners,
+    _tie_orbit,
     canonical_rep,
     has_mirror_symmetry,
     is_coinciding,
@@ -306,15 +306,18 @@ def test_canonical_rep_constant_on_orbits():
 def test_tie_partners_match_two_inverse_formula():
     # one inverse of q(q+1) against one inverse each of q and q+1, for every
     # odd k <= 601 (k = 1 included) and every q with q and q+1 units mod k;
-    # phi has order 3 and phi(phi(q)) is the second partner
+    # phi has order 3 and phi(phi(q)) is the second partner.  The mirror
+    # orbit's least member is the mirror k-1-x of the orbit's greatest x,
+    # the same for all three members
     checked = 0
     for k in range(1, 602, 2):
         for q in range(k):
             if math.gcd(q, k) == 1 and math.gcd(q + 1, k) == 1:
-                p60, p120 = _tie_partners(q, k)
+                p60, p120, least = _tie_orbit(q, k)
                 assert (p60, p120) == tie_partners(q, k), (q, k)
-                assert _tie_partners(p60, k)[0] == p120, (q, k)
-                assert _tie_partners(p120, k)[0] == q, (q, k)
+                assert _tie_orbit(p60, k)[:2] == (p120, q), (q, k)
+                assert _tie_orbit(p120, k)[0] == q, (q, k)
+                assert least == min(k - 1 - x for x in (q, p60, p120)) == _tie_orbit(p60, k)[2], (q, k)
                 checked += 1
-    assert _tie_partners(0, 1) == (0, 0)
+    assert _tie_orbit(0, 1) == (0, 0, 0)
     assert checked > 50_000, checked

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -299,11 +300,9 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _verify_one(task: tuple[counting.CountReport, bool]) -> tuple[int, list[str]]:
-    counts, with_graphs = task
-    v = counts.V
+def _verify_one(v: int, with_graphs: bool) -> tuple[int, list[str]]:
     try:
-        enumeration._verify(counts)
+        enumeration.verify(v)
     except VerificationFailureError as exc:
         return v, [f"{exc.field}: expected {exc.expected}, got {exc.actual}"]
     return v, enumeration.verify_graphs(v, enumeration.trihex_reps(v)) if with_graphs else []
@@ -311,21 +310,17 @@ def _verify_one(task: tuple[counting.CountReport, bool]) -> tuple[int, list[str]
 
 def cmd_verify(args) -> int:
     vs = _parse_range(args)
-    # the whole range is admitted, V by V, before any line is written, and
-    # each V's row goes on to `verify`
-    tasks = []
+    # the whole range is admitted, V by V, before any line is written
     work = 0
     for v in vs:
-        counts = counting.report(v)
-        enumeration.check_signatures(v, counts.sigma)
-        work += counts.trihexes * v
+        enumeration.check_signatures(v)
+        work += counting.report(v).trihexes * v
         if args.with_graphs and work > MAX_GRAPH_WORK:
             raise ValueError(
                 f"graph work, trihexes(V) * V summed, reaches {work} by V={v}; "
                 f"verify --with-graphs holds at most {MAX_GRAPH_WORK}"
             )
-        tasks.append((counts, args.with_graphs))
-    results = _map_ordered(_verify_one, tasks, args.jobs)
+    results = _map_ordered(functools.partial(_verify_one, with_graphs=args.with_graphs), vs, args.jobs)
     failed: list[int] = []
 
     def report() -> Iterator[str]:

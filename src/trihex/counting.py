@@ -15,11 +15,13 @@ powers p^k of V/4 of its local value there, which `_local` gives:
 
 `report(v)` multiplies the local values over one `factorize(V/4)`, and
 `_row` derives the last three counts from the four by checked exact
-divisions.  `columns(start, end)` multiplies them in as a sieve divides
-each prime power out of a segment of consecutive V/4, so a table lists no
-factorization and calls `factorize` for no row; it derives the last three
-counts a whole segment at a time, as columns, and falls back to `_row` only
-to name the first row whose division is not exact.  `columns` is the one
+divisions; `report` keeps the last 1 024 rows, so every layer asks for a
+row by V and a V's row is computed once.  `columns(start, end)`
+multiplies the local values in as a sieve divides each prime power out
+of a segment of consecutive V/4, so a table lists no factorization and
+calls `factorize` for no row; it derives the last three counts a whole
+segment at a time, as columns, and falls back to `_row` only to name the
+first row whose division is not exact.  `columns` is the one
 route over a range and `report` the one for a single V; this module
 computes and `cli` lays out the rows.  There is no separate function per
 count: callers read the `CountReport` field they need.  Everything is
@@ -32,6 +34,7 @@ routes, are kept in the tests.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import repeat
 from operator import add, floordiv, mul
 from typing import Iterator, NamedTuple, Sequence
@@ -82,6 +85,9 @@ class CountReport(NamedTuple):
     rot_classes: int
 
 
+# Bounded like `factorize`: `verify` asks for one V's row in each layer it
+# passes through, and a long range must not keep every row.
+@lru_cache(maxsize=1024)
 def report(v: int) -> CountReport:
     """Compute every counting function for v from one factorization of v/4."""
     s = d = m = n = 1

@@ -52,20 +52,21 @@ from .signature import (
 MAX_SIGNATURES = 20_000_000
 
 
-def check_signatures(v: int, sigma: int) -> None:
-    """Refuse v, which has sigma signatures, when they pass MAX_SIGNATURES."""
+def check_signatures(v: int) -> None:
+    """Refuse v when its signatures, sigma(v/4), pass MAX_SIGNATURES."""
+    sigma = counting.report(v).sigma
     if sigma > MAX_SIGNATURES:
         raise ValueError(f"V={v} has {sigma} signatures; enumeration holds at most {MAX_SIGNATURES}")
 
 
-def _divisor_pairs(v: int, sigma: int | None = None) -> list[tuple[int, int]]:
+def _divisor_pairs(v: int) -> list[tuple[int, int]]:
     """The pairs (n, m) = (s+1, b+1) with n*m = v/4, n ascending.
 
     A v past MAX_SIGNATURES is refused from sigma, read off the factorization
-    of v/4 unless the caller has it, before its divisors are listed.
+    of v/4, before its divisors are listed.
     """
     quarter = counting.quarter(v)
-    check_signatures(v, counting.report(v).sigma if sigma is None else sigma)
+    check_signatures(v)
     return [(n, quarter // n) for n in divisors(quarter)]
 
 
@@ -156,13 +157,7 @@ def verify(v: int) -> None:
     offset), not with the number of signatures.  Raises
     VerificationFailureError naming the first check that disagrees.
     """
-    _verify(counting.report(v))
-
-
-def _verify(counts: counting.CountReport) -> None:
-    """`verify` for the vertex count of `counts`, which must be its `counting.report`."""
-    v = counts.V
-    pairs = _divisor_pairs(v, counts.sigma)
+    pairs = _divisor_pairs(v)
     coinciding = coinciding_signatures(v)
     self_mirror = self_mirror_signatures(v)
     trihexes = gamma = 0
@@ -176,6 +171,7 @@ def _verify(counts: counting.CountReport) -> None:
         gamma += keep.count(1)
         trihexes += mask.count(1)
 
+    counts = counting.report(v)
     checks = (
         ("sigma", counts.sigma, sum(n for n, _ in pairs)),
         ("trihexes", counts.trihexes, trihexes),

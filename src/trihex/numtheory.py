@@ -90,8 +90,9 @@ def check_factorable(start: int, stop: int) -> None:
         raise ValueError(f"cannot factorize {max(start, 2**64)}; need n < 2^64")
 
 
-# Bounded: `verify` asks for one n in `counting.report` and again in each signature stream,
-# and a long range must not keep every n.
+# Bounded: `verify` factors V/4 in `counting.report` (which holds its rows) and
+# again in `divisors(V/4)`, and the same small n in `divisors` and `solve_fast`
+# from one V to the next; a long range must not keep every n.
 @lru_cache(maxsize=1024)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor 1 <= n < 2^64 into (prime, exponent) pairs, primes strictly increasing.

@@ -352,7 +352,7 @@ def test_verify_with_graphs_refuses_too_much_graph_work(monkeypatch, capsys, arg
     def no_work(*args):
         raise AssertionError("worked before refusing")
 
-    for module, name in ((enumeration, "_verify"), (graph, "build")):
+    for module, name in ((enumeration, "verify"), (graph, "build")):
         monkeypatch.setattr(module, name, no_work)
     assert run_cli(capsys, "verify", "--with-graphs", *argv.split()) == (
         2, "", f"trihex: graph work, trihexes(V) * V summed, reaches {work} by V={v}; "
@@ -367,10 +367,26 @@ def test_verify_refuses_its_range_before_writing(monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("worked before refusing")
 
-    monkeypatch.setattr(enumeration, "_verify", no_work)
+    monkeypatch.setattr(enumeration, "verify", no_work)
     assert run_cli(capsys, "verify", "--from", "79999996", "--to", "80000028") == (
         2, "", "trihex: V=80000000 has 49902216 signatures; enumeration holds at most 20000000\n"
     )
+
+
+def test_verify_admission_holds_nothing_per_vertex_count(monkeypatch, capsys):
+    # the range is admitted V by V and then handed on as a range: 50 000
+    # vertex counts, with the work stubbed out, hold no row or task per V
+    monkeypatch.setattr(enumeration, "verify", lambda v: None)
+    factorize.cache_clear()
+    tracemalloc.start()
+    try:
+        assert run_cli(capsys, "verify", "--from", "4", "--to", "200000", "--quiet") == (
+            0, "checked 50000 vertex counts, 0 failures\n", ""
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 @pytest.mark.parametrize(
@@ -390,7 +406,7 @@ def test_unwritable_output_is_refused(tmp_path, monkeypatch, capsys, command):
     def no_work(*args):
         raise AssertionError("worked before opening --output")
 
-    for module, name in ((counting, "columns"), (enumeration, "_verify"), (graph, "build")):
+    for module, name in ((counting, "columns"), (enumeration, "verify"), (graph, "build")):
         monkeypatch.setattr(module, name, no_work)
     for path, reason in ((tmp_path / "missing" / "out", "No such file or directory"), (tmp_path, "Is a directory")):
         assert run_cli(capsys, *command.split(), "--output", str(path)) == (
@@ -698,8 +714,10 @@ trihex.cli.os.cpu_count = lambda: 2
 serial = run(["count", "--from", "4", "--to", "400", "--jobs", "1"])
 print(serial[0], pool())
 print(run(["count", "--from", "4", "--to", "400", "--jobs", "2"]) == serial, pool())
+serial = run(["verify", "--from", "4", "--to", "120", "--with-graphs", "--jobs", "1"])
+print(serial[0], run(["verify", "--from", "4", "--to", "120", "--with-graphs", "--jobs", "2"]) == serial)
 """
-    assert fresh_stdout("-c", probe) == "0 []\nTrue ['concurrent.futures', 'multiprocessing']\n"
+    assert fresh_stdout("-c", probe) == "0 []\nTrue ['concurrent.futures', 'multiprocessing']\n0 True\n"
 
 
 def test_runs_without_docstrings():
@@ -894,14 +912,14 @@ def test_count_error_in_a_later_segment_exits_3(monkeypatch, capsys):
 def test_verify_error_at_a_later_vertex_count_exits_3(monkeypatch, capsys):
     # verify writes each vertex count's line as its result comes, so the
     # lines before the vertex count that fails are already written
-    check = enumeration._verify
+    check = enumeration.verify
 
-    def broken(counts):
-        if counts.V == 20:
+    def broken(v):
+        if v == 20:
             raise InternalInconsistencyError("routes disagree at V=20")
-        check(counts)
+        check(v)
 
-    monkeypatch.setattr(enumeration, "_verify", broken)
+    monkeypatch.setattr(enumeration, "verify", broken)
     assert run_cli(capsys, "verify", "--from", "4", "--to", "40") == (
         3, "V=4: ok\nV=8: ok\nV=12: ok\nV=16: ok\n", "trihex: internal error: routes disagree at V=20\n"
     )

@@ -210,6 +210,13 @@ def test_report_factorizes_once(monkeypatch):
         assert calls == [v // 4], v
 
 
+def test_report_cache_is_bounded_and_immutable():
+    # every layer that `verify` passes through asks for the same row, so it
+    # is a tuple shared by them all; a long range must not keep every row
+    assert report(360) is report(360)
+    assert report.cache_info().maxsize == 1024
+
+
 def test_report_raises_when_a_division_is_not_exact(monkeypatch):
     # a stand-in "prime" 4: sigma 5, delta 2, mu 2, so 6 * gamma would be 15
     monkeypatch.setattr(counting, "factorize", lambda n: ((4, 1),))
